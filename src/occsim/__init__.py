@@ -51,7 +51,6 @@ from .framing import (
     FrameStructure,
     PacketPlan,
     PlanInfeasible,
-    SubPacket,
     ab_state_v1,
     ab_state_v2,
     build_packet_stream,

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import analysis, io
 from .analysis import (
     DEFAULT_SWEEP_GRID,
-    DerEstimate,
     bit_rate_limit,
     fusion_gain_experiment,
     FusionStudyConfig,
@@ -190,10 +189,6 @@ def _reference_rows(fps_min: float) -> list[list]:
     return rows
 
 
-def _der_chunk(camera, plan, trials, seed) -> DerEstimate:
-    return monte_carlo_der(camera, plan, trials, seed)
-
-
 def cmd_der(args) -> int:
     config = _load_validated(args)
     if config is None:
@@ -212,9 +207,9 @@ def cmd_der(args) -> int:
 
     if args.parallel > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            estimates = list(pool.map(_der_chunk, *zip(*chunks)))
+            estimates = list(pool.map(monte_carlo_der, *zip(*chunks)))
     else:
-        estimates = [_der_chunk(*chunk) for chunk in chunks]
+        estimates = [monte_carlo_der(*chunk) for chunk in chunks]
 
     transmitted = sum(e.transmitted for e in estimates)
     undetected = sum(e.undetected for e in estimates)

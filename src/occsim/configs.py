@@ -183,7 +183,6 @@ class ExperimentConfig:
                 f"break gap counting"
             )
         fastest = 1.0 / (self.mean_fps + self.delta_fps)
-        capture = self.camera_rows * self.row_period_s
         if capture > fastest + 1e-12:
             problems.append(
                 f"camera_rows: rolling exposure time {capture:g} s exceeds "

@@ -1,12 +1,15 @@
 """Receiver chain: row luminance -> chips -> payload fragments -> payloads.
 
-Per frame, the covered rows are de-trended with a centered moving average,
-sliced into chips (one chip per ``rows_per_chip`` rows, choosing the row
-offset that slices sharpest and still shows a start-frame match), and
-decoded forward and backward from every detected SF.  A forward fragment
-is a payload prefix of the sub-packet starting at the SF; a backward
-fragment is a payload suffix of the sub-packet ending there, so a fragment
-read before an SF belongs to the preceding sub-packet.
+Per frame, the covered rows are de-trended with a centered moving average
+and sliced into chips, one chip per ``rows_per_chip`` rows, at the row
+offset that slices sharpest and still shows a start-frame (SF) match; all
+offsets are sliced and searched in one pass.  One codeword-table lookup
+gives the codeword value at every chip position, Ab bits included, and
+each SF yields fragments that are strided slices of those values up to the
+first invalid codeword.  A forward fragment is a payload prefix of the
+sub-packet starting at the SF; a backward fragment is a payload suffix of
+the sub-packet ending there, so a fragment read before an SF belongs to
+the preceding sub-packet.
 
 Fragments are grouped by asynchronous-bit state along the stream, fused
 (prefix + suffix) into full payload samples, and majority voted per group.
@@ -21,22 +24,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import FrameSample
 from .framing import (
     FrameStructure,
-    ab_bit_count,
     ab_chip_count,
     ab_state_v2,
     subpacket_chip_length,
 )
 from .rll import (
-    InvalidCodeword,
     RllScheme,
+    codeword_bits,
     codeword_chips,
-    decode_manchester_pair,
-    decode_rll,
+    codeword_values,
     payload_chip_count,
     preamble,
 )
@@ -171,15 +171,32 @@ def detrend(row_luma, window: int) -> np.ndarray:
     return signal - sums / counts
 
 
-def _group_means(signal: np.ndarray, rows_per_chip: float) -> np.ndarray:
-    n = int(len(signal) / rows_per_chip + 1e-9)
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
+def _group_means(signal: np.ndarray, rows_per_chip: float, offsets: int = 1
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Chip-group means of ``signal[offset:]`` for every offset below
+    ``offsets``, concatenated, and the bounds of each offset's run in them.
+
+    Each grid sums in the order a one-offset slice did (a reshape when
+    integer, reduceat when fractional), so the means match it bit for bit;
+    the last fractional group runs on to the signal's end.
+    """
+    length = len(signal)
+    counts = [int((length - offset) / rows_per_chip + 1e-9)
+              for offset in range(offsets)]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     step = int(round(rows_per_chip))
     if abs(rows_per_chip - step) < 1e-9:
-        return signal[:n * step].reshape(n, step).mean(axis=1)
-    edges = np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
-    return np.add.reduceat(signal, edges[:-1]) / np.diff(edges)
+        rows = np.concatenate([signal[offset:offset + n * step]
+                               for offset, n in enumerate(counts)])
+        return rows.reshape(-1, step).sum(axis=1) / step, bounds
+    edges = [offset + np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
+             for offset, n in enumerate(counts)]
+    starts = np.concatenate([e[:-1] for e in edges])
+    ends = np.concatenate([np.append(e[1:-1], length)[:len(e) - 1] for e in edges])
+    # reduceat over [start, end) pairs: its even outputs are the group sums
+    sums = np.add.reduceat(np.append(signal, 0.0),
+                           np.stack([starts, ends], axis=1).ravel())[::2]
+    return sums / np.concatenate([np.diff(e) for e in edges]), bounds
 
 
 def binarize(signal, rows_per_chip: float) -> np.ndarray:
@@ -187,17 +204,20 @@ def binarize(signal, rows_per_chip: float) -> np.ndarray:
     signal = np.asarray(signal, dtype=np.float64)
     if rows_per_chip <= 0:
         raise ValueError("rows_per_chip must be positive")
-    return (_group_means(signal, rows_per_chip) > 0).astype(np.int8)
+    return (_group_means(signal, rows_per_chip)[0] > 0).astype(np.int8)
 
 
 def find_sf(chips, scheme: RllScheme) -> np.ndarray:
-    """Positions of exact start-frame pattern matches."""
+    """Positions of exact start-frame pattern matches (one slice-AND pass)."""
     chips = np.asarray(chips, dtype=np.int8)
     pattern = preamble(scheme)
-    if len(chips) < len(pattern):
+    n = len(chips) - len(pattern) + 1
+    if n <= 0:
         return np.empty(0, dtype=np.int64)
-    windows = sliding_window_view(chips, len(pattern))
-    return np.flatnonzero((windows == pattern).all(axis=1))
+    match = chips[:n] == pattern[0]
+    for k in range(1, len(pattern)):
+        match &= chips[k:k + n] == pattern[k]
+    return np.flatnonzero(match)
 
 
 def frame_to_chips(rows, config: DecoderConfig) -> np.ndarray | None:
@@ -214,35 +234,33 @@ def frame_to_chips(rows, config: DecoderConfig) -> np.ndarray | None:
     if len(rows) < 2 * config.rows_per_chip:
         return None
     signal = detrend(rows, config.window_rows())
-    candidates = []
-    for offset in range(max(1, math.ceil(config.rows_per_chip))):
-        means = _group_means(signal[offset:], config.rows_per_chip)
-        chips = (means > 0).astype(np.int8)
-        margin = float(np.abs(means).mean())
-        hits = len(find_sf(chips, config.scheme))
-        candidates.append((margin, hits, offset, chips))
+    means, bounds = _group_means(signal, config.rows_per_chip,
+                                 max(1, math.ceil(config.rows_per_chip)))
+    chips = (means > 0).astype(np.int8)
+    # one SF search over every offset's chips; a hit counts for an offset
+    # only when the whole pattern lies inside that offset's run
+    hits = find_sf(chips, config.scheme)
+    last = bounds[1:] - len(preamble(config.scheme))
+    keys = [(float(np.abs(means[lo:hi]).sum() / (hi - lo)),
+             int(np.count_nonzero((hits >= lo) & (hits <= end))))
+            for lo, hi, end in zip(bounds[:-1], bounds[1:], last)]
     # the best-aligned offset slices sharpest and sees the true chips; an
-    # SF appearing only at a worse-margin offset is a phase-mixing alias
-    margin, hits, _, chips = max(candidates, key=lambda c: (c[0], c[1]))
-    return chips if hits else None
-
-
-def _decode_ab(chips, n_bits: int) -> tuple[int, ...] | None:
-    bits = []
-    for k in range(n_bits):
-        bit = decode_manchester_pair(chips[2 * k:2 * k + 2])
-        if bit is None:
-            return None
-        bits.append(bit)
-    return tuple(bits)
+    # SF appearing only at a worse-margin offset is a phase-mixing alias.
+    # The first offset wins a tie.
+    best = max(range(len(keys)), key=keys.__getitem__)
+    return chips[bounds[best]:bounds[best + 1]] if keys[best][1] else None
 
 
 def decode_frame(chips, scheme: RllScheme, version: FrameStructure,
                  payload_bits: int, frame_index: int = 0) -> list[DecodedPart]:
-    """Forward and backward fragments from every SF in one frame's chips."""
+    """Forward and backward fragments from every SF in one frame's chips.
+
+    A fragment is read away from its SF up to the first invalid codeword.
+    A complete fragment is dropped when the sub-packet's other Ab copy
+    disagrees with the one next to the SF: it would poison grouping.
+    """
     chips = np.asarray(chips, dtype=np.int8)
     sf_len = len(preamble(scheme))
-    n_ab = ab_bit_count(version)
     ab_chips = ab_chip_count(version)
     pay_chips = payload_chip_count(payload_bits, scheme)
     cw = codeword_chips(scheme)
@@ -255,60 +273,44 @@ def decode_frame(chips, scheme: RllScheme, version: FrameStructure,
         keep = residues == np.bincount(residues, minlength=ds_chips).argmax()
         positions = positions[keep]
 
+    words = codeword_values(chips, scheme)
+    manchester = (words if scheme is RllScheme.MANCHESTER
+                  else codeword_values(chips, RllScheme.MANCHESTER))
+
+    def ab_at(lo: int) -> tuple[int, ...] | None:
+        """The Manchester-coded Ab bits at chips[lo:lo + ab_chips]."""
+        if lo < 0 or lo + ab_chips > len(chips):
+            return None
+        bits = manchester[lo:lo + ab_chips:2]
+        return None if (bits < 0).any() else tuple(int(b) for b in bits)
+
     parts = []
     for p in (int(q) for q in positions):
-        # backward: the sub-packet ending at this SF
-        if p >= ab_chips + cw:
-            ab = _decode_ab(chips[p - ab_chips:p], n_ab)
-            if ab is not None:
-                data_end = p - ab_chips
-                blocks = []
-                for k in range(min(pay_chips, data_end) // cw):
-                    lo = data_end - (k + 1) * cw
-                    try:
-                        blocks.append(decode_rll(chips[lo:lo + cw], scheme))
-                    except InvalidCodeword:
-                        break
-                if blocks:
-                    fragment = np.concatenate(blocks[::-1])
-                    complete = len(fragment) == payload_bits
-                    keep = True
-                    if complete and data_end - pay_chips - ab_chips >= 0:
-                        lead = _decode_ab(
-                            chips[data_end - pay_chips - ab_chips:
-                                  data_end - pay_chips], n_ab)
-                        if lead is not None and lead != ab:
-                            keep = False  # conflicting Ab copies poison grouping
-                    if keep:
-                        parts.append(DecodedPart(frame_index, Direction.BACKWARD,
-                                                 ab, fragment, complete, p))
-
-        # forward: the sub-packet starting at this SF
-        ab_lo = p + sf_len
-        if ab_lo + ab_chips <= len(chips):
-            ab = _decode_ab(chips[ab_lo:ab_lo + ab_chips], n_ab)
-            if ab is not None:
-                data_start = ab_lo + ab_chips
-                avail = min(pay_chips, len(chips) - data_start)
-                blocks = []
-                for k in range(avail // cw):
-                    lo = data_start + k * cw
-                    try:
-                        blocks.append(decode_rll(chips[lo:lo + cw], scheme))
-                    except InvalidCodeword:
-                        break
-                if blocks:
-                    fragment = np.concatenate(blocks)
-                    complete = len(fragment) == payload_bits
-                    keep = True
-                    tail_lo = data_start + pay_chips
-                    if complete and tail_lo + ab_chips <= len(chips):
-                        tail = _decode_ab(chips[tail_lo:tail_lo + ab_chips], n_ab)
-                        if tail is not None and tail != ab:
-                            keep = False
-                    if keep:
-                        parts.append(DecodedPart(frame_index, Direction.FORWARD,
-                                                 ab, fragment, complete, p))
+        end = p - ab_chips  # payload end of the sub-packet ending at this SF
+        n_back = min(pay_chips, end) // cw
+        start = p + sf_len + ab_chips  # payload start of the one starting here
+        n_fwd = min(pay_chips, len(chips) - start) // cw
+        # (direction, Ab position, first codeword, codewords, other Ab copy)
+        for direction, ab_lo, lo, n, other_lo in (
+                (Direction.BACKWARD, end, end - n_back * cw, n_back,
+                 end - pay_chips - ab_chips),
+                (Direction.FORWARD, p + sf_len, start, n_fwd,
+                 start + pay_chips)):
+            ab = ab_at(ab_lo)
+            if ab is None or n < 1:
+                continue
+            values = words[lo:lo + n * cw:cw]
+            invalid = np.flatnonzero(values < 0)
+            if invalid.size:
+                values = (values[invalid[-1] + 1:]
+                          if direction is Direction.BACKWARD
+                          else values[:invalid[0]])
+            fragment = codeword_bits(values, scheme)
+            complete = len(fragment) == payload_bits
+            if fragment.size and not (complete
+                                      and ab_at(other_lo) not in (None, ab)):
+                parts.append(DecodedPart(frame_index, direction, ab, fragment,
+                                         complete, p))
     return parts
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraConfig, FrameSample, GeometryConfig, sample_frames
-from .decoder import DecoderConfig, LinkReport, decode_samples
-from .framing import FrameStructure, PacketPlan, ab_state_v2, build_packet_stream
+from .decoder import V2_STATE_CYCLE, DecoderConfig, LinkReport, decode_samples
+from .framing import FrameStructure, PacketPlan, build_packet_stream
 from .rll import RllScheme
 
 
@@ -96,9 +96,6 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
     )
 
 
-_V2_CYCLE = tuple(ab_state_v2(i) for i in range(4))
-
-
 @dataclass
 class GapAccounting:
     """(true_missed, reported_missed) per consecutive observation pair."""
@@ -142,7 +139,7 @@ def gap_accounting(outcome: LinkOutcome, strict: bool = True) -> GapAccounting:
     pairs = []
     for (i1, s1, p1), (i2, s2, p2) in zip(observations, observations[1:]):
         truth = i2 - i1 - 1 if i2 != i1 else 0
-        g = (_V2_CYCLE.index(s2) - _V2_CYCLE.index(s1)) % 4
+        g = (V2_STATE_CYCLE.index(s2) - V2_STATE_CYCLE.index(s1)) % 4
         reported = (0 if np.array_equal(p1, p2) else 3) if g == 0 else g - 1
         pairs.append((truth, reported))
     return GapAccounting(pairs, corrupt)

@@ -92,22 +92,6 @@ def build_subpacket(payload, packet_index: int, scheme: RllScheme,
 
 
 @dataclass(frozen=True)
-class SubPacket:
-    packet_index: int
-    payload_bits: np.ndarray
-    scheme: RllScheme
-    version: FrameStructure
-
-    @property
-    def ab(self) -> tuple[int, ...]:
-        return ab_bits(self.packet_index, self.version)
-
-    def chips(self) -> np.ndarray:
-        return build_subpacket(self.payload_bits, self.packet_index,
-                               self.scheme, self.version)
-
-
-@dataclass(frozen=True)
 class PacketPlan:
     """Timing of one packet: slot rate, sub-packet duration, repetitions."""
 

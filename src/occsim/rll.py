@@ -13,6 +13,7 @@ The 4B6B and 8B10B codebooks are loaded from plain-text files in
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass
 from enum import Enum
@@ -123,7 +124,7 @@ class ChipStream:
         chips = np.asarray(self.chips, dtype=np.int8)
         if chips.ndim != 1:
             raise ValueError("chips must be one-dimensional")
-        if chips.size and not np.isin(chips, (0, 1)).all():
+        if not _is_binary(chips):
             raise ValueError("chips must be 0/1 valued")
         if not self.clock_hz > 0:
             raise ValueError("clock_hz must be positive")
@@ -139,9 +140,12 @@ def efficiency(scheme: RllScheme) -> Fraction:
     return _EFFICIENCY[scheme]
 
 
+@functools.cache
 def preamble(scheme: RllScheme) -> np.ndarray:
-    """Start-frame chip pattern marking each sub-packet boundary."""
-    return np.array(_bits(_PREAMBLE[scheme]), dtype=np.int8)
+    """Start-frame chip pattern marking each sub-packet boundary (read-only)."""
+    chips = np.array(_bits(_PREAMBLE[scheme]), dtype=np.int8)
+    chips.flags.writeable = False
+    return chips
 
 
 def block_bits(scheme: RllScheme) -> int:
@@ -162,6 +166,11 @@ def payload_chip_count(payload_bits: int, scheme: RllScheme) -> int:
     return payload_bits // block * _CODEWORD_CHIPS[scheme]
 
 
+def _is_binary(values: np.ndarray) -> bool:
+    """Whether an int8 array holds only 0 and 1 (negatives view as > 1)."""
+    return not values.size or values.view(np.uint8).max() <= 1
+
+
 def _pack_bits_msb(bits: np.ndarray, width: int) -> np.ndarray:
     weights = 1 << np.arange(width - 1, -1, -1)
     return bits.reshape(-1, width) @ weights
@@ -174,7 +183,7 @@ def encode_rll(bits, scheme: RllScheme) -> np.ndarray:
     codewords keeps any encoded stream balanced within +/-2 chips.
     """
     bits = np.asarray(bits, dtype=np.int8)
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not _is_binary(bits):
         raise ValueError("payload bits must be 0/1 valued")
     block = _BLOCK_BITS[scheme]
     if len(bits) % block:
@@ -206,8 +215,39 @@ def encode_rll(bits, scheme: RllScheme) -> np.ndarray:
     return np.concatenate(words).astype(np.int8)
 
 
-def _unpack_bits_msb(value: int, width: int):
-    return [(value >> k) & 1 for k in range(width - 1, -1, -1)]
+@functools.cache
+def _codeword_table(scheme: RllScheme) -> np.ndarray:
+    """Codeword value, or -1 if invalid, indexed by its chips packed MSB first."""
+    if scheme is RllScheme.MANCHESTER:
+        book = {pair: bit for bit, pair in MANCHESTER_PAIRS.items()}
+    else:
+        book = DECODE_4B6B if scheme is RllScheme.FOUR_B_SIX_B else DECODE_8B10B
+    width = _CODEWORD_CHIPS[scheme]
+    table = np.full(1 << width, -1, dtype=np.int16)
+    table[_pack_bits_msb(np.array(list(book)), width)] = list(book.values())
+    table.flags.writeable = False
+    return table
+
+
+def codeword_values(chips, scheme: RllScheme) -> np.ndarray:
+    """Value of the codeword starting at each chip position, -1 where the
+    chips there form none: one table lookup for a whole chip array."""
+    chips = np.asarray(chips, dtype=np.int8)
+    if not _is_binary(chips):
+        raise ValueError("chips must be 0/1 valued")
+    width = _CODEWORD_CHIPS[scheme]
+    n = max(len(chips) - width + 1, 0)
+    words = np.zeros(n, dtype=np.intp)
+    for k in range(width):
+        words = (words << 1) | chips[k:k + n]
+    return _codeword_table(scheme)[words]
+
+
+def codeword_bits(values, scheme: RllScheme) -> np.ndarray:
+    """Data bits, MSB first, of valid codeword values."""
+    width = _BLOCK_BITS[scheme]
+    shifts = np.arange(width - 1, -1, -1)
+    return ((np.asarray(values)[:, None] >> shifts) & 1).astype(np.int8).ravel()
 
 
 def decode_rll(chips, scheme: RllScheme) -> np.ndarray:
@@ -219,42 +259,17 @@ def decode_rll(chips, scheme: RllScheme) -> np.ndarray:
             f"{scheme.value} chip count must be a multiple of {width}, "
             f"got {len(chips)}"
         )
-    bits: list[int] = []
-    for pos in range(len(chips) // width):
-        word = tuple(int(c) for c in chips[pos * width:(pos + 1) * width])
-        if scheme is RllScheme.MANCHESTER:
-            if word == (1, 0):
-                bits.append(1)
-            elif word == (0, 1):
-                bits.append(0)
-            else:
-                raise InvalidCodeword(pos, word)
-        elif scheme is RllScheme.FOUR_B_SIX_B:
-            value = DECODE_4B6B.get(word)
-            if value is None:
-                raise InvalidCodeword(pos, word)
-            bits.extend(_unpack_bits_msb(value, 4))
-        else:
-            value = DECODE_8B10B.get(word)
-            if value is None:
-                raise InvalidCodeword(pos, word)
-            bits.extend(_unpack_bits_msb(value, 8))
-    return np.array(bits, dtype=np.int8)
+    values = codeword_values(chips, scheme)[::width]
+    invalid = np.flatnonzero(values < 0)
+    if invalid.size:
+        pos = int(invalid[0])
+        raise InvalidCodeword(pos, chips[pos * width:(pos + 1) * width])
+    return codeword_bits(values, scheme)
 
 
 def encode_manchester_bits(bits) -> np.ndarray:
     """Manchester chip pairs for raw bits (used for asynchronous bits)."""
     return encode_rll(np.asarray(bits, dtype=np.int8), RllScheme.MANCHESTER)
-
-
-def decode_manchester_pair(chips) -> int | None:
-    """Decode one Manchester pair; None when the pair is not a valid symbol."""
-    pair = tuple(int(c) for c in chips)
-    if pair == (1, 0):
-        return 1
-    if pair == (0, 1):
-        return 0
-    return None
 
 
 def chips_to_ascii(chips) -> str:

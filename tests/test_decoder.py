@@ -1,9 +1,12 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from occsim.camera import CameraConfig
 from occsim.decoder import (
@@ -25,10 +28,23 @@ from occsim.experiment import gap_accounting, random_payloads, run_link
 from occsim.framing import (
     FrameStructure,
     PacketPlan,
+    ab_bit_count,
+    ab_chip_count,
     build_subpacket,
     subpacket_chip_length,
 )
-from occsim.rll import RllScheme, encode_rll
+from occsim.rll import (
+    DECODE_4B6B,
+    DECODE_8B10B,
+    InvalidCodeword,
+    RllScheme,
+    block_bits,
+    codeword_chips,
+    decode_rll,
+    encode_rll,
+    payload_chip_count,
+    preamble,
+)
 
 V1 = FrameStructure.V1_ONE_AB
 V2 = FrameStructure.V2_TWO_AB
@@ -413,3 +429,272 @@ class TestFrameToChips:
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
         assert frame_to_chips(rows, config) is None
+
+    def test_tie_keeps_first_offset(self):
+        # both chip phases see one SF at the same slicing margin
+        rows = np.array([1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1,
+                         1, 1, 1, -1, 1, -1, -1, -1, -1, -1, 1], dtype=float)
+        config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
+                               rows_per_chip=2, detrend_window_rows=1)
+        assert frame_to_chips(rows, config).tolist() == \
+            [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
+
+
+# --- reference receiver ------------------------------------------------------
+# The per-codeword, per-offset receiver that the codeword-table decode
+# replaced, kept as the oracle for the differential tests below.
+
+def _ref_decode_rll(chips, scheme):
+    chips = np.asarray(chips, dtype=np.int8)
+    width = codeword_chips(scheme)
+    if len(chips) % width:
+        raise ValueError("chip count must be a multiple of the codeword")
+    bits = []
+    for pos in range(len(chips) // width):
+        word = tuple(int(c) for c in chips[pos * width:(pos + 1) * width])
+        if scheme is RllScheme.MANCHESTER:
+            if word == (1, 0):
+                bits.append(1)
+            elif word == (0, 1):
+                bits.append(0)
+            else:
+                raise InvalidCodeword(pos, word)
+            continue
+        book = DECODE_4B6B if scheme is RllScheme.FOUR_B_SIX_B else DECODE_8B10B
+        value = book.get(word)
+        if value is None:
+            raise InvalidCodeword(pos, word)
+        n = block_bits(scheme)
+        bits.extend((value >> k) & 1 for k in range(n - 1, -1, -1))
+    return np.array(bits, dtype=np.int8)
+
+
+def _ref_find_sf(chips, scheme):
+    chips = np.asarray(chips, dtype=np.int8)
+    pattern = preamble(scheme)
+    if len(chips) < len(pattern):
+        return np.empty(0, dtype=np.int64)
+    windows = sliding_window_view(chips, len(pattern))
+    return np.flatnonzero((windows == pattern).all(axis=1))
+
+
+def _ref_group_means(signal, rows_per_chip):
+    n = int(len(signal) / rows_per_chip + 1e-9)
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+    step = int(round(rows_per_chip))
+    if abs(rows_per_chip - step) < 1e-9:
+        return signal[:n * step].reshape(n, step).mean(axis=1)
+    edges = np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
+    return np.add.reduceat(signal, edges[:-1]) / np.diff(edges)
+
+
+def _ref_frame_to_chips(rows, config):
+    rows = np.asarray(rows, dtype=np.float64)
+    if len(rows) < 2 * config.rows_per_chip:
+        return None
+    signal = detrend(rows, config.window_rows())
+    candidates = []
+    for offset in range(max(1, math.ceil(config.rows_per_chip))):
+        means = _ref_group_means(signal[offset:], config.rows_per_chip)
+        chips = (means > 0).astype(np.int8)
+        margin = float(np.abs(means).mean())
+        hits = len(_ref_find_sf(chips, config.scheme))
+        candidates.append((margin, hits, offset, chips))
+    margin, hits, _, chips = max(candidates, key=lambda c: (c[0], c[1]))
+    return chips if hits else None
+
+
+def _ref_decode_ab(chips, n_bits):
+    bits = []
+    for k in range(n_bits):
+        pair = tuple(int(c) for c in chips[2 * k:2 * k + 2])
+        if pair not in ((1, 0), (0, 1)):
+            return None
+        bits.append(pair[0])
+    return tuple(bits)
+
+
+def _ref_decode_frame(chips, scheme, version, payload_bits, frame_index=0):
+    chips = np.asarray(chips, dtype=np.int8)
+    sf_len = len(preamble(scheme))
+    n_ab = ab_bit_count(version)
+    ab_chips = ab_chip_count(version)
+    pay_chips = payload_chip_count(payload_bits, scheme)
+    cw = codeword_chips(scheme)
+    ds_chips = subpacket_chip_length(payload_bits, scheme, version)
+
+    positions = _ref_find_sf(chips, scheme)
+    if len(positions) > 1:
+        residues = positions % ds_chips
+        keep = residues == np.bincount(residues, minlength=ds_chips).argmax()
+        positions = positions[keep]
+
+    def blocks_at(starts):
+        blocks = []
+        for lo in starts:
+            try:
+                blocks.append(_ref_decode_rll(chips[lo:lo + cw], scheme))
+            except InvalidCodeword:
+                break
+        return blocks
+
+    parts = []
+    for p in (int(q) for q in positions):
+        if p >= ab_chips + cw:
+            ab = _ref_decode_ab(chips[p - ab_chips:p], n_ab)
+            if ab is not None:
+                data_end = p - ab_chips
+                blocks = blocks_at(data_end - (k + 1) * cw
+                                   for k in range(min(pay_chips, data_end) // cw))
+                if blocks:
+                    fragment = np.concatenate(blocks[::-1])
+                    complete = len(fragment) == payload_bits
+                    keep = True
+                    if complete and data_end - pay_chips - ab_chips >= 0:
+                        lead = _ref_decode_ab(
+                            chips[data_end - pay_chips - ab_chips:
+                                  data_end - pay_chips], n_ab)
+                        if lead is not None and lead != ab:
+                            keep = False
+                    if keep:
+                        parts.append(DecodedPart(frame_index, Direction.BACKWARD,
+                                                 ab, fragment, complete, p))
+        ab_lo = p + sf_len
+        if ab_lo + ab_chips <= len(chips):
+            ab = _ref_decode_ab(chips[ab_lo:ab_lo + ab_chips], n_ab)
+            if ab is not None:
+                data_start = ab_lo + ab_chips
+                avail = min(pay_chips, len(chips) - data_start)
+                blocks = blocks_at(data_start + k * cw for k in range(avail // cw))
+                if blocks:
+                    fragment = np.concatenate(blocks)
+                    complete = len(fragment) == payload_bits
+                    keep = True
+                    tail_lo = data_start + pay_chips
+                    if complete and tail_lo + ab_chips <= len(chips):
+                        tail = _ref_decode_ab(chips[tail_lo:tail_lo + ab_chips],
+                                              n_ab)
+                        if tail is not None and tail != ab:
+                            keep = False
+                    if keep:
+                        parts.append(DecodedPart(frame_index, Direction.FORWARD,
+                                                 ab, fragment, complete, p))
+    return parts
+
+
+def _fields(parts):
+    """Every DecodedPart field, with the types of its scalars."""
+    return [(p.frame_index, p.direction, p.ab_state,
+             tuple(type(b) for b in p.ab_state), p.fragment.dtype,
+             p.fragment.tolist(), p.complete, type(p.complete), p.position,
+             type(p.position)) for p in parts]
+
+
+@st.composite
+def _frames(draw):
+    """(scheme, version, payload_bits, chips) of one frame's chip window.
+
+    Windows cut from a packet stream, optionally with a codeword zeroed in
+    a payload (an invalid codeword mid-fragment), opening and closing on an
+    SF, and with chip flips; or plain random chips.
+    """
+    scheme = draw(st.sampled_from(list(RllScheme)))
+    version = draw(st.sampled_from([V1, V2]))
+    payload_bits = block_bits(scheme) * draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["window", "sf_edges", "random"]))
+    if kind == "random":
+        chips = rng.integers(0, 2, size=draw(st.integers(0, 120)))
+        return scheme, version, payload_bits, chips.astype(np.int8)
+
+    n_sub = draw(st.integers(2, 5))
+    first = draw(st.integers(0, 7))
+    reps = draw(st.integers(1, 2))
+    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits),
+                            first + k // reps, scheme, version)
+            for k in range(n_sub)]
+    starts = np.cumsum([0] + [len(s) for s in subs])
+    stream = np.concatenate(subs)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n_sub - 1))
+        cw = codeword_chips(scheme)
+        data = (starts[k] + len(preamble(scheme)) + ab_chip_count(version)
+                + cw * draw(st.integers(0, payload_bits // block_bits(scheme) - 1)))
+        stream[data:data + cw] = 0
+    if kind == "sf_edges":
+        i = draw(st.integers(0, n_sub - 2))
+        j = draw(st.integers(i + 1, n_sub - 1))
+        chips = stream[starts[i]:starts[j] + len(preamble(scheme))].copy()
+    else:
+        lo = draw(st.integers(0, len(stream) - 1))
+        chips = stream[lo:draw(st.integers(lo + 1, len(stream)))].copy()
+    flips = rng.integers(0, len(chips), size=draw(st.integers(0, 3)))
+    chips[flips] ^= 1
+    return scheme, version, payload_bits, chips
+
+
+class TestAgainstReference:
+    """The codeword-table receiver against the per-codeword reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_frames(), st.integers(0, 99))
+    def test_decode_frame(self, frame, frame_index):
+        scheme, version, payload_bits, chips = frame
+        got = decode_frame(chips, scheme, version, payload_bits, frame_index)
+        want = _ref_decode_frame(chips, scheme, version, payload_bits,
+                                 frame_index)
+        assert _fields(got) == _fields(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_frames())
+    def test_find_sf(self, frame):
+        scheme, _, _, chips = frame
+        got, want = find_sf(chips, scheme), _ref_find_sf(chips, scheme)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_frames(), st.sampled_from([1.5, 2, 2.5, 3]),
+           st.floats(0.0, 1.0), st.sampled_from([0.0, 0.05, 0.4]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_frame_to_chips(self, frame, rows_per_chip, phase, sigma, ramp,
+                            seed):
+        scheme, version, payload_bits, chips = frame
+        n_rows = max(0, int((len(chips) - 1) * rows_per_chip))
+        index = np.floor((np.arange(n_rows) + phase) / rows_per_chip)
+        rows = chips[index.astype(np.int64)].astype(np.float64)
+        rng = np.random.default_rng(seed)
+        rows += sigma * rng.standard_normal(n_rows)
+        if ramp:
+            rows += np.linspace(0.0, 0.5, n_rows)
+        config = DecoderConfig(scheme=scheme, version=version,
+                               payload_bits=payload_bits,
+                               rows_per_chip=rows_per_chip)
+        got = frame_to_chips(rows, config)
+        want = _ref_frame_to_chips(rows, config)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(RllScheme)), st.integers(0, 12),
+           st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_decode_rll(self, scheme, words, flips, ragged, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=words * block_bits(scheme))
+        chips = encode_rll(bits, scheme)
+        if len(chips):
+            chips[rng.integers(0, len(chips), size=flips)] ^= 1
+        if ragged:
+            chips = np.append(chips, 1)
+        outcomes = []
+        for decode in (decode_rll, _ref_decode_rll):
+            try:
+                out = decode(chips, scheme)
+                outcomes.append(("ok", out.dtype, out.tolist()))
+            except InvalidCodeword as err:
+                outcomes.append(("invalid", err.position, err.chips))
+            except ValueError:
+                outcomes.append(("length",))
+        assert outcomes[0] == outcomes[1]

@@ -9,7 +9,6 @@ from occsim.framing import (
     FrameStructure,
     PacketPlan,
     PlanInfeasible,
-    SubPacket,
     ab_state_v1,
     ab_state_v2,
     build_packet_stream,
@@ -97,11 +96,6 @@ class TestBuildSubpacket:
         a = build_subpacket(payload, 3, RllScheme.MANCHESTER, V1)
         b = build_subpacket(payload, 5, RllScheme.MANCHESTER, V1)
         assert np.array_equal(a, b)
-
-    def test_subpacket_dataclass(self):
-        sub = SubPacket(2, np.array([1, 0]), RllScheme.MANCHESTER, V2)
-        assert sub.ab == (0, 1)
-        assert len(sub.chips()) == subpacket_chip_length(2, RllScheme.MANCHESTER, V2)
 
 
 class TestPacketPlan:

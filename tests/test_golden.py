@@ -1,0 +1,72 @@
+"""Golden outputs: the decoded results of every preset and of the checked-in
+far-field fusion study.
+
+Each preset runs end to end at its own seed, and the sha256 of its
+``LinkReport.to_text()`` and of its recovered payload hex list are pinned.
+The far-field study must regenerate ``results/fusion_deep.csv`` byte for
+byte.  A receiver rewrite that claims unchanged behaviour passes these
+unchanged; only an intended behaviour change re-pins them.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from occsim import configs, decoder, experiment
+from occsim.analysis import fusion_gain_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# preset -> (sha256 of the report text, sha256 of the payload hex lines)
+GOLDEN = {
+    "table5_v1": (
+        "a0346efb796345f22344b4a9c574b71fe29eda97c2631ccbf0949cf6d87b6427",
+        "d40742a3a9905766bc0278f129e25ae273570bf6f403a25fc42374a129d75532"),
+    "table5_v2": (
+        "cfb40e6f1476c0951e76f4038760900f0cd9a7dc54c1100d110aa9bb442424dc",
+        "8a7fb0105c1b6263976d4f27128b2a4f522187919c0e2f2fec1252cc30751b5e"),
+    "table8_4b6b_2k": (
+        "5df4c3a101db48549ee1fd1de4456c3b5dc92545b7c01370fe55aa610340c371",
+        "6c24461f15c695e9901e0a450a76dacca9d1e2fd033d3762fcaaa727e73668fe"),
+    "table8_manchester_1k": (
+        "228bebf9e00484b88de8e286bd0894fe265694318c695aa3fcf1a0c341eda1ff",
+        "2462465660f6d23b605d866bef403902ad6df47f33cfe2f0ff84da1a499ff6cc"),
+    "table8_manchester_2k": (
+        "a4cda67a8f09d6654f26dccc4070196354f88303b7bbbfa0f2c285d18fe9b7f1",
+        "f65e5d8629cf185bbde7d204488c9e165d331b3b6b3699ad6b65c5c57afb9be7"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_preset_is_pinned():
+    assert sorted(GOLDEN) == sorted(configs.PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_preset_outputs(name):
+    config = configs.load_config(name)
+    # the payload draw of `occsim encode`
+    distinct = (config.payload_bits >= 16
+                and config.trials <= 1 << config.payload_bits)
+    payloads = experiment.random_payloads(config.trials, config.payload_bits,
+                                          config.seed, distinct=distinct)
+    report = experiment.run_link(
+        payloads, config.plan(), config.rll_scheme, config.frame_structure,
+        config.camera(), config.rows_per_chip, config.geometry()).report
+    hex_lines = "\n".join(decoder.bits_to_hex(p) for p in report.payloads())
+    assert (_sha256(report.to_text()), _sha256(hex_lines)) == GOLDEN[name]
+
+
+def test_fusion_deep_csv_regenerates(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "run_fusion_study", ROOT / "scripts" / "run_fusion_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    out = tmp_path / "fusion_deep.csv"
+    study.write_rows(out, fusion_gain_experiment(study.DEEP))
+    assert out.read_bytes() == (ROOT / "results" / "fusion_deep.csv").read_bytes()

@@ -56,6 +56,11 @@ class TestConstants:
         assert chips_to_ascii(preamble(RllScheme.EIGHT_B_TEN_B)) == \
             "0000111111111100000"
 
+    def test_preamble_is_read_only(self):
+        with pytest.raises(ValueError):
+            preamble(RllScheme.MANCHESTER)[0] = 1
+        assert chips_to_ascii(preamble(RllScheme.MANCHESTER)) == "011100"
+
     def test_4b6b_codebook_matches_published_table(self):
         for value, word in VLC_4B6B_TABLE.items():
             assert ENCODE_4B6B[value] == tuple(int(c) for c in word)
@@ -73,6 +78,11 @@ class TestEncode:
     def test_empty_input(self, scheme):
         assert len(encode_rll([], scheme)) == 0
         assert len(decode_rll([], scheme)) == 0
+
+    @pytest.mark.parametrize("bits", [[0, 2], [1, -1]])
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="0/1"):
+            encode_rll(bits, RllScheme.MANCHESTER)
 
     def test_block_size_errors_name_scheme(self):
         with pytest.raises(ValueError, match="4"):
@@ -107,6 +117,11 @@ class TestDecode:
     def test_chip_count_must_divide(self):
         with pytest.raises(ValueError, match="10"):
             decode_rll([0] * 15, RllScheme.EIGHT_B_TEN_B)
+
+    @pytest.mark.parametrize("chips", [[1, 2], [-1, 0]])
+    def test_non_binary_chips_rejected(self, chips):
+        with pytest.raises(ValueError, match="0/1"):
+            decode_rll(chips, RllScheme.MANCHESTER)
 
 
 class TestRoundtrip:
@@ -257,6 +272,8 @@ class TestChipStream:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChipStream(np.array([0, 2], dtype=np.int8), 1000.0)
+        with pytest.raises(ValueError):
+            ChipStream(np.array([0, -1], dtype=np.int8), 1000.0)
         with pytest.raises(ValueError):
             ChipStream(np.array([0, 1], dtype=np.int8), 0.0)
 
