@@ -30,7 +30,6 @@ from .decoder import (
     GapReport,
     LinkReport,
     UnfusablePair,
-    binarize,
     decode_frame,
     decode_samples,
     detect_missed,

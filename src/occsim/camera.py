@@ -64,27 +64,16 @@ class GeometryConfig:
     """LED footprint geometry reduced to the ratio reference_distance/distance.
 
     ``reference_distance`` is the distance at which the footprint spans the
-    rows of exactly one sub-packet; focal length and LED size are retained
-    as the optics that produced it (footprint rows scale with
-    focal_length * led_size / distance).
+    rows of exactly one sub-packet; the footprint's row count scales as
+    reference_distance / distance.
     """
 
     distance: float
     reference_distance: float
-    focal_length: float | None = None
-    led_size: float | None = None
 
     def __post_init__(self):
         if self.distance <= 0 or self.reference_distance <= 0:
             raise ValueError("distances must be positive")
-
-
-def reference_distance_from_optics(focal_length: float, led_size: float,
-                                   rows_per_subpacket: int) -> float:
-    """Distance at which one sub-packet's rows exactly fill the footprint."""
-    if focal_length <= 0 or led_size <= 0 or rows_per_subpacket <= 0:
-        raise ValueError("optics parameters must be positive")
-    return focal_length * led_size / rows_per_subpacket
 
 
 def covered_rows(geometry: GeometryConfig, rows_per_subpacket: int,

@@ -3,12 +3,14 @@
 A config fixes the whole pipeline: line code, frame structure, optical
 clock, packet rate, payload size, camera timing and footprint geometry.
 Derived quantities (sub-packet duration, repetitions, camera row period)
-come from properties so a config is a single source of truth.
+come from properties so a config is a single source of truth.  The
+presets are the JSON files in ``occsim/data/presets``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.resources
 import json
 from dataclasses import dataclass
 
@@ -203,41 +205,20 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def _preset(**kwargs) -> ExperimentConfig:
-    return ExperimentConfig(**kwargs)
+def _load_preset(name: str) -> ExperimentConfig:
+    path = importlib.resources.files("occsim.data") / "presets" / f"{name}.json"
+    preset = ExperimentConfig.from_json(path.read_text())
+    if preset.name != name:
+        raise ValueError(f"{name}.json: preset is named {preset.name!r}")
+    return preset
 
 
+# the shipped data/presets/*.json files, in the order `occsim presets` lists
+# them and `sweep_reference.csv` writes their rows
 PRESETS: dict[str, ExperimentConfig] = {
-    # oversampling profile: one Ab, camera floor at the packet rate
-    "table5_v1": _preset(
-        name="table5_v1", scheme="manchester", version="v1",
-        optical_clock_hz=4000.0, packet_rate=20.0, payload_bits=15,
-        camera_rows=160, mean_fps=27.5, delta_fps=7.5, seed=5, trials=500,
-    ),
-    # undersampling profile: two Ab, camera floor a quarter of the packet rate
-    "table5_v2": _preset(
-        name="table5_v2", scheme="manchester", version="v2",
-        optical_clock_hz=4000.0, packet_rate=20.0, payload_bits=18,
-        camera_rows=200, mean_fps=12.0, delta_fps=7.0, seed=5, trials=2000,
-    ),
-    "table8_manchester_1k": _preset(
-        name="table8_manchester_1k", scheme="manchester", version="v1",
-        optical_clock_hz=1000.0, packet_rate=10.0, payload_bits=5,
-        camera_rows=56, mean_fps=27.5, delta_fps=7.5, seed=8, trials=500,
-        reported_limit_bps=600.0, reported_achieved_bps=300.0,
-    ),
-    "table8_manchester_2k": _preset(
-        name="table8_manchester_2k", scheme="manchester", version="v1",
-        optical_clock_hz=2000.0, packet_rate=10.0, payload_bits=15,
-        camera_rows=112, mean_fps=27.5, delta_fps=7.5, seed=8, trials=500,
-        reported_limit_bps=1200.0, reported_achieved_bps=500.0,
-    ),
-    "table8_4b6b_2k": _preset(
-        name="table8_4b6b_2k", scheme="4b6b", version="v1",
-        optical_clock_hz=2000.0, packet_rate=10.0, payload_bits=24,
-        camera_rows=114, mean_fps=27.5, delta_fps=7.5, seed=8, trials=500,
-        reported_limit_bps=1900.0, reported_achieved_bps=600.0,
-    ),
+    name: _load_preset(name) for name in (
+        "table5_v1", "table5_v2", "table8_manchester_1k",
+        "table8_manchester_2k", "table8_4b6b_2k")
 }
 
 

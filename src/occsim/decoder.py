@@ -143,6 +143,10 @@ class DecoderConfig:
     fusion: bool = True
     detrend_window_rows: int | None = None
 
+    def __post_init__(self):
+        if self.rows_per_chip <= 0:
+            raise ValueError("rows_per_chip must be positive")
+
     def window_rows(self) -> int:
         if self.detrend_window_rows is not None:
             window = self.detrend_window_rows
@@ -177,8 +181,7 @@ def _group_means(signal: np.ndarray, rows_per_chip: float, offsets: int = 1
     ``offsets``, concatenated, and the bounds of each offset's run in them.
 
     Each grid sums in the order a one-offset slice did (a reshape when
-    integer, reduceat when fractional), so the means match it bit for bit;
-    the last fractional group runs on to the signal's end.
+    integer, reduceat when fractional), so the means match it bit for bit.
     """
     length = len(signal)
     counts = [int((length - offset) / rows_per_chip + 1e-9)
@@ -192,19 +195,11 @@ def _group_means(signal: np.ndarray, rows_per_chip: float, offsets: int = 1
     edges = [offset + np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
              for offset, n in enumerate(counts)]
     starts = np.concatenate([e[:-1] for e in edges])
-    ends = np.concatenate([np.append(e[1:-1], length)[:len(e) - 1] for e in edges])
+    ends = np.concatenate([e[1:] for e in edges])
     # reduceat over [start, end) pairs: its even outputs are the group sums
     sums = np.add.reduceat(np.append(signal, 0.0),
                            np.stack([starts, ends], axis=1).ravel())[::2]
     return sums / np.concatenate([np.diff(e) for e in edges]), bounds
-
-
-def binarize(signal, rows_per_chip: float) -> np.ndarray:
-    """One chip per rows_per_chip rows: sign of the group mean (>0 -> 1)."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if rows_per_chip <= 0:
-        raise ValueError("rows_per_chip must be positive")
-    return (_group_means(signal, rows_per_chip)[0] > 0).astype(np.int8)
 
 
 def find_sf(chips, scheme: RllScheme) -> np.ndarray:
@@ -408,41 +403,46 @@ def majority_vote(samples: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return voted, ties
 
 
-V2_STATE_CYCLE = tuple(ab_state_v2(i) for i in range(4))
+_V2_STATE_INDEX = {ab_state_v2(i): i for i in range(4)}
 
 
-def detect_missed(observations, version: FrameStructure = FrameStructure.V2_TWO_AB,
-                  cycle: tuple[tuple[int, int], ...] = V2_STATE_CYCLE
-                  ) -> list[GapReport]:
-    """Missed-packet reports from consecutive (state, payload) observations.
+def missed_packets(prev_state, prev_payload, state, payload) -> int:
+    """Packets missed between two consecutive two-Ab observations.
 
-    observations: iterable of (ab_state, payload[, frame_index]) in stream
-    order.  The state distance around the four-state cycle gives the gap;
+    The state distance around the four-state cycle gives the gap;
     identical states with identical payloads are a resample of the same
     packet, identical states with different payloads mean a full cycle
     (three packets) was skipped.
     """
-    if version is not FrameStructure.V2_TWO_AB:
-        raise ValueError("missed-packet detection requires the two-bit structure")
-    index_of = {state: i for i, state in enumerate(cycle)}
+    try:
+        step = (_V2_STATE_INDEX[tuple(state)]
+                - _V2_STATE_INDEX[tuple(prev_state)]) % 4
+    except KeyError as exc:
+        raise ValueError(f"unknown Ab state {exc.args[0]!r}") from None
+    if step == 0:
+        return 0 if np.array_equal(payload, prev_payload) else 3
+    return step - 1
+
+
+def detect_missed(observations) -> list[GapReport]:
+    """Missed-packet reports from consecutive two-Ab observations.
+
+    observations: iterable of (ab_state, payload[, frame_index]) in stream
+    order; each consecutive pair is counted by :func:`missed_packets`.
+    """
     reports = []
     prev = None
     for obs in observations:
-        state, payload = obs[0], obs[1]
+        state, payload = tuple(obs[0]), np.asarray(obs[1])
         frame = obs[2] if len(obs) > 2 else -1
-        if tuple(state) not in index_of:
+        if prev is None and state not in _V2_STATE_INDEX:
             raise ValueError(f"unknown Ab state {state!r}")
         if prev is not None:
             p_state, p_payload, p_frame = prev
-            g = (index_of[tuple(state)] - index_of[tuple(p_state)]) % 4
-            if g == 0:
-                missed = 0 if np.array_equal(payload, p_payload) else 3
-            else:
-                missed = g - 1
+            missed = missed_packets(p_state, p_payload, state, payload)
             if missed:
-                reports.append(GapReport(tuple(p_state), missed,
-                                         (p_frame, frame)))
-        prev = (tuple(state), np.asarray(payload), frame)
+                reports.append(GapReport(p_state, missed, (p_frame, frame)))
+        prev = (state, payload, frame)
     return reports
 
 

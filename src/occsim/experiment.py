@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraConfig, FrameSample, GeometryConfig, sample_frames
-from .decoder import V2_STATE_CYCLE, DecoderConfig, LinkReport, decode_samples
+from .decoder import DecoderConfig, LinkReport, decode_samples, missed_packets
 from .framing import FrameStructure, PacketPlan, build_packet_stream
 from .rll import RllScheme
 
@@ -139,7 +139,5 @@ def gap_accounting(outcome: LinkOutcome, strict: bool = True) -> GapAccounting:
     pairs = []
     for (i1, s1, p1), (i2, s2, p2) in zip(observations, observations[1:]):
         truth = i2 - i1 - 1 if i2 != i1 else 0
-        g = (V2_STATE_CYCLE.index(s2) - V2_STATE_CYCLE.index(s1)) % 4
-        reported = (0 if np.array_equal(p1, p2) else 3) if g == 0 else g - 1
-        pairs.append((truth, reported))
+        pairs.append((truth, missed_packets(s1, p1, s2, p2)))
     return GapAccounting(pairs, corrupt)

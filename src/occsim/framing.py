@@ -23,7 +23,6 @@ import numpy as np
 from .rll import (
     ChipStream,
     RllScheme,
-    encode_manchester_bits,
     encode_rll,
     payload_chip_count,
     preamble,
@@ -86,7 +85,7 @@ def subpacket_chip_length(payload_bits: int, scheme: RllScheme,
 def build_subpacket(payload, packet_index: int, scheme: RllScheme,
                     version: FrameStructure) -> np.ndarray:
     """SF || Ab chips || RLL(payload) || Ab chips for one sub-packet."""
-    ab = encode_manchester_bits(ab_bits(packet_index, version))
+    ab = encode_rll(ab_bits(packet_index, version), RllScheme.MANCHESTER)
     body = encode_rll(payload, scheme)
     return np.concatenate([preamble(scheme), ab, body, ab]).astype(np.int8)
 

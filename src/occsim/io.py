@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import FrameSample
-from .rll import ChipStream
+from .rll import ChipStream, ascii_to_chips, chips_to_ascii
 
 PACKED_MAGIC = b"OCHP"
 PACKED_VERSION = 1
@@ -31,7 +31,7 @@ def write_chipstream_ascii(path, stream: ChipStream) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"clock_hz={stream.clock_hz!r}\n")
         fh.write(f"chips={len(stream.chips)}\n")
-        text = "".join(str(int(c)) for c in stream.chips)
+        text = chips_to_ascii(stream.chips)
         for i in range(0, len(text), _ASCII_WRAP):
             fh.write(text[i:i + _ASCII_WRAP] + "\n")
 
@@ -50,6 +50,8 @@ def read_chipstream(path) -> ChipStream:
     raw = Path(path).read_bytes()
     if raw.startswith(PACKED_MAGIC):
         header = struct.Struct("<IdQ")
+        if len(raw) < len(PACKED_MAGIC) + header.size:
+            raise FileFormatError("packed chip stream header truncated")
         version, clock_hz, count = header.unpack_from(raw, len(PACKED_MAGIC))
         if version != PACKED_VERSION:
             raise FileFormatError(f"unsupported packed version {version}")
@@ -62,7 +64,7 @@ def read_chipstream(path) -> ChipStream:
 
     clock_hz = None
     count = None
-    bits: list[str] = []
+    lines: list[np.ndarray] = []
     for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -75,13 +77,15 @@ def read_chipstream(path) -> ChipStream:
                 count = int(value)
             else:
                 raise FileFormatError(f"line {lineno}: unknown header {key!r}")
-        elif set(line) <= {"0", "1"}:
-            bits.append(line)
         else:
-            raise FileFormatError(f"line {lineno}: expected 0/1 chips")
+            try:
+                lines.append(ascii_to_chips(line))
+            except ValueError:
+                raise FileFormatError(
+                    f"line {lineno}: expected 0/1 chips") from None
     if clock_hz is None or count is None:
         raise FileFormatError("missing clock_hz/chips header")
-    chips = np.array([int(c) for c in "".join(bits)], dtype=np.int8)
+    chips = np.concatenate([np.empty(0, dtype=np.int8), *lines])
     if len(chips) != count:
         raise FileFormatError(
             f"chip count mismatch: header says {count}, file has {len(chips)}"

@@ -267,17 +267,18 @@ def decode_rll(chips, scheme: RllScheme) -> np.ndarray:
     return codeword_bits(values, scheme)
 
 
-def encode_manchester_bits(bits) -> np.ndarray:
-    """Manchester chip pairs for raw bits (used for asynchronous bits)."""
-    return encode_rll(np.asarray(bits, dtype=np.int8), RllScheme.MANCHESTER)
-
-
 def chips_to_ascii(chips) -> str:
-    return "".join(str(int(c)) for c in np.asarray(chips).ravel())
+    """Chips as a string of '0'/'1' characters."""
+    chips = np.asarray(chips, dtype=np.int8).ravel()
+    if not _is_binary(chips):
+        raise ValueError("chips must be 0/1 valued")
+    return (chips.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def ascii_to_chips(text: str) -> np.ndarray:
-    cleaned = "".join(text.split())
-    if cleaned and set(cleaned) - {"0", "1"}:
+    """Chips from '0'/'1' text; whitespace is ignored."""
+    raw = np.frombuffer("".join(text.split()).encode(), dtype=np.uint8)
+    chips = raw - ord("0")  # every byte but '0' and '1' lands above 1
+    if not _is_binary(chips):
         raise ValueError("chip text must contain only 0/1")
-    return np.array([int(c) for c in cleaned], dtype=np.int8)
+    return chips.astype(np.int8)

@@ -10,7 +10,6 @@ from occsim.camera import (
     GeometryConfig,
     covered_rows,
     frame_intervals,
-    reference_distance_from_optics,
     sample_frames,
 )
 from occsim.rll import ChipStream
@@ -174,8 +173,3 @@ class TestCoverage:
         for d in (1.0, 1.25, 2.0, 2.5, 4.0):
             exact = 400 / d
             assert abs(covered_rows(geometry_of(d), 400) - exact) <= 1
-
-    def test_halving_subpacket_doubles_reference_distance(self):
-        d_full = reference_distance_from_optics(800.0, 0.18, 200)
-        d_half = reference_distance_from_optics(800.0, 0.18, 100)
-        assert d_half == pytest.approx(2 * d_full)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from occsim import io
 from occsim.cli import main
 from occsim.configs import PRESETS, ExperimentConfig, load_config
+from occsim.rll import ChipStream
 
 
 def run_cli(*argv):
@@ -168,6 +170,49 @@ class TestSimulateAndDecode:
         assert "line 2" in capsys.readouterr().err
 
 
+_PACKED_HEADER = struct.Struct("<IdQ")
+
+
+class TestReadChipstream:
+    @pytest.mark.parametrize("raw, message", [
+        (b"OCHP\x01\x00", "header truncated"),
+        (b"OCHP" + _PACKED_HEADER.pack(2, 1000.0, 8) + b"\x55",
+         "unsupported packed version 2"),
+        (b"OCHP" + _PACKED_HEADER.pack(1, 1000.0, 16) + b"\x55",
+         "packed chip stream truncated"),
+        (b"clock_hz=1000.0\nchips=4\nfoo=1\n0101\n",
+         "line 3: unknown header 'foo'"),
+        (b"clock_hz=1000.0\nchips=8\n0101\n01x1\n",
+         "line 4: expected 0/1 chips"),
+        (b"clock_hz=1000.0\nchips=5\n0101\n",
+         "header says 5, file has 4"),
+        (b"chips=4\n0101\n", "missing clock_hz/chips header"),
+    ], ids=["short_header", "bad_version", "truncated_bits", "unknown_key",
+            "non_binary_body", "count_mismatch", "missing_header"])
+    def test_malformed_stream_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "stream.chips"
+        path.write_bytes(raw)
+        with pytest.raises(io.FileFormatError, match=message):
+            io.read_chipstream(path)
+
+    def test_comments_blank_lines_and_wrap(self, tmp_path):
+        chips = np.tile(np.array([0, 1, 1], dtype=np.int8), 60)
+        path = tmp_path / "stream.chips"
+        io.write_chipstream_ascii(path, ChipStream(chips, 1000.0))
+        lines = path.read_text().splitlines()
+        assert [len(line) for line in lines[2:]] == [80, 80, 20]
+        path.write_text("# a comment\n\n" + "\n".join(lines) + "\n")
+        assert np.array_equal(io.read_chipstream(path).chips, chips)
+
+    def test_simulate_short_packed_stream_fails_cleanly(
+            self, tmp_path, small_config, capsys):
+        stream = tmp_path / "stream.chips"
+        stream.write_bytes(b"OCHP\x01\x00")
+        assert run_cli("simulate", "--config", small_config, "--stream",
+                       stream, "--out", tmp_path / "frames.csv") == 1
+        assert "header truncated" in capsys.readouterr().err
+
+
 class TestStudies:
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -249,16 +294,3 @@ class TestConfigRoundtrip:
         for name, preset in PRESETS.items():
             if preset.version == "v1":
                 assert preset.plan().repetitions >= preset.required_repetitions(), name
-
-    def test_shipped_preset_files_match_table(self):
-        import importlib.resources
-
-        folder = importlib.resources.files("occsim.data").joinpath("presets")
-        names = set()
-        for entry in folder.iterdir():
-            if not entry.name.endswith(".json"):
-                continue
-            preset = ExperimentConfig.from_json(entry.read_text())
-            assert preset == PRESETS[preset.name], preset.name
-            names.add(preset.name)
-        assert names == set(PRESETS)

@@ -14,7 +14,7 @@ from occsim.decoder import (
     DecoderConfig,
     Direction,
     UnfusablePair,
-    binarize,
+    _group_means,
     decode_frame,
     detect_missed,
     detrend,
@@ -74,8 +74,8 @@ class TestDetrend:
         chips = encode_rll(payload, MAN)
         rows = np.repeat(chips, 2).astype(np.float64)
         ramp = np.linspace(0.0, 0.3, len(rows))
-        recovered = binarize(detrend(rows + ramp, 17), 2)
-        assert np.array_equal(recovered, chips)
+        means, _ = _group_means(detrend(rows + ramp, 17), 2)
+        assert np.array_equal(means > 0, chips)
 
     def test_window_mean_near_zero(self):
         rng = np.random.default_rng(4)
@@ -86,20 +86,37 @@ class TestDetrend:
 
 
 class TestBinarize:
+    """Chip slicing: one chip per rows_per_chip rows, the sign of the
+    group mean."""
+
+    @staticmethod
+    def chips(signal, rows_per_chip):
+        means, _ = _group_means(np.asarray(signal, dtype=np.float64),
+                                rows_per_chip)
+        return (means > 0).astype(np.int8).tolist()
+
     def test_all_positive_is_all_ones(self):
-        assert binarize(np.ones(10), 2).tolist() == [1] * 5
+        assert self.chips(np.ones(10), 2) == [1] * 5
 
     def test_single_row_per_chip(self):
         sig = np.array([0.5, -0.5, 0.1, -0.1])
-        assert binarize(sig, 1).tolist() == [1, 0, 1, 0]
+        assert self.chips(sig, 1) == [1, 0, 1, 0]
 
     def test_fractional_rows_per_chip(self):
         sig = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
-        assert binarize(sig, 1.5).tolist() == [1, 1, 0, 0]
+        assert self.chips(sig, 1.5) == [1, 1, 0, 0]
+
+    def test_last_fractional_group_ends_at_its_edge(self):
+        # rows 6-7 lie past the last whole 1.5-row group of offset 0
+        sig = np.zeros(8)
+        sig[6:] = 9.0
+        means, bounds = _group_means(sig, 1.5, offsets=2)
+        assert bounds.tolist() == [0, 5, 9]
+        assert means.tolist() == [0, 0, 0, 0, 9.0, 0, 0, 0, 4.5]
 
     def test_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            binarize(np.ones(4), 0)
+        with pytest.raises(ValueError, match="rows_per_chip"):
+            DecoderConfig(MAN, V1, 5, rows_per_chip=0)
 
 
 class TestFindSf:
@@ -295,9 +312,10 @@ class TestDetectMissed:
         obs = [((0, 1), self.P[0]), ((0, 1), self.P[1])]
         assert detect_missed(obs)[0].missed_count == 3
 
-    def test_requires_v2(self):
-        with pytest.raises(ValueError):
-            detect_missed([], version=V1)
+    @pytest.mark.parametrize("states", [[(2, 0)], [(0, 0), (1,)]])
+    def test_unknown_state_rejected(self, states):
+        with pytest.raises(ValueError, match="unknown Ab state"):
+            detect_missed([(state, self.P[0]) for state in states])
 
     def test_simulated_skip_three_scenario(self):
         # packets 2 and 6 share a state; only payload comparison reveals
@@ -308,12 +326,6 @@ class TestDetectMissed:
         reports = detect_missed(obs)
         assert [r.missed_count for r in reports] == [3]
 
-    def test_custom_cycle_phase(self):
-        # any consistent four-state ordering works when passed explicitly
-        cycle = ((1, 1), (0, 0), (1, 0), (0, 1))
-        obs = [((1, 1), self.P[0]), ((1, 0), self.P[1])]
-        reports = detect_missed(obs, cycle=cycle)
-        assert [r.missed_count for r in reports] == [1]
 
 
 def small_link(payload_bits=5, packets=40, cam_seed=40, payload_seed=3,
@@ -486,7 +498,7 @@ def _ref_group_means(signal, rows_per_chip):
     if abs(rows_per_chip - step) < 1e-9:
         return signal[:n * step].reshape(n, step).mean(axis=1)
     edges = np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
-    return np.add.reduceat(signal, edges[:-1]) / np.diff(edges)
+    return np.add.reduceat(signal[:edges[-1]], edges[:-1]) / np.diff(edges)
 
 
 def _ref_frame_to_chips(rows, config):

@@ -1,10 +1,10 @@
-"""Golden outputs: the decoded results of every preset and of the checked-in
-far-field fusion study.
+"""Golden outputs: the decoded results of every preset and the checked-in
+study CSVs.
 
 Each preset runs end to end at its own seed, and the sha256 of its
 ``LinkReport.to_text()`` and of its recovered payload hex list are pinned.
-The far-field study must regenerate ``results/fusion_deep.csv`` byte for
-byte.  A receiver rewrite that claims unchanged behaviour passes these
+Every CSV in ``results/`` must regenerate byte for byte from the script
+that wrote it.  A rewrite that claims unchanged behaviour passes these
 unchanged; only an intended behaviour change re-pins them.
 """
 
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from occsim import configs, decoder, experiment
-from occsim.analysis import fusion_gain_experiment
+from occsim import cli, configs, decoder, experiment
+from occsim.analysis import FusionStudyConfig, fusion_gain_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,11 +62,41 @@ def test_preset_outputs(name):
     assert (_sha256(report.to_text()), _sha256(hex_lines)) == GOLDEN[name]
 
 
-def test_fusion_deep_csv_regenerates(tmp_path):
+def _script(name: str):
     spec = importlib.util.spec_from_file_location(
-        "run_fusion_study", ROOT / "scripts" / "run_fusion_study.py")
-    study = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study)
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_regenerated(out: Path):
+    assert out.read_bytes() == (ROOT / "results" / out.name).read_bytes()
+
+
+def test_fusion_deep_csv_regenerates(tmp_path):
+    study = _script("run_fusion_study")
     out = tmp_path / "fusion_deep.csv"
     study.write_rows(out, fusion_gain_experiment(study.DEEP))
-    assert out.read_bytes() == (ROOT / "results" / "fusion_deep.csv").read_bytes()
+    _assert_regenerated(out)
+
+
+def test_fusion_grid_csv_regenerates(tmp_path):
+    study = _script("run_fusion_study")
+    out = tmp_path / "fusion_grid.csv"
+    study.write_rows(out, fusion_gain_experiment(FusionStudyConfig()))
+    _assert_regenerated(out)
+
+
+def test_der_study_csv_regenerates(tmp_path, monkeypatch):
+    study = _script("run_der_study")
+    monkeypatch.setattr(study, "RESULTS", tmp_path)
+    assert study.main() == 0
+    _assert_regenerated(tmp_path / "der_study.csv")
+
+
+def test_sweep_csvs_regenerate(tmp_path):
+    # the arguments of scripts/run_sweep.py
+    assert cli.main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
+    _assert_regenerated(tmp_path / "sweep.csv")
+    _assert_regenerated(tmp_path / "sweep_reference.csv")
