@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Detection error rate vs frame-rate floor, formula beside simulation.
 
-Sweeps the camera's mean rate downward past the detection guarantee
-boundary (a quarter of the packet rate) and reports the closed-form DER
-next to the Monte-Carlo estimate for each point.
+Sweeps the camera's mean rate of the ``table5_v2`` link downward past the
+detection guarantee boundary (a quarter of the packet rate) and reports
+the closed-form DER next to the Monte-Carlo estimate for each point.
 """
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 from occsim.analysis import monte_carlo_der
-from occsim.camera import CameraConfig
-from occsim.framing import PacketPlan
+from occsim.configs import PRESETS
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
-PACKET_RATE = 20.0
-PLAN = PacketPlan.fill_slot(PACKET_RATE, 50 / 4000, 4000.0)
 FPS_POINTS = [(12.0, 7.0), (8.0, 2.5), (6.0, 1.5), (4.5, 1.0), (3.5, 0.5)]
 TRIALS = 2000
 SEED = 101
@@ -30,10 +28,9 @@ def main() -> int:
         writer.writerow(["fps_floor", "packet_rate", "der_formula",
                          "der_empirical", "ci_low", "ci_high"])
         for mean_fps, delta_fps in FPS_POINTS:
-            camera = CameraConfig(rows=200, row_period_s=1 / 8000,
-                                  row_exposure_s=1 / 8000, mean_fps=mean_fps,
-                                  delta_fps=delta_fps, seed=SEED)
-            est = monte_carlo_der(camera, PLAN, TRIALS, SEED)
+            config = replace(PRESETS["table5_v2"], mean_fps=mean_fps,
+                             delta_fps=delta_fps, seed=SEED, trials=TRIALS)
+            est = monte_carlo_der(config, SEED)
             writer.writerow([est.fps_floor, est.packet_rate,
                              float(est.der_formula), est.der_empirical,
                              est.ci_low, est.ci_high])

@@ -12,19 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .camera import CameraConfig, GeometryConfig, sample_frames
-from .decoder import DecoderConfig, decode_samples
+from .camera import sample_frames
+from .configs import ExperimentConfig
+from .decoder import decode_samples
 from .experiment import gap_accounting, random_payloads, run_link
-from .framing import (
-    FrameStructure,
-    PacketPlan,
-    ab_chip_count,
-    build_packet_stream,
-    subpacket_chip_length,
-)
-from .rll import RllScheme, efficiency, payload_chip_count, preamble
+from .framing import FrameStructure, ab_chip_count, build_packet_stream
+from .rll import RllScheme, efficiency, preamble
 
 
 class NonPositiveBudget(ValueError):
@@ -135,40 +128,37 @@ class DerEstimate:
     ci_high: float
 
 
-def monte_carlo_der(camera: CameraConfig, plan: PacketPlan, trials: int,
-                    seed: int, scheme: RllScheme = RllScheme.MANCHESTER,
-                    rows_per_chip: float = 2.0) -> DerEstimate:
-    """Empirical detection error rate over a full simulated pipeline.
+def monte_carlo_der(config: ExperimentConfig, seed: int) -> DerEstimate:
+    """Empirical detection error rate over the config's simulated link.
 
-    trials is the number of transmitted packets; payloads are drawn
-    pairwise distinct so every observation maps to its packet, making the
-    undetected-miss count exact.
+    The config supplies the packet count (``trials``), the plan, the
+    camera (at ``config.seed``), the line code, the row grid, the footprint
+    and the payload width; ``seed`` draws the payloads, pairwise distinct so
+    every observation maps to its packet, making the undetected-miss count
+    exact.  The config must use the two-Ab (v2) structure.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    version = FrameStructure.V2_TWO_AB
-    payload_chips = plan.ds_chips - len(preamble(scheme)) - 2 * ab_chip_count(version)
-    payload_bits = int(payload_chips * efficiency(scheme))
-    if payload_chip_count(payload_bits, scheme) != payload_chips:
-        raise ValueError("plan sub-packet length does not fit the scheme")
-
-    payloads = random_payloads(trials, payload_bits, seed, distinct=True)
-    outcome = run_link(payloads, plan, scheme, version, camera, rows_per_chip)
+    if config.frame_structure is not FrameStructure.V2_TWO_AB:
+        raise ValueError("detection-error studies require a v2 (two-Ab) config")
+    payloads = random_payloads(config.trials, config.payload_bits, seed,
+                               distinct=True)
+    outcome = run_link(payloads, config.plan(), config.rll_scheme,
+                       config.frame_structure, config.camera(),
+                       config.rows_per_chip, config.geometry())
     accounting = gap_accounting(outcome, strict=False)
 
     undetected = accounting.undetected()
-    ci_low, ci_high = wilson_interval(undetected, trials)
-    floor = camera.mean_fps - camera.delta_fps
+    ci_low, ci_high = wilson_interval(undetected, config.trials)
+    floor = config.mean_fps - config.delta_fps
     return DerEstimate(
-        packet_rate=plan.packet_rate,
+        packet_rate=config.packet_rate,
         fps_floor=floor,
-        transmitted=trials,
+        transmitted=config.trials,
         missed_true=accounting.true_missed(),
         missed_reported=accounting.reported_missed(),
         undetected=undetected,
         corrupt_observations=accounting.corrupt_observations,
-        der_formula=der(plan.packet_rate, camera.mean_fps, floor),
-        der_empirical=undetected / trials,
+        der_formula=der(config.packet_rate, config.mean_fps, floor),
+        der_empirical=undetected / config.trials,
         ci_low=ci_low,
         ci_high=ci_high,
     )
@@ -189,19 +179,17 @@ class SweepRow:
     status: str  # "ok" or "nonpositive_budget"
 
 
-def sweep_frequency(schemes=tuple(RllScheme), f_list=DEFAULT_SWEEP_GRID,
-                    fps_min: float = 20.0, n_frame: int = 1,
-                    version: FrameStructure = FrameStructure.V1_ONE_AB
+def sweep_frequency(f_list=DEFAULT_SWEEP_GRID, fps_min: float = 20.0
                     ) -> list[SweepRow]:
-    """Bit-rate ceiling per (scheme, optical clock) over the usable band."""
+    """One-Ab bit-rate ceiling per (scheme, optical clock) over the usable band."""
     rows = []
-    for scheme in schemes:
+    for scheme in RllScheme:
         for f in f_list:
             symbols = symbols_per_image(f)
-            overhead = scheme_overhead(scheme, version)
+            overhead = scheme_overhead(scheme)
             try:
                 rate = bit_rate_limit(efficiency(scheme), symbols, overhead,
-                                      fps_min, n_frame)
+                                      fps_min)
                 status = "ok"
             except NonPositiveBudget:
                 rate = None
@@ -245,48 +233,37 @@ class FusionStudyRow:
 def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
     """Recovery fraction over (sub-packet length x distance x fusion).
 
-    The footprint model pins the optics once across the whole grid, so the
-    reference distance of each sub-packet length scales as 1/ds_length and
-    absolute distances are comparable between grid cells.  Frames are
-    sampled once per cell and decoded with fusion on and off.
+    Each cell is an ``ExperimentConfig`` at ``distance_ratio`` against a
+    reference distance of 1.0: the footprint model pins the optics once
+    across the whole grid, so the reference distance of each sub-packet
+    length scales as 1/ds_length and absolute distances are comparable
+    between grid cells.  Frames are sampled once per cell and decoded with
+    fusion on and off.
     """
     rows: list[FusionStudyRow] = []
-    row_period = 1.0 / (config.optical_clock_hz * config.rows_per_chip)
-    camera_base = dict(
-        rows=config.camera_rows,
-        row_period_s=row_period,
-        row_exposure_s=row_period,
-        mean_fps=config.mean_fps,
-        delta_fps=config.delta_fps,
-    )
     for ds_index, payload_bits in enumerate(config.payload_bits_grid):
-        ds_chips = subpacket_chip_length(payload_bits, config.scheme,
-                                         config.version)
-        ds_length = ds_chips / config.optical_clock_hz
-        plan = PacketPlan.fill_slot(config.packet_rate, ds_length,
-                                    config.optical_clock_hz)
         for ratio_index, ratio in enumerate(config.distance_ratios):
             seed = config.seed + 1000 * ds_index + 10 * ratio_index
-            payloads = random_payloads(config.packets, payload_bits,
-                                       seed, distinct=True)
+            cell = ExperimentConfig(
+                scheme=config.scheme.value, version=config.version.value,
+                optical_clock_hz=config.optical_clock_hz,
+                packet_rate=config.packet_rate, payload_bits=payload_bits,
+                rows_per_chip=config.rows_per_chip,
+                camera_rows=config.camera_rows, mean_fps=config.mean_fps,
+                delta_fps=config.delta_fps, distance=ratio,
+                reference_distance=1.0, seed=seed + 1, trials=config.packets)
+            payloads = random_payloads(cell.trials, cell.payload_bits, seed,
+                                       distinct=True)
             sent = {tuple(int(b) for b in p) for p in payloads}
-            stream = build_packet_stream(payloads, plan, config.scheme,
-                                         config.version)
-            camera = CameraConfig(seed=seed + 1, **camera_base)
-            geometry = GeometryConfig(distance=ratio, reference_distance=1.0)
-            samples = sample_frames(
-                stream, camera, geometry,
-                rows_per_subpacket=ds_chips * config.rows_per_chip)
+            stream = build_packet_stream(payloads, cell.plan(),
+                                         cell.rll_scheme, cell.frame_structure)
+            samples = sample_frames(stream, cell.camera(), cell.geometry())
             for fusion in (True, False):
-                decoder = DecoderConfig(
-                    scheme=config.scheme, version=config.version,
-                    payload_bits=payload_bits,
-                    rows_per_chip=config.rows_per_chip, fusion=fusion)
-                report = decode_samples(samples, decoder)
+                report = decode_samples(samples, cell.decoder(fusion))
                 got = {tuple(int(b) for b in g.payload) for g in report.groups}
                 rows.append(FusionStudyRow(
                     distance_ratio=ratio,
-                    ds_length_s=ds_length,
+                    ds_length_s=cell.ds_length_s,
                     fusion=fusion,
                     recovered_fraction=len(sent & got) / len(sent),
                 ))

@@ -8,9 +8,9 @@ interval_k = 1 / (mean_fps + delta_k * delta_fps) with delta_k drawn i.i.d.
 from a bounded deviation process.
 
 Distance enters through a single ratio: at ``reference_distance`` the LED
-footprint spans exactly the rows of one sub-packet, and the footprint
-shrinks proportionally to 1/distance.  Rows outside the footprint read
-background (zero) luminance.
+footprint spans exactly the ``subpacket_rows`` rows of one sub-packet, and
+the footprint shrinks proportionally to 1/distance.  Rows outside the
+footprint read background (zero) luminance.
 """
 
 from __future__ import annotations
@@ -63,23 +63,27 @@ class CameraConfig:
 class GeometryConfig:
     """LED footprint geometry reduced to the ratio reference_distance/distance.
 
-    ``reference_distance`` is the distance at which the footprint spans the
-    rows of exactly one sub-packet; the footprint's row count scales as
+    ``subpacket_rows`` is the number of sensor rows one sub-packet spans
+    (its chip count times the rows per chip, possibly fractional), and
+    ``reference_distance`` the distance at which the footprint spans exactly
+    that many rows; the footprint's row count scales as
     reference_distance / distance.
     """
 
     distance: float
     reference_distance: float
+    subpacket_rows: float
 
     def __post_init__(self):
         if self.distance <= 0 or self.reference_distance <= 0:
             raise ValueError("distances must be positive")
+        if self.subpacket_rows <= 0:
+            raise ValueError("subpacket_rows must be positive")
 
 
-def covered_rows(geometry: GeometryConfig, rows_per_subpacket: int,
-                 max_rows: int | None = None) -> int:
+def covered_rows(geometry: GeometryConfig, max_rows: int | None = None) -> int:
     """Rows of the sensor the LED footprint spans at the configured distance."""
-    rows = round(rows_per_subpacket * geometry.reference_distance
+    rows = round(geometry.subpacket_rows * geometry.reference_distance
                  / geometry.distance)
     if max_rows is not None:
         rows = min(rows, max_rows)
@@ -145,23 +149,17 @@ def _integral_at(prefix: np.ndarray, chips: np.ndarray, clock_hz: float,
 
 def sample_frames(waveform: ChipStream, camera: CameraConfig,
                   geometry: GeometryConfig | None = None,
-                  duration_s: float | None = None,
-                  rows_per_subpacket: int | None = None) -> list[FrameSample]:
+                  duration_s: float | None = None) -> list[FrameSample]:
     """Simulate frames over the waveform; deterministic for a given seed.
 
-    When geometry is given, rows_per_subpacket sets the footprint scale;
-    without geometry the LED fills the whole sensor.
+    Without geometry the LED fills the whole sensor.
     """
     duration = waveform.duration_s if duration_s is None else duration_s
     if duration > waveform.duration_s + 1e-12:
         raise ValueError("duration exceeds the waveform duration")
 
-    if geometry is not None:
-        if rows_per_subpacket is None:
-            raise ValueError("rows_per_subpacket is required with geometry")
-        cov = covered_rows(geometry, rows_per_subpacket, max_rows=camera.rows)
-    else:
-        cov = camera.rows
+    cov = camera.rows if geometry is None \
+        else covered_rows(geometry, max_rows=camera.rows)
 
     max_frames = int(duration * (camera.mean_fps + camera.delta_fps)) + 2
     intervals = frame_intervals(camera, max_frames)

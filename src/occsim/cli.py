@@ -27,7 +27,7 @@ from .analysis import (
     symbols_per_image,
     wilson_interval,
 )
-from .camera import sample_frames
+from .camera import covered_rows, sample_frames
 from .configs import PRESETS, ExperimentConfig, load_config
 from .decoder import decode_samples
 from .experiment import random_payloads
@@ -107,10 +107,8 @@ def cmd_simulate(args) -> int:
         return 2
     stream = io.read_chipstream(args.stream)
     duration = args.duration if args.duration is not None else stream.duration_s
-    rows_per_subpacket = config.ds_chips * config.rows_per_chip
     samples = sample_frames(stream, config.camera(), config.geometry(),
-                            duration_s=duration,
-                            rows_per_subpacket=rows_per_subpacket)
+                            duration_s=duration)
     io.write_frames_csv(args.out, samples)
     out = Path(args.out)
     io.write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
@@ -125,12 +123,8 @@ def cmd_decode(args) -> int:
     if config is None:
         return 2
     geometry = config.geometry()
-    covered = None
-    if geometry is not None:
-        from .camera import covered_rows as _covered
-
-        covered = _covered(geometry, config.ds_chips * config.rows_per_chip,
-                           max_rows=config.camera_rows)
+    covered = None if geometry is None \
+        else covered_rows(geometry, max_rows=config.camera_rows)
     samples = io.read_frames_csv(args.frames, covered_rows=covered)
     report = decode_samples(samples, config.decoder(fusion=not args.no_fusion))
     text = report.to_text()
@@ -195,13 +189,13 @@ def cmd_der(args) -> int:
         return 2
     if config.version != "v2":
         return _fail("detection-error studies require a v2 (two-Ab) config", 2)
-    trials = config.trials
     chunks = []
-    remaining, index = trials, 0
+    remaining, index = config.trials, 0
     while remaining > 0:
         size = min(_DER_CHUNK, remaining)
-        chunks.append((config.camera(seed=config.seed + 101 * index),
-                       config.plan(), size, config.seed + 101 * index + 1))
+        seed = config.seed + 101 * index
+        chunks.append((dataclasses.replace(config, seed=seed, trials=size),
+                       seed + 1))
         remaining -= size
         index += 1
 

@@ -87,7 +87,7 @@ class ExperimentConfig:
         slowest = 1.0 / (self.mean_fps - self.delta_fps)
         return repetition_count(slowest, self.ds_length_s)
 
-    def camera(self, seed: int | None = None) -> CameraConfig:
+    def camera(self) -> CameraConfig:
         return CameraConfig(
             rows=self.camera_rows,
             row_period_s=self.row_period_s,
@@ -96,7 +96,7 @@ class ExperimentConfig:
             delta_fps=self.delta_fps,
             delta_process=self.delta_process,
             noise_sigma=self.noise_sigma,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
     def geometry(self) -> GeometryConfig | None:
@@ -106,7 +106,8 @@ class ExperimentConfig:
         if reference is None:
             reference = self.distance  # footprint exactly one sub-packet
         return GeometryConfig(distance=self.distance,
-                              reference_distance=reference)
+                              reference_distance=reference,
+                              subpacket_rows=self.ds_chips * self.rows_per_chip)
 
     def decoder(self, fusion: bool = True) -> DecoderConfig:
         return DecoderConfig(scheme=self.rll_scheme,

@@ -141,18 +141,14 @@ class DecoderConfig:
     payload_bits: int
     rows_per_chip: float
     fusion: bool = True
-    detrend_window_rows: int | None = None
 
     def __post_init__(self):
-        if self.rows_per_chip <= 0:
-            raise ValueError("rows_per_chip must be positive")
+        if self.rows_per_chip < 1:
+            raise ValueError("rows_per_chip must be at least 1")
 
     def window_rows(self) -> int:
-        if self.detrend_window_rows is not None:
-            window = self.detrend_window_rows
-        else:
-            # must exceed the longest identical-chip run (the SF's) in rows
-            window = round(self.rows_per_chip * (len(preamble(self.scheme)) + 2))
+        # must exceed the longest identical-chip run (the SF's) in rows
+        window = round(self.rows_per_chip * (len(preamble(self.scheme)) + 2))
         return window + 1 if window % 2 == 0 else window
 
 

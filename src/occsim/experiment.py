@@ -74,19 +74,16 @@ class LinkOutcome:
 def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
              version: FrameStructure, camera: CameraConfig,
              rows_per_chip: float, geometry: GeometryConfig | None = None,
-             fusion: bool = True, keep_probability: float = 1.0,
-             max_consecutive_drops: int = 3,
-             drop_seed: int | None = None) -> LinkOutcome:
+             keep_probability: float = 1.0,
+             max_consecutive_drops: int = 3) -> LinkOutcome:
     """Transmit the payload sequence and decode the simulated frames."""
     stream = build_packet_stream(payloads, plan, scheme, version)
-    rows_per_subpacket = round(plan.ds_chips * rows_per_chip)
-    samples = sample_frames(stream, camera, geometry,
-                            rows_per_subpacket=rows_per_subpacket)
+    samples = sample_frames(stream, camera, geometry)
     kept = drop_frames(samples, keep_probability, max_consecutive_drops,
-                       camera.seed + 7919 if drop_seed is None else drop_seed)
+                       camera.seed + 7919)
     config = DecoderConfig(scheme=scheme, version=version,
                            payload_bits=len(payloads[0]),
-                           rows_per_chip=rows_per_chip, fusion=fusion)
+                           rows_per_chip=rows_per_chip)
     report = decode_samples(kept, config)
     return LinkOutcome(
         transmitted=[np.asarray(p, dtype=np.int8) for p in payloads],

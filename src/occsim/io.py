@@ -27,6 +27,17 @@ class FileFormatError(ValueError):
     pass
 
 
+def _clock_hz(value, where: str) -> float:
+    try:
+        clock_hz = float(value)
+    except ValueError:
+        clock_hz = float("nan")
+    if not clock_hz > 0:
+        raise FileFormatError(
+            f"{where}: clock_hz must be a positive number, got {value!r}")
+    return clock_hz
+
+
 def write_chipstream_ascii(path, stream: ChipStream) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"clock_hz={stream.clock_hz!r}\n")
@@ -55,6 +66,7 @@ def read_chipstream(path) -> ChipStream:
         version, clock_hz, count = header.unpack_from(raw, len(PACKED_MAGIC))
         if version != PACKED_VERSION:
             raise FileFormatError(f"unsupported packed version {version}")
+        clock_hz = _clock_hz(clock_hz, "packed header")
         payload = np.frombuffer(raw, dtype=np.uint8,
                                 offset=len(PACKED_MAGIC) + header.size)
         chips = np.unpackbits(payload)[:count].astype(np.int8)
@@ -65,16 +77,26 @@ def read_chipstream(path) -> ChipStream:
     clock_hz = None
     count = None
     lines: list[np.ndarray] = []
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"line {lineno}: not UTF-8 text") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" in line:
             key, _, value = line.partition("=")
             if key == "clock_hz":
-                clock_hz = float(value)
+                clock_hz = _clock_hz(value, f"line {lineno}")
             elif key == "chips":
-                count = int(value)
+                try:
+                    count = int(value)
+                except ValueError:
+                    raise FileFormatError(
+                        f"line {lineno}: chips must be an integer, "
+                        f"got {value!r}") from None
             else:
                 raise FileFormatError(f"line {lineno}: unknown header {key!r}")
         else:
@@ -109,32 +131,38 @@ def write_frames_csv(path, samples: list[FrameSample]) -> None:
 def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
     """Rebuild frame samples from CSV; coverage defaults to the full sensor."""
     by_frame: dict[int, dict] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # bytes that are not UTF-8 become lone surrogates, which no number
+    # parses, so they are reported on their line like any bad field
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError("line 1: empty file, expected header") from None
-        if header != FRAME_CSV_HEADER:
-            raise FileFormatError(
-                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}"
-            )
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise FileFormatError(f"line {lineno}: expected 4 columns")
-            try:
-                index = int(fields[0])
-                start = float(fields[1])
-                row = int(fields[2])
-                luma = float(fields[3])
-            except ValueError as exc:
-                raise FileFormatError(f"line {lineno}: {exc}") from None
-            entry = by_frame.setdefault(index, {"start": start, "rows": {}})
-            if row in entry["rows"]:
-                raise FileFormatError(f"line {lineno}: duplicate row {row}")
-            entry["rows"][row] = luma
+            header = next(reader, None)
+            if header is None:
+                raise FileFormatError("line 1: empty file, expected header")
+            if header != FRAME_CSV_HEADER:
+                raise FileFormatError(
+                    f"line 1: expected header {','.join(FRAME_CSV_HEADER)}"
+                )
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                if len(fields) != 4:
+                    raise FileFormatError(f"line {lineno}: expected 4 columns")
+                try:
+                    index = int(fields[0])
+                    start = float(fields[1])
+                    row = int(fields[2])
+                    luma = float(fields[3])
+                except ValueError as exc:
+                    raise FileFormatError(f"line {lineno}: {exc}") from None
+                entry = by_frame.setdefault(index, {"start": start, "rows": {}})
+                if row in entry["rows"]:
+                    raise FileFormatError(f"line {lineno}: duplicate row {row}")
+                entry["rows"][row] = luma
+        except csv.Error as exc:
+            # e.g. a stray quote that runs a field past the csv field limit
+            raise FileFormatError(f"line {reader.line_num}: {exc}") from None
 
     samples = []
     for index in sorted(by_frame):

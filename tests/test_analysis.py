@@ -19,7 +19,9 @@ from occsim.analysis import (
     throughput_with_detection,
     wilson_interval,
 )
-from occsim.camera import CameraConfig
+from dataclasses import replace
+
+from occsim.configs import PRESETS
 from occsim.framing import FrameStructure, PacketPlan, subpacket_chip_length
 from occsim.rll import RllScheme, efficiency
 
@@ -156,17 +158,15 @@ class TestDer:
         assert der(20, 25) == 0
 
 
-def _mc_camera(mean_fps, delta_fps, seed):
-    return CameraConfig(rows=200, row_period_s=1 / 8000, row_exposure_s=1 / 8000,
-                        mean_fps=mean_fps, delta_fps=delta_fps, seed=seed)
+def _mc_config(mean_fps, delta_fps, seed, trials):
+    # the table5_v2 link: 18-bit Manchester v2 payloads at 20 packets/s
+    return replace(PRESETS["table5_v2"], mean_fps=mean_fps,
+                   delta_fps=delta_fps, seed=seed, trials=trials)
 
 
 class TestMonteCarloDer:
-    PLAN = PacketPlan.fill_slot(20.0, 50 / 4000, 4000.0)
-
     def test_guaranteed_floor_zero_undetected(self):
-        est = monte_carlo_der(_mc_camera(12.0, 7.0, 3), self.PLAN,
-                              trials=10_000, seed=5)
+        est = monte_carlo_der(_mc_config(12.0, 7.0, 3, 10_000), seed=5)
         assert est.fps_floor == 5.0
         assert est.undetected == 0
         assert est.der_empirical == 0.0
@@ -174,8 +174,7 @@ class TestMonteCarloDer:
         assert est.corrupt_observations == 0
 
     def test_below_floor_reports_losses(self):
-        est = monte_carlo_der(_mc_camera(4.0, 1.0, 3), self.PLAN,
-                              trials=1500, seed=5)
+        est = monte_carlo_der(_mc_config(4.0, 1.0, 3, 1500), seed=5)
         assert est.undetected > 0
         assert est.der_empirical > 0
         assert est.der_formula == der(20, 4)
@@ -183,8 +182,22 @@ class TestMonteCarloDer:
 
     def test_empty_experiment_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo_der(_mc_camera(12.0, 7.0, 3), self.PLAN,
-                            trials=0, seed=1)
+            monte_carlo_der(_mc_config(12.0, 7.0, 3, 0), seed=1)
+
+    def test_requires_v2(self):
+        with pytest.raises(ValueError, match="v2"):
+            monte_carlo_der(replace(PRESETS["table5_v1"], trials=10), seed=1)
+
+    def test_simulates_the_configs_own_grid(self):
+        # three rows per chip: the link must be sliced on its own grid, so
+        # frames decode and the misses of the 5 fps floor are all reported
+        config = replace(PRESETS["table5_v2"], rows_per_chip=3,
+                         camera_rows=300, trials=300)
+        assert config.validate() == []
+        est = monte_carlo_der(config, config.seed + 1)
+        assert est.missed_true > 0
+        assert est.undetected == 0
+        assert est.missed_reported == est.missed_true
 
 
 class TestFusionStudy:

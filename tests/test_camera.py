@@ -126,9 +126,9 @@ class TestSampleFrames:
 
     def test_geometry_limits_coverage(self):
         stream = ChipStream(np.ones(2000, dtype=np.int8), 1000.0)
-        geometry = GeometryConfig(distance=2.0, reference_distance=1.0)
-        frames = sample_frames(stream, camera(rows=40), geometry,
-                               rows_per_subpacket=40)
+        geometry = GeometryConfig(distance=2.0, reference_distance=1.0,
+                                  subpacket_rows=40)
+        frames = sample_frames(stream, camera(rows=40), geometry)
         frame = frames[0]
         assert frame.covered_rows == 20
         covered = frame.covered_slice()
@@ -153,23 +153,28 @@ class TestSampleFrames:
 
 class TestCoverage:
     def test_reference_distance_full_fit(self):
-        geometry = GeometryConfig(distance=1.5, reference_distance=1.5)
-        assert covered_rows(geometry, 120) == 120
+        geometry = GeometryConfig(distance=1.5, reference_distance=1.5,
+                                  subpacket_rows=120)
+        assert covered_rows(geometry) == 120
 
     def test_double_distance_halves_rows(self):
-        geometry = GeometryConfig(distance=3.0, reference_distance=1.5)
-        assert covered_rows(geometry, 120) == 60
+        geometry = GeometryConfig(distance=3.0, reference_distance=1.5,
+                                  subpacket_rows=120)
+        assert covered_rows(geometry) == 60
 
     def test_far_limit(self):
-        geometry = GeometryConfig(distance=1e9, reference_distance=1.0)
-        assert covered_rows(geometry, 120) == 0
+        geometry = GeometryConfig(distance=1e9, reference_distance=1.0,
+                                  subpacket_rows=120)
+        assert covered_rows(geometry) == 0
 
     def test_cap_at_sensor(self):
-        geometry = GeometryConfig(distance=0.5, reference_distance=2.0)
-        assert covered_rows(geometry, 120, max_rows=200) == 200
+        geometry = GeometryConfig(distance=0.5, reference_distance=2.0,
+                                  subpacket_rows=120)
+        assert covered_rows(geometry, max_rows=200) == 200
 
     def test_inverse_distance_proportionality(self):
-        geometry_of = lambda d: GeometryConfig(distance=d, reference_distance=1.0)
+        geometry_of = lambda d: GeometryConfig(distance=d, reference_distance=1.0,
+                                               subpacket_rows=400)
         for d in (1.0, 1.25, 2.0, 2.5, 4.0):
             exact = 400 / d
-            assert abs(covered_rows(geometry_of(d), 400) - exact) <= 1
+            assert abs(covered_rows(geometry_of(d)) - exact) <= 1

@@ -1,15 +1,24 @@
 """Command-line driver: files, determinism, validation, and studies."""
 
 import csv
+import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from occsim import io
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from occsim import cli, io
+from occsim.analysis import monte_carlo_der
 from occsim.cli import main
 from occsim.configs import PRESETS, ExperimentConfig, load_config
+from occsim.experiment import random_payloads, run_link
+from occsim.camera import FrameSample
 from occsim.rll import ChipStream
 
 
@@ -162,6 +171,33 @@ class TestSimulateAndDecode:
         assert recovered >= 25
         assert f"recovered payloads: {recovered}" in text
 
+    def test_fractional_footprint_matches_run_link(self, tmp_path):
+        # 1.5 rows per chip at 0.9x the reference distance: the file
+        # pipeline and run_link must cut the same footprint from the same
+        # frames and print the same report
+        config = dataclasses.replace(
+            PRESETS["table5_v1"], scheme="8b10b", payload_bits=8,
+            rows_per_chip=1.5, distance=0.9, reference_distance=1.0,
+            packet_rate=10.0, camera_rows=120, trials=40)
+        assert config.validate() == []
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        stream = tmp_path / "stream.chips"
+        frames = tmp_path / "frames.csv"
+        report = tmp_path / "report.txt"
+        assert run_cli("encode", "--config", path, "--out", stream) == 0
+        assert run_cli("simulate", "--config", path, "--stream", stream,
+                       "--out", frames) == 0
+        assert run_cli("decode", "--config", path, "--frames", frames,
+                       "--out", report) == 0
+        # the payload draw of `occsim encode` for narrow payloads
+        payloads = random_payloads(config.trials, config.payload_bits,
+                                   config.seed)
+        outcome = run_link(payloads, config.plan(), config.rll_scheme,
+                           config.frame_structure, config.camera(),
+                           config.rows_per_chip, config.geometry())
+        assert report.read_text() == outcome.report.to_text() + "\n"
+
     def test_malformed_csv_reports_line(self, tmp_path, small_config, capsys):
         frames = tmp_path / "frames.csv"
         frames.write_text("frame_index,start_time_s,row,luma\n0,0.0,0,bogus\n")
@@ -187,8 +223,21 @@ class TestReadChipstream:
         (b"clock_hz=1000.0\nchips=5\n0101\n",
          "header says 5, file has 4"),
         (b"chips=4\n0101\n", "missing clock_hz/chips header"),
+        (b"clock_hz=abc\nchips=4\n0101\n",
+         "line 1: clock_hz must be a positive number, got 'abc'"),
+        (b"clock_hz=0\nchips=4\n0101\n",
+         "line 1: clock_hz must be a positive number, got '0'"),
+        (b"clock_hz=1000.0\nchips=x\n0101\n",
+         "line 2: chips must be an integer, got 'x'"),
+        (b"clock_hz=1000.0\nchips=4\n01\xff1\n", "line 3: not UTF-8 text"),
+        (b"OCHQ" + _PACKED_HEADER.pack(1, 1000.0, 8) + b"\x55",
+         "line 1: not UTF-8 text"),
+        (b"OCHP" + _PACKED_HEADER.pack(1, 0.0, 8) + b"\x55",
+         "packed header: clock_hz must be a positive number"),
     ], ids=["short_header", "bad_version", "truncated_bits", "unknown_key",
-            "non_binary_body", "count_mismatch", "missing_header"])
+            "non_binary_body", "count_mismatch", "missing_header",
+            "non_numeric_clock", "zero_clock", "non_numeric_count",
+            "non_utf8_body", "mangled_magic", "packed_zero_clock"])
     def test_malformed_stream_rejected(self, tmp_path, raw, message):
         path = tmp_path / "stream.chips"
         path.write_bytes(raw)
@@ -211,6 +260,68 @@ class TestReadChipstream:
         assert run_cli("simulate", "--config", small_config, "--stream",
                        stream, "--out", tmp_path / "frames.csv") == 1
         assert "header truncated" in capsys.readouterr().err
+
+
+class TestReadFramesCsv:
+    @pytest.mark.parametrize("raw, message", [
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.\xff5\n",
+         "line 2: could not convert"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,\"0.5\n"
+         + b"0,0.0,1,0.5\n" * 20000, "field larger than field limit"),
+    ], ids=["non_utf8_field", "runaway_quote"])
+    def test_malformed_frames_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "frames.csv"
+        path.write_bytes(raw)
+        with pytest.raises(io.FileFormatError, match=message):
+            io.read_frames_csv(path)
+
+
+def _valid_files() -> dict[str, bytes]:
+    """Small well-formed files of each kind the readers accept."""
+    stream = ChipStream(np.tile(np.array([0, 1, 1], dtype=np.int8), 30),
+                        1000.0)
+    samples = [FrameSample(k, 0.05 * k, np.linspace(0.0, 1.0, 6), 6)
+               for k in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        io.write_chipstream_ascii(root / "ascii", stream)
+        io.write_chipstream_packed(root / "packed", stream)
+        io.write_frames_csv(root / "frames", samples)
+        return {kind: (root / kind).read_bytes()
+                for kind in ("ascii", "packed", "frames")}
+
+
+_VALID_FILES = _valid_files()
+_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "truncate"]),
+    st.integers(0, 2000),
+    st.one_of(st.sampled_from(list(b'01=,.-e"#\n\r\x00\x80\xff')),
+              st.integers(0, 255)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_VALID_FILES)),
+       st.lists(_EDITS, min_size=1, max_size=4))
+def test_mangled_files_fail_cleanly(tmp_path, kind, edits):
+    data = bytearray(_VALID_FILES[kind])
+    for op, position, byte in edits:
+        at = position % (len(data) + 1)
+        if op == "replace" and at < len(data):
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        elif op == "delete" and at < len(data):
+            del data[at]
+        elif op == "truncate":
+            del data[at:]
+    path = tmp_path / kind
+    path.write_bytes(bytes(data))
+    read = io.read_frames_csv if kind == "frames" else io.read_chipstream
+    try:
+        read(path)
+    except io.FileFormatError:
+        pass  # a clean rejection; any other exception fails the test
 
 
 class TestStudies:
@@ -240,6 +351,28 @@ class TestStudies:
         assert float(rows[0]["packet_rate"]) == 20.0
         assert float(rows[0]["fps_floor"]) == 5.0
         assert float(rows[0]["der_empirical"]) == 0.0
+
+    def test_der_simulates_the_configs_own_grid(self, tmp_path, monkeypatch):
+        # three rows per chip: the study must slice frames on the config's
+        # grid, so payloads decode and every miss at the 5 fps floor is seen
+        estimates = []
+
+        def recorded(*args):
+            estimates.append(monte_carlo_der(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "monte_carlo_der", recorded)
+        config = dataclasses.replace(PRESETS["table5_v2"], rows_per_chip=3,
+                                     camera_rows=300, trials=300)
+        path = tmp_path / "grid3.json"
+        path.write_text(config.to_json())
+        out = tmp_path / "der.csv"
+        assert run_cli("der", "--config", path, "--out", out) == 0
+        assert [e.transmitted for e in estimates] == [300]
+        assert estimates[0].missed_true > 0
+        assert estimates[0].undetected == 0
+        with open(out) as fh:
+            assert float(list(csv.DictReader(fh))[0]["der_empirical"]) == 0.0
 
     def test_der_requires_v2(self, tmp_path, capsys):
         out = tmp_path / "der.csv"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from occsim.camera import CameraConfig
+from occsim import decoder
+from occsim.camera import CameraConfig, sample_frames
 from occsim.decoder import (
     DecodedPart,
     DecoderConfig,
@@ -16,6 +17,7 @@ from occsim.decoder import (
     UnfusablePair,
     _group_means,
     decode_frame,
+    decode_samples,
     detect_missed,
     detrend,
     find_sf,
@@ -30,6 +32,7 @@ from occsim.framing import (
     PacketPlan,
     ab_bit_count,
     ab_chip_count,
+    build_packet_stream,
     build_subpacket,
     subpacket_chip_length,
 )
@@ -115,8 +118,10 @@ class TestBinarize:
         assert means.tolist() == [0, 0, 0, 0, 9.0, 0, 0, 0, 4.5]
 
     def test_rejects_bad_ratio(self):
-        with pytest.raises(ValueError, match="rows_per_chip"):
-            DecoderConfig(MAN, V1, 5, rows_per_chip=0)
+        # below one row per chip a chip group would hold no whole row
+        for rows_per_chip in (0, 0.5):
+            with pytest.raises(ValueError, match="rows_per_chip"):
+                DecoderConfig(MAN, V1, 5, rows_per_chip=rows_per_chip)
 
 
 class TestFindSf:
@@ -328,9 +333,11 @@ class TestDetectMissed:
 
 
 
-def small_link(payload_bits=5, packets=40, cam_seed=40, payload_seed=3,
-               version=V1, keep=1.0, fps=(27.5, 7.5), clock=1000.0,
-               rows=56, packet_rate=10.0, fusion=True, distinct=False):
+def small_link_inputs(payload_bits=5, packets=40, cam_seed=40,
+                      payload_seed=3, version=V1, fps=(27.5, 7.5),
+                      clock=1000.0, rows=56, packet_rate=10.0,
+                      distinct=False):
+    """Payloads, plan and camera of a small Manchester link, 2 rows/chip."""
     ds = subpacket_chip_length(payload_bits, MAN, version)
     payloads = random_payloads(packets, payload_bits, payload_seed,
                                distinct=distinct)
@@ -338,8 +345,13 @@ def small_link(payload_bits=5, packets=40, cam_seed=40, payload_seed=3,
     camera = CameraConfig(rows=rows, row_period_s=1 / (2 * clock),
                           row_exposure_s=1 / (2 * clock), mean_fps=fps[0],
                           delta_fps=fps[1], seed=cam_seed)
+    return payloads, plan, camera
+
+
+def small_link(version=V1, keep=1.0, **inputs):
+    payloads, plan, camera = small_link_inputs(version=version, **inputs)
     return run_link(payloads, plan, MAN, version, camera, rows_per_chip=2,
-                    fusion=fusion, keep_probability=keep)
+                    keep_probability=keep)
 
 
 class TestEndToEnd:
@@ -388,9 +400,14 @@ class TestEndToEnd:
         assert voted.tolist() == base.tolist()
 
     def test_fusion_off_requires_complete_parts(self):
-        with_fusion = small_link(fusion=True)
-        without = small_link(fusion=False)
-        assert len(without.report.groups) <= len(with_fusion.report.groups)
+        # the same frames decoded with fusion on and off
+        payloads, plan, camera = small_link_inputs()
+        samples = sample_frames(build_packet_stream(payloads, plan, MAN, V1),
+                                camera)
+        with_fusion, without = (
+            decode_samples(samples, DecoderConfig(MAN, V1, 5, 2, fusion=f))
+            for f in (True, False))
+        assert len(without.groups) <= len(with_fusion.groups)
 
     @pytest.mark.parametrize("scheme,bits,clock", [
         (RllScheme.FOUR_B_SIX_B, 24, 4000.0),
@@ -442,12 +459,15 @@ class TestFrameToChips:
                                rows_per_chip=2)
         assert frame_to_chips(rows, config) is None
 
-    def test_tie_keeps_first_offset(self):
-        # both chip phases see one SF at the same slicing margin
+    def test_tie_keeps_first_offset(self, monkeypatch):
+        # both chip phases see one SF at the same slicing margin once the
+        # frame is only mean-removed (a one-row detrend window)
+        monkeypatch.setattr(decoder, "detrend",
+                            lambda rows, window: detrend(rows, 1))
         rows = np.array([1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1,
                          1, 1, 1, -1, 1, -1, -1, -1, -1, -1, 1], dtype=float)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
-                               rows_per_chip=2, detrend_window_rows=1)
+                               rows_per_chip=2)
         assert frame_to_chips(rows, config).tolist() == \
             [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
 
