@@ -21,6 +21,10 @@ import numpy as np
 
 from .rll import ChipStream
 
+# frames x rows blocks hold at most this many rows (but at least one
+# frame), which bounds the memory their temporaries take
+_BLOCK_ELEMENTS = 1 << 15
+
 
 @dataclass(frozen=True)
 class CameraConfig:
@@ -152,7 +156,9 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
                   duration_s: float | None = None) -> list[FrameSample]:
     """Simulate frames over the waveform; deterministic for a given seed.
 
-    Without geometry the LED fills the whole sensor.
+    Without geometry the LED fills the whole sensor.  Frames are rendered
+    as frames x rows blocks of at most ``_BLOCK_ELEMENTS`` rows in all;
+    each sample's ``row_luma`` is a row of its block.
     """
     duration = waveform.duration_s if duration_s is None else duration_s
     if duration > waveform.duration_s + 1e-12:
@@ -163,31 +169,34 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
 
     max_frames = int(duration * (camera.mean_fps + camera.delta_fps)) + 2
     intervals = frame_intervals(camera, max_frames)
+    # frame k starts at the running sum of the first k intervals
+    starts = np.concatenate(([0.0], np.cumsum(intervals[:-1])))
+    last_row_end = (camera.rows - 1) * camera.row_period_s \
+        + camera.row_exposure_s
+    # starts only rise, so the frames that fit are a prefix
+    starts = starts[:np.count_nonzero(starts + last_row_end
+                                      <= duration + 1e-12)]
     noise_rng = np.random.default_rng((camera.seed, 1))
 
     prefix = _prefix_integral(waveform)
     chips = waveform.chips.astype(np.float64)
     row_offsets = np.arange(camera.rows) * camera.row_period_s
     exposure = camera.row_exposure_s
-    last_row_end = (camera.rows - 1) * camera.row_period_s + exposure
+    begin = (camera.rows - cov) // 2
 
     frames = []
-    start = 0.0
-    for k in range(max_frames):
-        if start + last_row_end > duration + 1e-12:
-            break
-        begins = start + row_offsets
+    step = max(1, _BLOCK_ELEMENTS // camera.rows)
+    for lo in range(0, len(starts), step):
+        block_starts = starts[lo:lo + step]
+        begins = block_starts[:, None] + row_offsets
         integ = (_integral_at(prefix, chips, waveform.clock_hz, begins + exposure)
                  - _integral_at(prefix, chips, waveform.clock_hz, begins))
         luma = integ / exposure
-        if cov < camera.rows:
-            mask = np.zeros(camera.rows, dtype=bool)
-            begin = (camera.rows - cov) // 2
-            mask[begin:begin + cov] = True
-            luma = np.where(mask, luma, 0.0)
+        luma[:, :begin] = 0.0
+        luma[:, begin + cov:] = 0.0
         if camera.noise_sigma > 0:
-            luma = luma + noise_rng.normal(0.0, camera.noise_sigma, camera.rows)
-        luma = np.clip(luma, 0.0, 1.0)
-        frames.append(FrameSample(k, start, luma, cov))
-        start += intervals[k]
+            luma += noise_rng.normal(0.0, camera.noise_sigma, luma.shape)
+        np.clip(luma, 0.0, 1.0, out=luma)
+        frames.extend(FrameSample(k, start, row, cov) for k, (start, row)
+                      in enumerate(zip(block_starts.tolist(), luma), lo))
     return frames

@@ -1,15 +1,16 @@
 """Receiver chain: row luminance -> chips -> payload fragments -> payloads.
 
-Per frame, the covered rows are de-trended with a centered moving average
-and sliced into chips, one chip per ``rows_per_chip`` rows, at the row
-offset that slices sharpest and still shows a start-frame (SF) match; all
-offsets are sliced and searched in one pass.  One codeword-table lookup
-gives the codeword value at every chip position, Ab bits included, and
-each SF yields fragments that are strided slices of those values up to the
-first invalid codeword.  A forward fragment is a payload prefix of the
-sub-packet starting at the SF; a backward fragment is a payload suffix of
-the sub-packet ending there, so a fragment read before an SF belongs to
-the preceding sub-packet.
+Frames are sliced a frames x rows block at a time: each frame's covered
+rows are de-trended with a centered moving average and sliced into chips,
+one chip per ``rows_per_chip`` rows, at the row offset that slices
+sharpest and still shows a start-frame (SF) match; all offsets of all
+the block's frames are sliced and searched in one pass.  Per frame, one
+codeword-table lookup gives the codeword value at every chip position, Ab
+bits included, and each SF yields fragments that are strided slices of
+those values up to the first invalid codeword.  A forward fragment is a
+payload prefix of the sub-packet starting at the SF; a backward fragment
+is a payload suffix of the sub-packet ending there, so a fragment read
+before an SF belongs to the preceding sub-packet.
 
 Fragments are grouped by asynchronous-bit state along the stream, fused
 (prefix + suffix) into full payload samples, and majority voted per group.
@@ -19,13 +20,14 @@ packets were skipped between observations (up to three).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .camera import FrameSample
+from .camera import _BLOCK_ELEMENTS, FrameSample
 from .framing import (
     FrameStructure,
     ab_chip_count,
@@ -171,75 +173,101 @@ def detrend(row_luma, window: int) -> np.ndarray:
     return signal - sums / counts
 
 
-def _group_means(signal: np.ndarray, rows_per_chip: float, offsets: int = 1
+def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Chip-group means of ``signal[offset:]`` for every offset below
-    ``offsets``, concatenated, and the bounds of each offset's run in them.
+    """Chip-group means of ``block[:, offset:]`` for every offset below
+    ``offsets``, side by side along the last axis, and the bounds of each
+    offset's run in them.
 
-    Each grid sums in the order a one-offset slice did (a reshape when
-    integer, reduceat when fractional), so the means match it bit for bit.
+    Each group sums in the order a one-frame, one-offset slice did (a
+    reshape when the grid is integer, reduceat when fractional), so the
+    means match it bit for bit.
     """
-    length = len(signal)
+    frames, length = block.shape
     counts = [int((length - offset) / rows_per_chip + 1e-9)
               for offset in range(offsets)]
     bounds = np.concatenate([[0], np.cumsum(counts)])
     step = int(round(rows_per_chip))
     if abs(rows_per_chip - step) < 1e-9:
-        rows = np.concatenate([signal[offset:offset + n * step]
-                               for offset, n in enumerate(counts)])
-        return rows.reshape(-1, step).sum(axis=1) / step, bounds
+        rows = np.concatenate([block[:, offset:offset + n * step]
+                               for offset, n in enumerate(counts)], axis=1)
+        return (rows.reshape(-1, step).sum(axis=1) / step
+                ).reshape(frames, -1), bounds
     edges = [offset + np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
              for offset, n in enumerate(counts)]
     starts = np.concatenate([e[:-1] for e in edges])
     ends = np.concatenate([e[1:] for e in edges])
-    # reduceat over [start, end) pairs: its even outputs are the group sums
-    sums = np.add.reduceat(np.append(signal, 0.0),
-                           np.stack([starts, ends], axis=1).ravel())[::2]
-    return sums / np.concatenate([np.diff(e) for e in edges]), bounds
+    # reduceat over every frame's [start, end) pairs in the flattened,
+    # zero-padded block: its even outputs are the group sums
+    padded = np.zeros((frames, length + 1))
+    padded[:, :length] = block
+    pairs = (np.arange(frames)[:, None] * (length + 1)
+             + np.stack([starts, ends], axis=1).ravel())
+    sums = np.add.reduceat(padded.ravel(), pairs.ravel())[::2]
+    return (sums.reshape(frames, -1)
+            / np.concatenate([np.diff(e) for e in edges])), bounds
+
+
+def _sf_match(chips: np.ndarray, scheme: RllScheme) -> np.ndarray:
+    """Where an exact start-frame pattern starts, along the last axis (one
+    slice-AND pass)."""
+    pattern = preamble(scheme)
+    n = max(chips.shape[-1] - len(pattern) + 1, 0)
+    match = chips[..., :n] == pattern[0]
+    for k in range(1, len(pattern)):
+        match &= chips[..., k:k + n] == pattern[k]
+    return match
 
 
 def find_sf(chips, scheme: RllScheme) -> np.ndarray:
-    """Positions of exact start-frame pattern matches (one slice-AND pass)."""
-    chips = np.asarray(chips, dtype=np.int8)
-    pattern = preamble(scheme)
-    n = len(chips) - len(pattern) + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.int64)
-    match = chips[:n] == pattern[0]
-    for k in range(1, len(pattern)):
-        match &= chips[k:k + n] == pattern[k]
-    return np.flatnonzero(match)
+    """Positions of exact start-frame pattern matches."""
+    return np.flatnonzero(_sf_match(np.asarray(chips, dtype=np.int8), scheme))
 
 
-def frame_to_chips(rows, config: DecoderConfig) -> np.ndarray | None:
-    """Detrend and slice a frame's covered rows into chips.
+def frames_to_chips(block, config: DecoderConfig) -> list[np.ndarray | None]:
+    """Detrend and slice each frame (row) of a frames x rows block of
+    covered rows into chips.
 
     The chip phase relative to the row grid is unknown, so every row
     offset within one chip is tried.  Among offsets that detect an SF,
     the one with the sharpest slicing (largest mean absolute group mean)
     wins: the best-aligned offset mixes adjacent chips least, while a
-    misaligned decode can alias whole spurious SF grids.  None when no
-    offset produces an SF.
+    misaligned decode can alias whole spurious SF grids.  A frame's entry
+    is None when no offset produces an SF.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if len(rows) < 2 * config.rows_per_chip:
-        return None
-    signal = detrend(rows, config.window_rows())
+    block = np.asarray(block, dtype=np.float64)
+    frames, length = block.shape
+    if length < 2 * config.rows_per_chip:
+        return [None] * frames
+    window = config.window_rows()
+    signal = np.empty_like(block)
+    for f in range(frames):
+        signal[f] = detrend(block[f], window)
     means, bounds = _group_means(signal, config.rows_per_chip,
                                  max(1, math.ceil(config.rows_per_chip)))
     chips = (means > 0).astype(np.int8)
-    # one SF search over every offset's chips; a hit counts for an offset
-    # only when the whole pattern lies inside that offset's run
-    hits = find_sf(chips, config.scheme)
-    last = bounds[1:] - len(preamble(config.scheme))
-    keys = [(float(np.abs(means[lo:hi]).sum() / (hi - lo)),
-             int(np.count_nonzero((hits >= lo) & (hits <= end))))
-            for lo, hi, end in zip(bounds[:-1], bounds[1:], last)]
+    # one SF search along every offset's chips of every frame; a hit counts
+    # for an offset only when the whole pattern lies inside that offset's run
+    match = _sf_match(chips, config.scheme)
+    sf_len = len(preamble(config.scheme))
     # the best-aligned offset slices sharpest and sees the true chips; an
     # SF appearing only at a worse-margin offset is a phase-mixing alias.
-    # The first offset wins a tie.
-    best = max(range(len(keys)), key=keys.__getitem__)
-    return chips[bounds[best]:bounds[best + 1]] if keys[best][1] else None
+    # The largest (margin, hits) wins and the first offset wins a tie.
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    margins = [np.abs(means[:, lo:hi]).sum(axis=1) / (hi - lo)
+               for lo, hi in runs]
+    hits = [np.count_nonzero(match[:, lo:max(lo, hi - sf_len + 1)], axis=1)
+            for lo, hi in runs]
+    best = np.zeros(frames, dtype=np.int64)
+    best_margin, best_hits = margins[0], hits[0]
+    for offset in range(1, len(runs)):
+        better = (margins[offset] > best_margin) | (
+            (margins[offset] == best_margin) & (hits[offset] > best_hits))
+        best[better] = offset
+        best_margin = np.where(better, margins[offset], best_margin)
+        best_hits = np.where(better, hits[offset], best_hits)
+    return [chips[f, bounds[o]:bounds[o + 1]] if h else None
+            for f, (o, h) in enumerate(zip(best.tolist(), best_hits.tolist()))]
 
 
 def decode_frame(chips, scheme: RllScheme, version: FrameStructure,
@@ -487,14 +515,24 @@ def decode_samples(samples: list[FrameSample],
     """Full decode of a frame sequence into a link report."""
     parts: list[DecodedPart] = []
     frames_with_sf = 0
-    for sample in samples:
-        rows = sample.covered_slice()
-        chips = frame_to_chips(rows, config)
-        if chips is None:
-            continue
-        frames_with_sf += 1
-        parts.extend(decode_frame(chips, config.scheme, config.version,
-                                  config.payload_bits, sample.index))
+    # runs of consecutive samples with one covered-row count are sliced as
+    # frames x rows blocks, in order
+    slices = [sample.covered_slice() for sample in samples]
+    start = 0
+    for width, run in itertools.groupby(len(rows) for rows in slices):
+        end = start + sum(1 for _ in run)
+        step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            block = np.stack(slices[lo:hi])
+            for sample, chips in zip(samples[lo:hi],
+                                     frames_to_chips(block, config)):
+                if chips is None:
+                    continue
+                frames_with_sf += 1
+                parts.extend(decode_frame(chips, config.scheme, config.version,
+                                          config.payload_bits, sample.index))
+        start = end
 
     groups = group_parts(parts)
     recovered: list[RecoveredGroup] = []

@@ -119,13 +119,15 @@ FRAME_CSV_HEADER = ["frame_index", "start_time_s", "row", "luma"]
 
 
 def write_frames_csv(path, samples: list[FrameSample]) -> None:
+    """One CSV line per sensor row, floats as their repr, CRLF line ends
+    (what the csv module's default dialect writes for these fields)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_CSV_HEADER)
+        fh.write(",".join(FRAME_CSV_HEADER) + "\r\n")
         for sample in samples:
-            for row, luma in enumerate(sample.row_luma):
-                writer.writerow([sample.index, repr(float(sample.start_time_s)),
-                                 row, repr(float(luma))])
+            head = f"{sample.index},{float(sample.start_time_s)!r},"
+            luma = np.asarray(sample.row_luma, dtype=np.float64).tolist()
+            fh.write("".join([f"{head}{row},{value!r}\r\n"
+                              for row, value in enumerate(luma)]))
 
 
 def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occsim.camera import (
+    _BLOCK_ELEMENTS,
     CameraConfig,
+    FrameSample,
     GeometryConfig,
+    _integral_at,
+    _prefix_integral,
     covered_rows,
     frame_intervals,
     sample_frames,
@@ -178,3 +182,112 @@ class TestCoverage:
         for d in (1.0, 1.25, 2.0, 2.5, 4.0):
             exact = 400 / d
             assert abs(covered_rows(geometry_of(d)) - exact) <= 1
+
+
+# --- reference camera --------------------------------------------------------
+# The per-frame loop that the frames x rows blocks replaced, kept as the
+# oracle for the differential test below.
+
+def _ref_sample_frames(waveform, camera, geometry=None, duration_s=None):
+    duration = waveform.duration_s if duration_s is None else duration_s
+    cov = camera.rows if geometry is None \
+        else covered_rows(geometry, max_rows=camera.rows)
+    max_frames = int(duration * (camera.mean_fps + camera.delta_fps)) + 2
+    intervals = frame_intervals(camera, max_frames)
+    noise_rng = np.random.default_rng((camera.seed, 1))
+    prefix = _prefix_integral(waveform)
+    chips = waveform.chips.astype(np.float64)
+    row_offsets = np.arange(camera.rows) * camera.row_period_s
+    exposure = camera.row_exposure_s
+    last_row_end = (camera.rows - 1) * camera.row_period_s + exposure
+    frames = []
+    start = 0.0
+    for k in range(max_frames):
+        if start + last_row_end > duration + 1e-12:
+            break
+        begins = start + row_offsets
+        integ = (_integral_at(prefix, chips, waveform.clock_hz, begins + exposure)
+                 - _integral_at(prefix, chips, waveform.clock_hz, begins))
+        luma = integ / exposure
+        if cov < camera.rows:
+            mask = np.zeros(camera.rows, dtype=bool)
+            begin = (camera.rows - cov) // 2
+            mask[begin:begin + cov] = True
+            luma = np.where(mask, luma, 0.0)
+        if camera.noise_sigma > 0:
+            luma = luma + noise_rng.normal(0.0, camera.noise_sigma, camera.rows)
+        luma = np.clip(luma, 0.0, 1.0)
+        frames.append(FrameSample(k, start, luma, cov))
+        start += intervals[k]
+    return frames
+
+
+class TestAgainstReference:
+    """Frames x rows blocks against the per-frame reference loop."""
+
+    ROWS = 512
+    BLOCK = _BLOCK_ELEMENTS // ROWS  # frames in one full block
+    CLOCK = 10_000.0
+
+    def config(self, **overrides):
+        settings = dict(rows=self.ROWS, row_period_s=1 / (2 * self.CLOCK),
+                        row_exposure_s=1 / (2 * self.CLOCK), mean_fps=30.0,
+                        delta_fps=0.0, delta_process="uniform",
+                        noise_sigma=0.0, seed=7)
+        settings.update(overrides)
+        return CameraConfig(**settings)
+
+    def stream(self, frames, seed=0):
+        rng = np.random.default_rng(seed)
+        chips = rng.integers(0, 2, size=int(self.CLOCK * (frames + 2) / 20))
+        return ChipStream(chips.astype(np.int8), self.CLOCK)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.index, a.start_time_s, a.covered_rows) == \
+                (b.index, b.start_time_s, b.covered_rows)
+            assert a.row_luma.dtype == b.row_luma.dtype
+            assert a.row_luma.tobytes() == b.row_luma.tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_block_boundaries(self, offset, sigma):
+        # a duration cut that leaves exactly BLOCK + offset frames at a
+        # constant 30 fps
+        camera = self.config(noise_sigma=sigma)
+        count = self.BLOCK + offset
+        stream = self.stream(count)
+        duration = (count - 0.5) / camera.mean_fps + camera.capture_time_s
+        got = sample_frames(stream, camera, duration_s=duration)
+        assert len(got) == count
+        self.assert_same(got, _ref_sample_frames(stream, camera,
+                                                 duration_s=duration))
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_few_frames(self, count):
+        camera = self.config(noise_sigma=0.1)
+        stream = self.stream(2)
+        duration = count / camera.mean_fps + camera.capture_time_s - 1e-3
+        got = sample_frames(stream, camera, duration_s=duration)
+        assert len(got) == count
+        self.assert_same(got, _ref_sample_frames(stream, camera,
+                                                 duration_s=duration))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["uniform", "truncated_gaussian"]),
+           st.sampled_from([0.0, 0.05, 0.5]),
+           st.one_of(st.none(), st.floats(0.3, 4.0)),
+           st.one_of(st.none(), st.floats(0.0, 1.0)),
+           st.integers(0, 2**32 - 1))
+    def test_random_cameras(self, process, sigma, distance, cut, seed):
+        camera = self.config(mean_fps=30.0, delta_fps=8.0,
+                             delta_process=process, noise_sigma=sigma,
+                             seed=seed)
+        geometry = None if distance is None else GeometryConfig(
+            distance=distance, reference_distance=1.0, subpacket_rows=300)
+        stream = self.stream(2 * self.BLOCK, seed)
+        duration = None if cut is None else cut * stream.duration_s
+        self.assert_same(sample_frames(stream, camera, geometry, duration),
+                         _ref_sample_frames(stream, camera, geometry, duration))

@@ -276,6 +276,37 @@ class TestReadFramesCsv:
             io.read_frames_csv(path)
 
 
+def _csv_writer_frames(path, samples):
+    """The frame CSV as the csv module writes it: the writer's reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(io.FRAME_CSV_HEADER)
+        for sample in samples:
+            for row, luma in enumerate(sample.row_luma):
+                writer.writerow([sample.index, repr(float(sample.start_time_s)),
+                                 row, repr(float(luma))])
+
+
+_AWKWARD = [-0.0, 5e-324, 1e-17, 0.1 + 0.2, float("nan"), float("inf"),
+            -float("inf"), 1.0, 0.0, 1 / 3]
+
+
+class TestWriteFramesCsv:
+    @pytest.mark.parametrize("samples", [
+        [],
+        [FrameSample(0, 0.0, np.array(_AWKWARD), len(_AWKWARD))],
+        [FrameSample(k, start, np.roll(_AWKWARD, k), 4)
+         for k, start in enumerate([0.0, 0.1 + 0.2, 1e-17, 5e-324, 12.5])],
+        [FrameSample(3, np.float64(0.7), np.empty(0), 0),
+         FrameSample(np.int64(4), 0.75, np.float32([0.1, 0.9]), 2)],
+    ], ids=["no_frames", "one_frame", "five_frames", "numpy_scalars"])
+    def test_matches_csv_writer(self, tmp_path, samples):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        io.write_frames_csv(got, samples)
+        _csv_writer_frames(want, samples)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def _valid_files() -> dict[str, bytes]:
     """Small well-formed files of each kind the readers accept."""
     stream = ChipStream(np.tile(np.array([0, 1, 1], dtype=np.int8), 30),

@@ -1,6 +1,7 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from occsim import decoder
-from occsim.camera import CameraConfig, sample_frames
+from occsim.camera import CameraConfig, FrameSample, sample_frames
 from occsim.decoder import (
     DecodedPart,
     DecoderConfig,
     Direction,
+    LinkReport,
     UnfusablePair,
     _group_means,
     decode_frame,
@@ -21,7 +23,7 @@ from occsim.decoder import (
     detect_missed,
     detrend,
     find_sf,
-    frame_to_chips,
+    frames_to_chips,
     fuse,
     fuse_pair,
     majority_vote,
@@ -77,8 +79,8 @@ class TestDetrend:
         chips = encode_rll(payload, MAN)
         rows = np.repeat(chips, 2).astype(np.float64)
         ramp = np.linspace(0.0, 0.3, len(rows))
-        means, _ = _group_means(detrend(rows + ramp, 17), 2)
-        assert np.array_equal(means > 0, chips)
+        means, _ = _group_means(detrend(rows + ramp, 17)[None], 2)
+        assert np.array_equal(means[0] > 0, chips)
 
     def test_window_mean_near_zero(self):
         rng = np.random.default_rng(4)
@@ -94,9 +96,9 @@ class TestBinarize:
 
     @staticmethod
     def chips(signal, rows_per_chip):
-        means, _ = _group_means(np.asarray(signal, dtype=np.float64),
+        means, _ = _group_means(np.asarray(signal, dtype=np.float64)[None],
                                 rows_per_chip)
-        return (means > 0).astype(np.int8).tolist()
+        return (means[0] > 0).astype(np.int8).tolist()
 
     def test_all_positive_is_all_ones(self):
         assert self.chips(np.ones(10), 2) == [1] * 5
@@ -113,9 +115,9 @@ class TestBinarize:
         # rows 6-7 lie past the last whole 1.5-row group of offset 0
         sig = np.zeros(8)
         sig[6:] = 9.0
-        means, bounds = _group_means(sig, 1.5, offsets=2)
+        means, bounds = _group_means(sig[None], 1.5, offsets=2)
         assert bounds.tolist() == [0, 5, 9]
-        assert means.tolist() == [0, 0, 0, 0, 9.0, 0, 0, 0, 4.5]
+        assert means.tolist() == [[0, 0, 0, 0, 9.0, 0, 0, 0, 4.5]]
 
     def test_rejects_bad_ratio(self):
         # below one row per chip a chip group would hold no whole row
@@ -440,6 +442,17 @@ class TestEndToEnd:
         assert got == [p.tolist() for p in outcome.transmitted]
 
 
+# a frame whose two chip phases see one SF each at the same slicing margin
+# once it is only mean-removed, and the first (offset 0) phase's chips
+_TIE_ROWS = [1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1,
+             1, 1, 1, -1, 1, -1, -1, -1, -1, -1, 1]
+_TIE_CHIPS = [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
+
+
+def _mean_removed(rows, window):
+    return detrend(rows, 1)
+
+
 class TestFrameToChips:
     def test_recovers_transmitted_chips(self):
         sub = build_subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
@@ -447,7 +460,7 @@ class TestFrameToChips:
         rows = np.repeat(chips, 2).astype(np.float64)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        decoded = frame_to_chips(rows, config)
+        decoded, = frames_to_chips(rows[None], config)
         assert decoded is not None
         assert np.array_equal(decoded, chips)
 
@@ -457,19 +470,17 @@ class TestFrameToChips:
         rows = np.repeat(encode_rll(payload, MAN), 2).astype(np.float64)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        assert frame_to_chips(rows, config) is None
+        assert frames_to_chips(rows[None], config) == [None]
 
     def test_tie_keeps_first_offset(self, monkeypatch):
         # both chip phases see one SF at the same slicing margin once the
         # frame is only mean-removed (a one-row detrend window)
-        monkeypatch.setattr(decoder, "detrend",
-                            lambda rows, window: detrend(rows, 1))
-        rows = np.array([1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1,
-                         1, 1, 1, -1, 1, -1, -1, -1, -1, -1, 1], dtype=float)
+        monkeypatch.setattr(decoder, "detrend", _mean_removed)
+        rows = np.array(_TIE_ROWS, dtype=float)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        assert frame_to_chips(rows, config).tolist() == \
-            [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
+        chips, = frames_to_chips(rows[None], config)
+        assert chips.tolist() == _TIE_CHIPS
 
 
 # --- reference receiver ------------------------------------------------------
@@ -521,7 +532,7 @@ def _ref_group_means(signal, rows_per_chip):
     return np.add.reduceat(signal[:edges[-1]], edges[:-1]) / np.diff(edges)
 
 
-def _ref_frame_to_chips(rows, config):
+def _ref_frame_to_chips(rows, config, detrend=detrend):
     rows = np.asarray(rows, dtype=np.float64)
     if len(rows) < 2 * config.rows_per_chip:
         return None
@@ -666,6 +677,62 @@ def _frames(draw):
     return scheme, version, payload_bits, chips
 
 
+def _render(chips, n_rows, rows_per_chip, phase):
+    """Rows of a rolling-shutter image of the chips: chip k spans rows
+    [k * rows_per_chip - phase, (k + 1) * rows_per_chip - phase)."""
+    index = np.floor((np.arange(n_rows) + phase) / rows_per_chip)
+    return chips[index.astype(np.int64)].astype(np.float64)
+
+
+@st.composite
+def _blocks(draw):
+    """(DecoderConfig, frames x rows block) under one config and width.
+
+    Each frame is cut from one packet stream (most with an SF, some
+    without), random chips, or a constant level, each at its own chip
+    phase, noise and ramp.
+    """
+    scheme = draw(st.sampled_from(list(RllScheme)))
+    version = draw(st.sampled_from([V1, V2]))
+    payload_bits = block_bits(scheme) * draw(st.integers(1, 4))
+    rows_per_chip = draw(st.sampled_from([1, 1.5, 2, 2.5, 3]))
+    width = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits), k // 2,
+                            scheme, version) for k in range(8)]
+    need = int(width / rows_per_chip) + 2
+    stream = np.tile(np.concatenate(subs),
+                     need // sum(len(s) for s in subs) + 2)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["stream", "random", "constant"]))
+        if kind == "stream":
+            lo = draw(st.integers(0, len(stream) - need))
+            chips = stream[lo:lo + need].copy()
+            chips[rng.integers(0, need, size=draw(st.integers(0, 2)))] ^= 1
+        elif kind == "random":
+            chips = rng.integers(0, 2, size=need)
+        else:
+            chips = np.full(need, draw(st.integers(0, 1)))
+        row = _render(chips, width, rows_per_chip, draw(st.floats(0.0, 1.0)))
+        row += draw(st.sampled_from([0.0, 0.05, 0.4])) \
+            * rng.standard_normal(width)
+        if draw(st.booleans()):
+            row += np.linspace(0.0, 0.5, width)
+        rows.append(row)
+    config = DecoderConfig(scheme=scheme, version=version,
+                           payload_bits=payload_bits,
+                           rows_per_chip=rows_per_chip)
+    return config, np.array(rows).reshape(len(rows), width)
+
+
+def _same_chips(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and got.dtype == want.dtype
+            and got.tolist() == want.tolist())
+
+
 class TestAgainstReference:
     """The codeword-table receiver against the per-codeword reference."""
 
@@ -702,12 +769,38 @@ class TestAgainstReference:
         config = DecoderConfig(scheme=scheme, version=version,
                                payload_bits=payload_bits,
                                rows_per_chip=rows_per_chip)
-        got = frame_to_chips(rows, config)
+        got, = frames_to_chips(rows[None], config)
         want = _ref_frame_to_chips(rows, config)
         if want is None:
             assert got is None
         else:
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_blocks())
+    def test_frames_to_chips_blocks(self, case):
+        config, block = case
+        got = frames_to_chips(block, config)
+        assert len(got) == len(block)
+        for rows, chips in zip(block, got):
+            assert _same_chips(chips, _ref_frame_to_chips(rows, config))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=25,
+                             max_size=25), max_size=5),
+           st.integers(0, 5))
+    def test_frames_to_chips_tie(self, others, at):
+        # the tie frame keeps its first offset among other frames
+        at = min(at, len(others))
+        block = np.array(others[:at] + [_TIE_ROWS] + others[at:], dtype=float)
+        config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
+                               rows_per_chip=2)
+        with mock.patch.object(decoder, "detrend", _mean_removed):
+            got = frames_to_chips(block, config)
+        assert got[at].tolist() == _TIE_CHIPS
+        for rows, chips in zip(block, got):
+            assert _same_chips(chips, _ref_frame_to_chips(rows, config,
+                                                          _mean_removed))
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(RllScheme)), st.integers(0, 12),
@@ -730,3 +823,65 @@ class TestAgainstReference:
             except ValueError:
                 outcomes.append(("length",))
         assert outcomes[0] == outcomes[1]
+
+
+_POISON = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e300, 7.0])
+
+
+@st.composite
+def _sample_lists(draw):
+    """(DecoderConfig, samples): frames of one sensor height whose covered
+    row counts mix 0, fewer than two chips' rows, runs of one count and
+    alternating counts, with rows cut from a packet stream and some luma
+    replaced by NaN, inf or out-of-range values."""
+    scheme = draw(st.sampled_from(list(RllScheme)))
+    version = draw(st.sampled_from([V1, V2]))
+    payload_bits = block_bits(scheme) * draw(st.integers(1, 3))
+    rows_per_chip = draw(st.sampled_from([1, 1.5, 2, 3]))
+    height = draw(st.integers(1, 200))
+    counts = [0, int(2 * rows_per_chip) - 1,
+              draw(st.integers(0, height)), draw(st.integers(0, height))]
+    pattern = draw(st.sampled_from(["runs", "alternating", "any"]))
+    n_frames = draw(st.integers(0, 12))
+    if pattern == "runs":
+        covered = sorted(draw(st.lists(st.sampled_from(counts),
+                                       min_size=n_frames, max_size=n_frames)))
+    elif pattern == "alternating":
+        covered = [counts[2 + k % 2] for k in range(n_frames)]
+    else:
+        covered = draw(st.lists(st.sampled_from(counts), min_size=n_frames,
+                                max_size=n_frames))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits), k // 3,
+                            scheme, version) for k in range(12)]
+    stream = np.concatenate(subs)
+    need = int(height / rows_per_chip) + 2
+    stream = np.tile(stream, need // len(stream) + 2)
+    samples = []
+    for index, cov in enumerate(covered):
+        lo = draw(st.integers(0, len(stream) - need))
+        luma = _render(stream[lo:lo + need], height, rows_per_chip,
+                       draw(st.floats(0.0, 1.0)))
+        for row, value in draw(st.lists(st.tuples(st.integers(0, height - 1),
+                                                  _POISON), max_size=3)):
+            luma[row] = value
+        samples.append(FrameSample(index, index / 30.0, luma,
+                                   min(cov, height)))
+    config = DecoderConfig(scheme, version, payload_bits, rows_per_chip,
+                           fusion=draw(st.booleans()))
+    return config, samples
+
+
+class TestDecodeSamplesFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_lists())
+    def test_degrades_to_a_report(self, case):
+        config, samples = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = decode_samples(samples, config)
+            # one frame per block slices every frame as the block does
+            with mock.patch.object(decoder, "_BLOCK_ELEMENTS", 1):
+                single = decode_samples(samples, config)
+        assert isinstance(report, LinkReport)
+        assert report.n_frames == len(samples)
+        assert report.to_text() == single.to_text()
