@@ -34,7 +34,6 @@ from .decoder import (
     decode_samples,
     detect_missed,
     detrend,
-    find_sf,
     fuse,
     fuse_pair,
     majority_vote,

@@ -222,14 +222,14 @@ def cmd_der(args) -> int:
 
 
 def cmd_fusion(args) -> int:
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    payload_grid = tuple(int(b) for b in args.payload_bits.split(","))
+    # flags left unset keep FusionStudyConfig's defaults
+    given = {"packets": args.packets, "seed": args.seed}
+    if args.ratios is not None:
+        given["distance_ratios"] = tuple(float(r)
+                                         for r in args.ratios.split(","))
     study = FusionStudyConfig(
-        payload_bits_grid=payload_grid,
-        distance_ratios=ratios,
-        packets=args.packets,
-        seed=args.seed if args.seed is not None else 11,
-    )
+        payload_bits_grid=tuple(int(b) for b in args.payload_bits.split(",")),
+        **{name: value for name, value in given.items() if value is not None})
     rows = fusion_gain_experiment(study)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -304,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion", help="fusion gain vs distance study CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--ratios", default="0.5,1.0,1.5,1.8,2.0,2.5")
+    p.add_argument("--ratios", default=None)
     p.add_argument("--payload-bits", default="175")
-    p.add_argument("--packets", type=int, default=40)
+    p.add_argument("--packets", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_fusion)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.resources
 import json
+import typing
 from dataclasses import dataclass
 
 from .camera import CameraConfig, GeometryConfig
@@ -37,7 +38,7 @@ class ExperimentConfig:
     packet_rate: float = 10.0
     payload_bits: int = 5
     repetitions: int | None = None  # None: fill the packet slot
-    rows_per_chip: int = 2
+    rows_per_chip: float = 2
     camera_rows: int = 56
     row_exposure_factor: float = 1.0  # exposure as a fraction of the row period
     mean_fps: float = 27.5
@@ -198,12 +199,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """A config from a JSON object of fields, each value of its field's
+        type (an int field takes no bool or float; a float field an int)."""
         data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in data.items():
+            hint = _FIELD_TYPES[name]
+            allowed = set(typing.get_args(hint)) or {hint}
+            if float in allowed:
+                allowed.add(int)
+            if type(value) not in allowed:
+                raise ValueError(f"{name}: expected {cls.__annotations__[name]}"
+                                 f", got {json.dumps(value)}")
         return cls(**data)
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)  # evaluated once
 
 
 def _load_preset(name: str) -> ExperimentConfig:

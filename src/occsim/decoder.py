@@ -4,18 +4,18 @@ Frames are sliced a frames x rows block at a time: each frame's covered
 rows are de-trended with a centered moving average and sliced into chips,
 one chip per ``rows_per_chip`` rows, at the row offset that slices
 sharpest and still shows a start-frame (SF) match; all offsets of all
-the block's frames are sliced and searched in one pass.  Per frame, one
-codeword-table lookup gives the codeword value at every chip position, Ab
-bits included, and each SF yields fragments that are strided slices of
-those values up to the first invalid codeword.  A forward fragment is a
-payload prefix of the sub-packet starting at the SF; a backward fragment
-is a payload suffix of the sub-packet ending there, so a fragment read
-before an SF belongs to the preceding sub-packet.
+the block's frames are sliced and searched in one pass, the only SF
+search, which hands each frame's SF positions to the fragment reader.
+Per frame, one codeword-table lookup gives the codeword value at every
+chip position, Ab bits included, and each SF yields fragments that are
+strided slices of those values up to the first invalid codeword.  A
+forward fragment is a payload prefix of the sub-packet starting at the
+SF; a backward one is a payload suffix of the sub-packet ending there.
 
-Fragments are grouped by asynchronous-bit state along the stream, fused
-(prefix + suffix) into full payload samples, and majority voted per group.
-Under the two-bit structure, consecutive group states also reveal how many
-packets were skipped between observations (up to three).
+Fragments are grouped by asynchronous-bit state along the stream; a
+group's complete fragments and, with fusion, its prefix + suffix joins
+are its samples, majority voted.  Under the two-bit structure, consecutive
+group states also reveal how many packets were skipped (up to three).
 """
 
 from __future__ import annotations
@@ -219,21 +219,18 @@ def _sf_match(chips: np.ndarray, scheme: RllScheme) -> np.ndarray:
     return match
 
 
-def find_sf(chips, scheme: RllScheme) -> np.ndarray:
-    """Positions of exact start-frame pattern matches."""
-    return np.flatnonzero(_sf_match(np.asarray(chips, dtype=np.int8), scheme))
-
-
-def frames_to_chips(block, config: DecoderConfig) -> list[np.ndarray | None]:
+def frames_to_chips(block, config: DecoderConfig
+                    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Detrend and slice each frame (row) of a frames x rows block of
-    covered rows into chips.
+    covered rows into chips, and find their start frames.
 
     The chip phase relative to the row grid is unknown, so every row
     offset within one chip is tried.  Among offsets that detect an SF,
     the one with the sharpest slicing (largest mean absolute group mean)
     wins: the best-aligned offset mixes adjacent chips least, while a
     misaligned decode can alias whole spurious SF grids.  A frame's entry
-    is None when no offset produces an SF.
+    is that offset's chips and the positions in them where a whole SF
+    starts, or None when no offset produces an SF.
     """
     block = np.asarray(block, dtype=np.float64)
     frames, length = block.shape
@@ -256,8 +253,8 @@ def frames_to_chips(block, config: DecoderConfig) -> list[np.ndarray | None]:
     runs = list(zip(bounds[:-1], bounds[1:]))
     margins = [np.abs(means[:, lo:hi]).sum(axis=1) / (hi - lo)
                for lo, hi in runs]
-    hits = [np.count_nonzero(match[:, lo:max(lo, hi - sf_len + 1)], axis=1)
-            for lo, hi in runs]
+    spans = [(lo, max(lo, hi - sf_len + 1)) for lo, hi in runs]
+    hits = [np.count_nonzero(match[:, lo:end], axis=1) for lo, end in spans]
     best = np.zeros(frames, dtype=np.int64)
     best_margin, best_hits = margins[0], hits[0]
     for offset in range(1, len(runs)):
@@ -266,26 +263,29 @@ def frames_to_chips(block, config: DecoderConfig) -> list[np.ndarray | None]:
         best[better] = offset
         best_margin = np.where(better, margins[offset], best_margin)
         best_hits = np.where(better, hits[offset], best_hits)
-    return [chips[f, bounds[o]:bounds[o + 1]] if h else None
+    return [(chips[f, bounds[o]:bounds[o + 1]],
+             np.flatnonzero(match[f, slice(*spans[o])])) if h else None
             for f, (o, h) in enumerate(zip(best.tolist(), best_hits.tolist()))]
 
 
-def decode_frame(chips, scheme: RllScheme, version: FrameStructure,
-                 payload_bits: int, frame_index: int = 0) -> list[DecodedPart]:
-    """Forward and backward fragments from every SF in one frame's chips.
+def decode_frame(chips, positions, config: DecoderConfig,
+                 frame_index: int = 0) -> list[DecodedPart]:
+    """Forward and backward fragments from the SFs at ``positions`` (as
+    :func:`frames_to_chips` finds them) in one frame's chips.
 
-    A fragment is read away from its SF up to the first invalid codeword.
+    Only the SFs on the frame's dominant sub-packet grid are read.  A
+    fragment is read away from its SF up to the first invalid codeword.
     A complete fragment is dropped when the sub-packet's other Ab copy
     disagrees with the one next to the SF: it would poison grouping.
     """
+    scheme, payload_bits = config.scheme, config.payload_bits
     chips = np.asarray(chips, dtype=np.int8)
     sf_len = len(preamble(scheme))
-    ab_chips = ab_chip_count(version)
+    ab_chips = ab_chip_count(config.version)
     pay_chips = payload_chip_count(payload_bits, scheme)
     cw = codeword_chips(scheme)
-    ds_chips = subpacket_chip_length(payload_bits, scheme, version)
+    ds_chips = subpacket_chip_length(payload_bits, scheme, config.version)
 
-    positions = find_sf(chips, scheme)
     if len(positions) > 1:
         # keep only the dominant sub-packet grid; stray matches are artifacts
         residues = positions % ds_chips
@@ -362,13 +362,10 @@ def fuse_pair(prefix: DecodedPart, suffix: DecodedPart,
 
 def fuse(parts: list[DecodedPart], payload_bits: int
          ) -> tuple[list[np.ndarray], bool]:
-    """Payload samples from one group of same-state parts.
-
-    Complete parts pass through; incomplete prefixes and suffixes are
-    joined, same-frame pairs first.  Raises UnfusablePair when the parts
-    cannot produce a single full payload.
+    """Payload samples joined from one group's incomplete prefixes and
+    suffixes, same-frame pairs first; empty when no pair covers a payload.
     """
-    samples = [p.fragment for p in parts if p.complete]
+    samples = []
     prefixes = [p for p in parts
                 if not p.complete and p.direction is Direction.FORWARD]
     suffixes = [p for p in parts
@@ -402,14 +399,6 @@ def fuse(parts: list[DecodedPart], payload_bits: int
             payload, flag = fuse_pair(pre, suf, payload_bits)
             samples.append(payload)
             flagged |= flag
-
-    if not samples:
-        longest_p = max((len(p.fragment) for p in rest_p), default=0)
-        longest_s = max((len(s.fragment) for s in rest_s), default=0)
-        raise UnfusablePair(
-            f"best prefix ({longest_p} bits) + suffix ({longest_s} bits) "
-            f"cannot cover a {payload_bits}-bit payload"
-        )
     return samples, flagged
 
 
@@ -525,31 +514,26 @@ def decode_samples(samples: list[FrameSample],
         for lo in range(start, end, step):
             hi = min(lo + step, end)
             block = np.stack(slices[lo:hi])
-            for sample, chips in zip(samples[lo:hi],
-                                     frames_to_chips(block, config)):
-                if chips is None:
+            for sample, sliced in zip(samples[lo:hi],
+                                      frames_to_chips(block, config)):
+                if sliced is None:
                     continue
                 frames_with_sf += 1
-                parts.extend(decode_frame(chips, config.scheme, config.version,
-                                          config.payload_bits, sample.index))
+                parts.extend(decode_frame(*sliced, config, sample.index))
         start = end
 
     groups = group_parts(parts)
     recovered: list[RecoveredGroup] = []
     unrecovered = 0
     for group in groups:
+        group_samples = [p.fragment for p in group.parts if p.complete]
+        flagged = False
         if config.fusion:
-            try:
-                group_samples, flagged = fuse(group.parts, config.payload_bits)
-            except UnfusablePair:
-                unrecovered += 1
-                continue
-        else:
-            group_samples = [p.fragment for p in group.parts if p.complete]
-            flagged = False
-            if not group_samples:
-                unrecovered += 1
-                continue
+            joined, flagged = fuse(group.parts, config.payload_bits)
+            group_samples += joined
+        if not group_samples:
+            unrecovered += 1
+            continue
         voted, ties = majority_vote(group_samples)
         frames = [p.frame_index for p in group.parts]
         recovered.append(RecoveredGroup(

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from occsim import cli, io
-from occsim.analysis import monte_carlo_der
+from occsim.analysis import FusionStudyConfig, monte_carlo_der
 from occsim.cli import main
 from occsim.configs import PRESETS, ExperimentConfig, load_config
 from occsim.experiment import random_payloads, run_link
@@ -43,9 +43,10 @@ class TestEncode:
         assert stream.clock_hz == 1000.0
         # 20 packets x 5 sub-packets x 20 chips
         assert len(stream.chips) == 2000
-        from occsim.decoder import find_sf
+        from occsim.decoder import _sf_match
         from occsim.rll import RllScheme
-        assert len(find_sf(stream.chips, RllScheme.MANCHESTER)) == 20 * 5
+        sf = np.flatnonzero(_sf_match(stream.chips, RllScheme.MANCHESTER))
+        assert len(sf) == 20 * 5
         manifest = json.loads(out.with_suffix(".chips.manifest.json").read_text())
         assert manifest["payload_count"] == 20
         assert manifest["config"]["optical_clock_hz"] == 1000.0
@@ -91,6 +92,22 @@ class TestEncode:
         assert run_cli("encode", "--config", path,
                        "--out", tmp_path / "x.chips") == 2
         assert "packet_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, named", [
+        ('{"payload_bits": "5"}', "payload_bits"),
+        ('{"trials": 2.5}', "trials"),
+        ('{"payload_bits": true}', "payload_bits"),
+        ("[1, 2]", "JSON object"),
+        ('{"seed": null}', "seed"),
+    ])
+    def test_mistyped_config_rejected(self, tmp_path, capsys, document, named):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        assert run_cli("encode", "--config", path,
+                       "--out", tmp_path / "x.chips") != 0
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "x.chips").exists()
 
     def test_v1_undersampled_config_rejected(self, tmp_path, capsys):
         config = load_config("table8_manchester_1k")
@@ -432,6 +449,13 @@ class TestStudies:
         assert len(rows) == 4  # 2 ratios x fusion on/off
         assert set(rows[0]) == {"distance_ratio", "ds_length", "fusion",
                                 "recovered_fraction"}
+
+    def test_fusion_defaults_are_the_study_config(self, tmp_path, monkeypatch):
+        studies = []
+        monkeypatch.setattr(cli, "fusion_gain_experiment",
+                            lambda study: studies.append(study) or [])
+        assert run_cli("fusion", "--out", tmp_path / "fusion.csv") == 0
+        assert studies == [FusionStudyConfig(payload_bits_grid=(175,))]
 
     def test_presets_listing(self, capsys):
         assert run_cli("presets") == 0

@@ -18,11 +18,11 @@ from occsim.decoder import (
     LinkReport,
     UnfusablePair,
     _group_means,
+    _sf_match,
     decode_frame,
     decode_samples,
     detect_missed,
     detrend,
-    find_sf,
     frames_to_chips,
     fuse,
     fuse_pair,
@@ -126,22 +126,31 @@ class TestBinarize:
                 DecoderConfig(MAN, V1, 5, rows_per_chip=rows_per_chip)
 
 
+def _decode_frame(chips, scheme, version, payload_bits, frame_index=0):
+    """decode_frame on one frame's chips and every SF in them."""
+    chips = np.asarray(chips, dtype=np.int8)
+    config = DecoderConfig(scheme, version, payload_bits, rows_per_chip=1)
+    return decode_frame(chips, np.flatnonzero(_sf_match(chips, scheme)),
+                        config, frame_index)
+
+
 class TestFindSf:
     def test_three_subpackets_on_grid(self):
         sub = build_subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = np.tile(sub, 3)
-        positions = find_sf(chips, MAN)
+        positions = np.flatnonzero(_sf_match(chips, MAN))
         assert positions.tolist() == [0, len(sub), 2 * len(sub)]
 
     def test_pure_payload_has_none(self):
         rng = np.random.default_rng(8)
         payload = rng.integers(0, 2, size=200).astype(np.int8)
-        assert len(find_sf(encode_rll(payload, MAN), MAN)) == 0
+        chips = encode_rll(payload, MAN)
+        assert len(np.flatnonzero(_sf_match(chips, MAN))) == 0
 
     def test_truncated_sf_not_reported(self):
         sub = build_subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = sub[:4]  # SF cut by the coverage boundary
-        assert len(find_sf(chips, MAN)) == 0
+        assert len(np.flatnonzero(_sf_match(chips, MAN))) == 0
 
 
 class TestDecodeFrame:
@@ -152,7 +161,7 @@ class TestDecodeFrame:
 
     def test_full_subpacket_gives_complete_forward(self):
         chips = np.concatenate([self._sub(0), self._sub(0)])
-        parts = decode_frame(chips, MAN, V1, 5)
+        parts = _decode_frame(chips, MAN, V1, 5)
         forwards = [p for p in parts if p.direction is Direction.FORWARD
                     and p.complete]
         assert forwards and forwards[0].fragment.tolist() == self.PAYLOAD
@@ -163,7 +172,7 @@ class TestDecodeFrame:
         sub = self._sub(1)
         stream = np.tile(sub, 3)
         window = stream[len(sub) - 8:len(sub) + 14]
-        parts = decode_frame(window, MAN, V1, 5)
+        parts = _decode_frame(window, MAN, V1, 5)
         directions = {p.direction for p in parts}
         assert directions == {Direction.FORWARD, Direction.BACKWARD}
         for p in parts:
@@ -172,7 +181,7 @@ class TestDecodeFrame:
 
     def test_packet_transition_has_differing_ab(self):
         chips = np.concatenate([self._sub(0), self._sub(1, payload=[0, 1, 0, 0, 1])])
-        parts = decode_frame(chips, MAN, V1, 5)
+        parts = _decode_frame(chips, MAN, V1, 5)
         at_boundary = [p for p in parts if p.position == len(self._sub(0))]
         backward = [p for p in at_boundary if p.direction is Direction.BACKWARD]
         forward = [p for p in at_boundary if p.direction is Direction.FORWARD]
@@ -182,13 +191,13 @@ class TestDecodeFrame:
     def test_backward_fragment_is_suffix(self):
         sub = self._sub(0)
         window = np.concatenate([sub[-8:], self._sub(0)])  # tail then full
-        parts = decode_frame(window, MAN, V1, 5)
+        parts = _decode_frame(window, MAN, V1, 5)
         suffix = [p for p in parts if p.direction is Direction.BACKWARD][0]
         assert suffix.fragment.tolist() == self.PAYLOAD[-len(suffix.fragment):]
 
     def test_v2_states_decoded(self):
         chips = np.concatenate([self._sub(2, version=V2), self._sub(2, version=V2)])
-        parts = decode_frame(chips, MAN, V2, 5)
+        parts = _decode_frame(chips, MAN, V2, 5)
         assert any(p.ab_state == (0, 1) for p in parts)
 
     @settings(max_examples=40, deadline=None)
@@ -201,7 +210,7 @@ class TestDecodeFrame:
 
         payload = [int(c) for c in format(value, "016b")]
         sub = build_subpacket(payload, index, scheme, version)
-        parts = decode_frame(np.tile(sub, 2), scheme, version, 16, 0)
+        parts = _decode_frame(np.tile(sub, 2), scheme, version, 16, 0)
         completes = [p for p in parts
                      if p.complete and p.direction is Direction.FORWARD]
         assert completes
@@ -238,9 +247,13 @@ class TestFusePair:
 class TestFuse:
     PAYLOAD = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1], dtype=np.int8)
 
-    def test_complete_part_passes_through(self):
+    def test_complete_part_adds_no_join(self):
+        # complete parts are samples already; fuse returns only the joins
         complete = part(Direction.FORWARD, (1,), self.PAYLOAD, complete=True)
-        samples, flagged = fuse([complete], 10)
+        prefix = part(Direction.FORWARD, (1,), self.PAYLOAD[:6], frame=2)
+        suffix = part(Direction.BACKWARD, (1,), self.PAYLOAD[4:], frame=2)
+        assert fuse([complete], 10) == ([], False)
+        samples, flagged = fuse([complete, prefix, suffix], 10)
         assert len(samples) == 1
         assert samples[0].tolist() == self.PAYLOAD.tolist()
         assert not flagged
@@ -251,11 +264,10 @@ class TestFuse:
         samples, _ = fuse(parts, 10)
         assert samples[0].tolist() == self.PAYLOAD.tolist()
 
-    def test_unfusable_raises(self):
+    def test_unfusable_gives_no_sample(self):
         parts = [part(Direction.FORWARD, (1,), self.PAYLOAD[:4]),
                  part(Direction.BACKWARD, (1,), self.PAYLOAD[6:])]
-        with pytest.raises(UnfusablePair):
-            fuse(parts, 10)
+        assert fuse(parts, 10) == ([], False)
 
     def test_intra_frame_pairs_first(self):
         parts = [part(Direction.FORWARD, (0,), self.PAYLOAD[:6], frame=3),
@@ -460,9 +472,11 @@ class TestFrameToChips:
         rows = np.repeat(chips, 2).astype(np.float64)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        decoded, = frames_to_chips(rows[None], config)
-        assert decoded is not None
+        sliced, = frames_to_chips(rows[None], config)
+        assert sliced is not None
+        decoded, positions = sliced
         assert np.array_equal(decoded, chips)
+        assert positions.tolist() == [0, len(sub), 2 * len(sub)]
 
     def test_no_sf_returns_none(self):
         rng = np.random.default_rng(1)
@@ -479,8 +493,9 @@ class TestFrameToChips:
         rows = np.array(_TIE_ROWS, dtype=float)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        chips, = frames_to_chips(rows[None], config)
+        (chips, positions), = frames_to_chips(rows[None], config)
         assert chips.tolist() == _TIE_CHIPS
+        assert positions.tolist() == [6]
 
 
 # --- reference receiver ------------------------------------------------------
@@ -726,11 +741,17 @@ def _blocks(draw):
     return config, np.array(rows).reshape(len(rows), width)
 
 
-def _same_chips(got, want):
+def _check_sliced(got, rows, config, detrend=detrend):
+    """A frames_to_chips entry against the reference: the same chips, and
+    SF positions that the reference search finds in those chips."""
+    want = _ref_frame_to_chips(rows, config, detrend)
     if want is None:
-        return got is None
-    return (got is not None and got.dtype == want.dtype
-            and got.tolist() == want.tolist())
+        assert got is None
+        return
+    chips, positions = got
+    assert chips.dtype == want.dtype and chips.tolist() == want.tolist()
+    sf = _ref_find_sf(chips, config.scheme)
+    assert positions.dtype == sf.dtype and positions.tolist() == sf.tolist()
 
 
 class TestAgainstReference:
@@ -740,7 +761,8 @@ class TestAgainstReference:
     @given(_frames(), st.integers(0, 99))
     def test_decode_frame(self, frame, frame_index):
         scheme, version, payload_bits, chips = frame
-        got = decode_frame(chips, scheme, version, payload_bits, frame_index)
+        got = _decode_frame(chips, scheme, version, payload_bits,
+                            frame_index)
         want = _ref_decode_frame(chips, scheme, version, payload_bits,
                                  frame_index)
         assert _fields(got) == _fields(want)
@@ -749,7 +771,8 @@ class TestAgainstReference:
     @given(_frames())
     def test_find_sf(self, frame):
         scheme, _, _, chips = frame
-        got, want = find_sf(chips, scheme), _ref_find_sf(chips, scheme)
+        got = np.flatnonzero(_sf_match(chips, scheme))
+        want = _ref_find_sf(chips, scheme)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     @settings(max_examples=300, deadline=None)
@@ -770,11 +793,7 @@ class TestAgainstReference:
                                payload_bits=payload_bits,
                                rows_per_chip=rows_per_chip)
         got, = frames_to_chips(rows[None], config)
-        want = _ref_frame_to_chips(rows, config)
-        if want is None:
-            assert got is None
-        else:
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        _check_sliced(got, rows, config)
 
     @settings(max_examples=300, deadline=None)
     @given(_blocks())
@@ -782,8 +801,8 @@ class TestAgainstReference:
         config, block = case
         got = frames_to_chips(block, config)
         assert len(got) == len(block)
-        for rows, chips in zip(block, got):
-            assert _same_chips(chips, _ref_frame_to_chips(rows, config))
+        for rows, sliced in zip(block, got):
+            _check_sliced(sliced, rows, config)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=25,
@@ -797,10 +816,9 @@ class TestAgainstReference:
                                rows_per_chip=2)
         with mock.patch.object(decoder, "detrend", _mean_removed):
             got = frames_to_chips(block, config)
-        assert got[at].tolist() == _TIE_CHIPS
-        for rows, chips in zip(block, got):
-            assert _same_chips(chips, _ref_frame_to_chips(rows, config,
-                                                          _mean_removed))
+        assert got[at][0].tolist() == _TIE_CHIPS
+        for rows, sliced in zip(block, got):
+            _check_sliced(sliced, rows, config, _mean_removed)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(RllScheme)), st.integers(0, 12),

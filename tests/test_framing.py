@@ -17,7 +17,7 @@ from occsim.framing import (
     subpacket_chip_length,
 )
 from occsim.rll import RllScheme, chips_to_ascii, preamble
-from occsim.decoder import find_sf
+from occsim.decoder import _sf_match
 
 V1 = FrameStructure.V1_ONE_AB
 V2 = FrameStructure.V2_TWO_AB
@@ -129,7 +129,8 @@ class TestBuildPacketStream:
         plan = self._plan(5, reps=3)
         stream = build_packet_stream([[1, 0, 1, 0, 1]], plan,
                                      RllScheme.MANCHESTER, V1)
-        assert len(find_sf(stream.chips, RllScheme.MANCHESTER)) == 3
+        sf = np.flatnonzero(_sf_match(stream.chips, RllScheme.MANCHESTER))
+        assert len(sf) == 3
 
     def test_ab_differs_between_packets(self):
         plan = self._plan(5, reps=1)
@@ -175,5 +176,6 @@ class TestBuildPacketStream:
         payload = [int(c) for c in format(value, "05b")]
         plan = self._plan(5, reps=reps)
         stream = build_packet_stream([payload], plan, RllScheme.MANCHESTER, V1)
-        positions = find_sf(stream.chips, RllScheme.MANCHESTER)
+        positions = np.flatnonzero(_sf_match(stream.chips,
+                                             RllScheme.MANCHESTER))
         assert positions.tolist() == [k * plan.ds_chips for k in range(reps)]
