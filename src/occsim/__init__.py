@@ -29,13 +29,11 @@ from .decoder import (
     Direction,
     GapReport,
     LinkReport,
-    UnfusablePair,
     decode_frame,
     decode_samples,
     detect_missed,
     detrend,
     fuse,
-    fuse_pair,
     majority_vote,
 )
 from .experiment import (
@@ -58,9 +56,7 @@ from .framing import (
 )
 from .rll import (
     ChipStream,
-    InvalidCodeword,
     RllScheme,
-    decode_rll,
     efficiency,
     encode_rll,
     preamble,

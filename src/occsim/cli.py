@@ -137,10 +137,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = DEFAULT_SWEEP_GRID
-    if args.frequencies:
-        grid = tuple(float(f) for f in args.frequencies.split(","))
-    rows = analysis.sweep_frequency(f_list=grid, fps_min=args.fps_min)
+    rows = analysis.sweep_frequency(f_list=args.frequencies,
+                                    fps_min=args.fps_min)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "f_hz", "L", "OH", "eta",
@@ -223,12 +221,10 @@ def cmd_der(args) -> int:
 
 def cmd_fusion(args) -> int:
     # flags left unset keep FusionStudyConfig's defaults
-    given = {"packets": args.packets, "seed": args.seed}
-    if args.ratios is not None:
-        given["distance_ratios"] = tuple(float(r)
-                                         for r in args.ratios.split(","))
+    given = {"distance_ratios": args.ratios, "packets": args.packets,
+             "seed": args.seed}
     study = FusionStudyConfig(
-        payload_bits_grid=tuple(int(b) for b in args.payload_bits.split(",")),
+        payload_bits_grid=args.payload_bits,
         **{name: value for name, value in given.items() if value is not None})
     rows = fusion_gain_experiment(study)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -251,6 +247,18 @@ def cmd_presets(args) -> int:
               f"{preset.mean_fps - preset.delta_fps:g}-"
               f"{preset.mean_fps + preset.delta_fps:g} fps")
     return 0
+
+
+def _list_of(convert):
+    """An argparse type: comma-separated values, each through ``convert``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(value) for value in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, "
+                f"got {text!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bit-rate ceiling vs optical clock CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--frequencies", default=None,
+    p.add_argument("--frequencies", type=_list_of(float),
+                   default=DEFAULT_SWEEP_GRID,
                    help="comma-separated clock grid in Hz")
     p.add_argument("--fps-min", type=float, default=20.0)
     p.set_defaults(func=cmd_sweep)
@@ -304,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion", help="fusion gain vs distance study CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--ratios", default=None)
-    p.add_argument("--payload-bits", default="175")
+    p.add_argument("--ratios", type=_list_of(float), default=None)
+    p.add_argument("--payload-bits", type=_list_of(int), default=(175,))
     p.add_argument("--packets", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_fusion)

@@ -192,6 +192,17 @@ class ExperimentConfig:
                 f"camera_rows: rolling exposure time {capture:g} s exceeds "
                 f"the shortest frame interval {fastest:g} s"
             )
+        else:
+            # the camera checks the capture rule too; past it, the rules
+            # only the camera owns are delta_process's and noise_sigma's
+            try:
+                self.camera()
+            except ValueError as exc:
+                problems.append(f"delta_process/noise_sigma: {exc}")
+        try:
+            self.geometry()
+        except ValueError as exc:
+            problems.append(f"distance/reference_distance: {exc}")
         return problems
 
     def to_json(self) -> str:

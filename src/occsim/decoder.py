@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,10 +49,6 @@ class Direction(Enum):
     BACKWARD = "backward"
 
 
-class UnfusablePair(ValueError):
-    """Prefix and suffix coverage together fall short of one payload."""
-
-
 @dataclass(frozen=True)
 class DecodedPart:
     """A payload prefix (forward) or suffix (backward) with its Ab state."""
@@ -62,7 +58,7 @@ class DecodedPart:
     ab_state: tuple[int, ...]
     fragment: np.ndarray
     complete: bool
-    position: int = 0  # SF chip position inside the frame, for ordering
+    position: int = 0  # where its SF starts among the frame's chips
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,6 @@ class RecoveredGroup:
     payload: np.ndarray
     first_frame: int
     last_frame: int
-    n_parts: int
     n_samples: int
     tie_positions: tuple[int, ...] = ()
     overlap_flagged: bool = False
@@ -333,31 +328,17 @@ def decode_frame(chips, positions, config: DecoderConfig,
     return parts
 
 
-def fuse_pair(prefix: DecodedPart, suffix: DecodedPart,
-              payload_bits: int) -> tuple[np.ndarray, bool]:
-    """Overlay a payload prefix and suffix; returns (payload, overlap_flag).
-
-    Where the fragments overlap they must agree; on disagreement the
-    forward (earlier-row) fragment wins and the result is flagged.
-    """
-    fwd, bwd = prefix.fragment, suffix.fragment
-    if len(fwd) + len(bwd) < payload_bits:
-        raise UnfusablePair(
-            f"prefix ({len(fwd)} bits) + suffix ({len(bwd)} bits) "
-            f"cannot cover a {payload_bits}-bit payload"
-        )
+def _join(fwd: np.ndarray, bwd: np.ndarray, payload_bits: int
+          ) -> tuple[np.ndarray, bool]:
+    """A payload from a prefix and a suffix that together cover it, and
+    whether they disagree where they overlap; the forward (earlier-row)
+    fragment wins the overlap."""
+    lo = payload_bits - len(bwd)
     payload = np.empty(payload_bits, dtype=np.int8)
+    payload[lo:] = bwd
     payload[:len(fwd)] = fwd
-    payload[payload_bits - len(bwd):] = bwd
-    lo, hi = payload_bits - len(bwd), len(fwd)
-    flagged = False
-    if hi > lo:
-        overlap_fwd = fwd[lo:hi]
-        overlap_bwd = bwd[:hi - lo]
-        if not np.array_equal(overlap_fwd, overlap_bwd):
-            flagged = True
-            payload[lo:hi] = overlap_fwd
-    return payload, flagged
+    return payload, len(fwd) > lo and not np.array_equal(
+        fwd[lo:], bwd[:len(fwd) - lo])
 
 
 def fuse(parts: list[DecodedPart], payload_bits: int
@@ -386,7 +367,8 @@ def fuse(parts: list[DecodedPart], payload_bits: int
             rest_p.append(pre)
         else:
             used_s.add(match)
-            payload, flag = fuse_pair(pre, suffixes[match], payload_bits)
+            payload, flag = _join(pre.fragment, suffixes[match].fragment,
+                                  payload_bits)
             samples.append(payload)
             flagged |= flag
 
@@ -396,7 +378,7 @@ def fuse(parts: list[DecodedPart], payload_bits: int
     rest_s.sort(key=lambda p: len(p.fragment), reverse=True)
     for pre, suf in zip(rest_p, rest_s):
         if len(pre.fragment) + len(suf.fragment) >= payload_bits:
-            payload, flag = fuse_pair(pre, suf, payload_bits)
+            payload, flag = _join(pre.fragment, suf.fragment, payload_bits)
             samples.append(payload)
             flagged |= flag
     return samples, flagged
@@ -459,43 +441,29 @@ def detect_missed(observations) -> list[GapReport]:
     return reports
 
 
-@dataclass
-class _Group:
-    ab_state: tuple[int, ...]
-    parts: list[DecodedPart] = field(default_factory=list)
-    known: np.ndarray | None = None  # reference bits from the first complete part
-
-    def conflicts(self, part: DecodedPart) -> bool:
-        if self.known is None:
-            return False
-        frag = part.fragment
-        if part.direction is Direction.FORWARD:
-            ref = self.known[:len(frag)]
-        else:
-            ref = self.known[len(self.known) - len(frag):]
-        return not np.array_equal(ref, frag)
-
-    def absorb(self, part: DecodedPart):
-        self.parts.append(part)
-        if self.known is None and part.complete:
-            self.known = part.fragment
-
-
-def group_parts(parts: list[DecodedPart]) -> list[_Group]:
+def group_parts(parts: list[DecodedPart]) -> list[list[DecodedPart]]:
     """Contiguous same-state runs, split when payload evidence conflicts.
 
-    The split on conflicting complete payloads keeps packets four indices
-    apart (same two-bit state) from being merged, which is what lets the
-    gap detector see a skipped full cycle.
+    A part conflicts with its run when it disagrees with the run's first
+    complete fragment.  The split on conflicting payloads keeps packets
+    four indices apart (same two-bit state) from being merged, which is
+    what lets the gap detector see a skipped full cycle.
     """
-    groups: list[_Group] = []
-    current: _Group | None = None
+    groups: list[list[DecodedPart]] = []
+    known = None  # the current group's first complete fragment
     for part in parts:
-        if current is None or part.ab_state != current.ab_state \
-                or current.conflicts(part):
-            current = _Group(part.ab_state)
-            groups.append(current)
-        current.absorb(part)
+        frag = part.fragment
+        same = bool(groups) and part.ab_state == groups[-1][0].ab_state
+        if same and known is not None:
+            same = np.array_equal(
+                known[:len(frag)] if part.direction is Direction.FORWARD
+                else known[len(known) - len(frag):], frag)
+        if not same:
+            groups.append([])
+            known = None
+        groups[-1].append(part)
+        if known is None and part.complete:
+            known = frag
     return groups
 
 
@@ -526,22 +494,21 @@ def decode_samples(samples: list[FrameSample],
     recovered: list[RecoveredGroup] = []
     unrecovered = 0
     for group in groups:
-        group_samples = [p.fragment for p in group.parts if p.complete]
+        group_samples = [p.fragment for p in group if p.complete]
         flagged = False
         if config.fusion:
-            joined, flagged = fuse(group.parts, config.payload_bits)
+            joined, flagged = fuse(group, config.payload_bits)
             group_samples += joined
         if not group_samples:
             unrecovered += 1
             continue
         voted, ties = majority_vote(group_samples)
-        frames = [p.frame_index for p in group.parts]
+        frames = [p.frame_index for p in group]
         recovered.append(RecoveredGroup(
-            ab_state=group.ab_state,
+            ab_state=group[0].ab_state,
             payload=voted,
             first_frame=min(frames),
             last_frame=max(frames),
-            n_parts=len(group.parts),
             n_samples=len(group_samples),
             tie_positions=tuple(int(t) for t in ties),
             overlap_flagged=flagged,

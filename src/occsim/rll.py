@@ -28,15 +28,6 @@ class RllScheme(Enum):
     EIGHT_B_TEN_B = "8b10b"
 
 
-class InvalidCodeword(ValueError):
-    """A chip block matched no codebook entry (channel corruption)."""
-
-    def __init__(self, position: int, chips):
-        self.position = position
-        self.chips = tuple(int(c) for c in chips)
-        super().__init__(f"invalid codeword at symbol {position}: {self.chips}")
-
-
 _EFFICIENCY = {
     RllScheme.MANCHESTER: Fraction(1, 2),
     RllScheme.FOUR_B_SIX_B: Fraction(4, 6),
@@ -148,10 +139,6 @@ def preamble(scheme: RllScheme) -> np.ndarray:
     return chips
 
 
-def block_bits(scheme: RllScheme) -> int:
-    return _BLOCK_BITS[scheme]
-
-
 def codeword_chips(scheme: RllScheme) -> int:
     return _CODEWORD_CHIPS[scheme]
 
@@ -248,23 +235,6 @@ def codeword_bits(values, scheme: RllScheme) -> np.ndarray:
     width = _BLOCK_BITS[scheme]
     shifts = np.arange(width - 1, -1, -1)
     return ((np.asarray(values)[:, None] >> shifts) & 1).astype(np.int8).ravel()
-
-
-def decode_rll(chips, scheme: RllScheme) -> np.ndarray:
-    """Invert :func:`encode_rll`; raises :class:`InvalidCodeword` on corruption."""
-    chips = np.asarray(chips, dtype=np.int8)
-    width = _CODEWORD_CHIPS[scheme]
-    if len(chips) % width:
-        raise ValueError(
-            f"{scheme.value} chip count must be a multiple of {width}, "
-            f"got {len(chips)}"
-        )
-    values = codeword_values(chips, scheme)[::width]
-    invalid = np.flatnonzero(values < 0)
-    if invalid.size:
-        pos = int(invalid[0])
-        raise InvalidCodeword(pos, chips[pos * width:(pos + 1) * width])
-    return codeword_bits(values, scheme)
 
 
 def chips_to_ascii(chips) -> str:

@@ -109,6 +109,26 @@ class TestEncode:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "x.chips").exists()
 
+    @pytest.mark.parametrize("document, named", [
+        ('{"noise_sigma": -1}', "noise_sigma"),
+        ('{"delta_process": "foo"}', "delta_process"),
+        ('{"distance": 0}', "distance"),
+        ('{"distance": -2, "reference_distance": 1}', "distance"),
+        ('{"distance": 1, "reference_distance": 0}', "reference_distance"),
+    ])
+    def test_camera_and_geometry_rules_validated(self, tmp_path, capsys,
+                                                 document, named):
+        # rules the camera and the footprint own are reported up front
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        assert run_cli("encode", "--config", path,
+                       "--out", tmp_path / "x.chips") == 2
+        err = capsys.readouterr().err
+        prefix = err.removeprefix("config error: ").split(": ")[0]
+        assert named in prefix.split("/")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.chips").exists()
+
     def test_v1_undersampled_config_rejected(self, tmp_path, capsys):
         config = load_config("table8_manchester_1k")
         config.mean_fps, config.delta_fps = 8.0, 2.0
@@ -456,6 +476,19 @@ class TestStudies:
                             lambda study: studies.append(study) or [])
         assert run_cli("fusion", "--out", tmp_path / "fusion.csv") == 0
         assert studies == [FusionStudyConfig(payload_bits_grid=(175,))]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fusion", "--ratios", "1,abc"], "--ratios"),
+        (["fusion", "--payload-bits", "40,x"], "--payload-bits"),
+        (["sweep", "--frequencies", "100,zz"], "--frequencies"),
+    ])
+    def test_malformed_list_flag_named(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "study.csv"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv, "--out", out)
+        assert exit_.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_presets_listing(self, capsys):
         assert run_cli("presets") == 0

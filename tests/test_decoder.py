@@ -1,6 +1,7 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
 import math
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from occsim.decoder import (
     DecoderConfig,
     Direction,
     LinkReport,
-    UnfusablePair,
     _group_means,
     _sf_match,
     decode_frame,
@@ -25,7 +25,7 @@ from occsim.decoder import (
     detrend,
     frames_to_chips,
     fuse,
-    fuse_pair,
+    group_parts,
     majority_vote,
 )
 from occsim.experiment import gap_accounting, random_payloads, run_link
@@ -41,11 +41,10 @@ from occsim.framing import (
 from occsim.rll import (
     DECODE_4B6B,
     DECODE_8B10B,
-    InvalidCodeword,
     RllScheme,
-    block_bits,
+    codeword_bits,
     codeword_chips,
-    decode_rll,
+    codeword_values,
     encode_rll,
     payload_chip_count,
     preamble,
@@ -54,6 +53,7 @@ from occsim.rll import (
 V1 = FrameStructure.V1_ONE_AB
 V2 = FrameStructure.V2_TWO_AB
 MAN = RllScheme.MANCHESTER
+BLOCK_BITS = {MAN: 1, RllScheme.FOUR_B_SIX_B: 4, RllScheme.EIGHT_B_TEN_B: 8}
 
 
 def part(direction, ab, fragment, frame=0, complete=None, position=0):
@@ -219,27 +219,23 @@ class TestDecodeFrame:
 
 
 class TestFusePair:
+    """One same-frame prefix and suffix joined into one payload."""
+
     PAYLOAD = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1], dtype=np.int8)
 
     def test_overlap_fused_exactly(self):
         prefix = part(Direction.FORWARD, (0,), self.PAYLOAD[:6])
         suffix = part(Direction.BACKWARD, (0,), self.PAYLOAD[4:])
-        fused, flagged = fuse_pair(prefix, suffix, 10)
+        (fused,), flagged = fuse([prefix, suffix], 10)
         assert fused.tolist() == self.PAYLOAD.tolist()
         assert not flagged
-
-    def test_insufficient_coverage_raises(self):
-        prefix = part(Direction.FORWARD, (0,), self.PAYLOAD[:4])
-        suffix = part(Direction.BACKWARD, (0,), self.PAYLOAD[6:])
-        with pytest.raises(UnfusablePair):
-            fuse_pair(prefix, suffix, 10)
 
     def test_overlap_disagreement_forward_wins_and_flags(self):
         suffix_bits = self.PAYLOAD[4:].copy()
         suffix_bits[0] ^= 1
         prefix = part(Direction.FORWARD, (0,), self.PAYLOAD[:6])
         suffix = part(Direction.BACKWARD, (0,), suffix_bits)
-        fused, flagged = fuse_pair(prefix, suffix, 10)
+        (fused,), flagged = fuse([prefix, suffix], 10)
         assert flagged
         assert fused.tolist() == self.PAYLOAD.tolist()
 
@@ -502,11 +498,14 @@ class TestFrameToChips:
 # The per-codeword, per-offset receiver that the codeword-table decode
 # replaced, kept as the oracle for the differential tests below.
 
+class _RefInvalid(ValueError):
+    """The reference decode met an invalid codeword; args[0] is its index."""
+
+
 def _ref_decode_rll(chips, scheme):
+    """Bits of the whole codewords in chips, up to the first invalid one."""
     chips = np.asarray(chips, dtype=np.int8)
     width = codeword_chips(scheme)
-    if len(chips) % width:
-        raise ValueError("chip count must be a multiple of the codeword")
     bits = []
     for pos in range(len(chips) // width):
         word = tuple(int(c) for c in chips[pos * width:(pos + 1) * width])
@@ -516,13 +515,13 @@ def _ref_decode_rll(chips, scheme):
             elif word == (0, 1):
                 bits.append(0)
             else:
-                raise InvalidCodeword(pos, word)
+                raise _RefInvalid(pos)
             continue
         book = DECODE_4B6B if scheme is RllScheme.FOUR_B_SIX_B else DECODE_8B10B
         value = book.get(word)
         if value is None:
-            raise InvalidCodeword(pos, word)
-        n = block_bits(scheme)
+            raise _RefInvalid(pos)
+        n = BLOCK_BITS[scheme]
         bits.extend((value >> k) & 1 for k in range(n - 1, -1, -1))
     return np.array(bits, dtype=np.int8)
 
@@ -593,7 +592,7 @@ def _ref_decode_frame(chips, scheme, version, payload_bits, frame_index=0):
         for lo in starts:
             try:
                 blocks.append(_ref_decode_rll(chips[lo:lo + cw], scheme))
-            except InvalidCodeword:
+            except _RefInvalid:
                 break
         return blocks
 
@@ -659,7 +658,7 @@ def _frames(draw):
     """
     scheme = draw(st.sampled_from(list(RllScheme)))
     version = draw(st.sampled_from([V1, V2]))
-    payload_bits = block_bits(scheme) * draw(st.integers(1, 5))
+    payload_bits = BLOCK_BITS[scheme] * draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["window", "sf_edges", "random"]))
     if kind == "random":
@@ -678,7 +677,7 @@ def _frames(draw):
         k = draw(st.integers(0, n_sub - 1))
         cw = codeword_chips(scheme)
         data = (starts[k] + len(preamble(scheme)) + ab_chip_count(version)
-                + cw * draw(st.integers(0, payload_bits // block_bits(scheme) - 1)))
+                + cw * draw(st.integers(0, payload_bits // BLOCK_BITS[scheme] - 1)))
         stream[data:data + cw] = 0
     if kind == "sf_edges":
         i = draw(st.integers(0, n_sub - 2))
@@ -709,7 +708,7 @@ def _blocks(draw):
     """
     scheme = draw(st.sampled_from(list(RllScheme)))
     version = draw(st.sampled_from([V1, V2]))
-    payload_bits = block_bits(scheme) * draw(st.integers(1, 4))
+    payload_bits = BLOCK_BITS[scheme] * draw(st.integers(1, 4))
     rows_per_chip = draw(st.sampled_from([1, 1.5, 2, 2.5, 3]))
     width = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -824,23 +823,158 @@ class TestAgainstReference:
     @given(st.sampled_from(list(RllScheme)), st.integers(0, 12),
            st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
     def test_decode_rll(self, scheme, words, flips, ragged, seed):
+        # the codeword table read one codeword apart: -1 first where the
+        # reference meets its first invalid codeword, else the same bits;
+        # neither reads a ragged tail chip
         rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=words * block_bits(scheme))
+        bits = rng.integers(0, 2, size=words * BLOCK_BITS[scheme])
         chips = encode_rll(bits, scheme)
         if len(chips):
             chips[rng.integers(0, len(chips), size=flips)] ^= 1
         if ragged:
             chips = np.append(chips, 1)
-        outcomes = []
-        for decode in (decode_rll, _ref_decode_rll):
-            try:
-                out = decode(chips, scheme)
-                outcomes.append(("ok", out.dtype, out.tolist()))
-            except InvalidCodeword as err:
-                outcomes.append(("invalid", err.position, err.chips))
-            except ValueError:
-                outcomes.append(("length",))
-        assert outcomes[0] == outcomes[1]
+        values = codeword_values(chips, scheme)[::codeword_chips(scheme)]
+        invalid = np.flatnonzero(values < 0).tolist()
+        try:
+            want = _ref_decode_rll(chips, scheme)
+        except _RefInvalid as err:
+            assert invalid[:1] == [err.args[0]]
+        else:
+            assert invalid == []
+            got = codeword_bits(values, scheme)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+# --- reference grouping and fusion ------------------------------------------
+# Grouping by a group object and joins through a public pair function that
+# checked coverage itself, as they were before group_parts returned lists
+# of parts; kept as the oracle for the differential test below.
+
+@dataclass
+class _RefGroup:
+    ab_state: tuple[int, ...]
+    parts: list = field(default_factory=list)
+    known: np.ndarray | None = None  # reference bits from the first complete part
+
+    def conflicts(self, part) -> bool:
+        if self.known is None:
+            return False
+        frag = part.fragment
+        if part.direction is Direction.FORWARD:
+            ref = self.known[:len(frag)]
+        else:
+            ref = self.known[len(self.known) - len(frag):]
+        return not np.array_equal(ref, frag)
+
+    def absorb(self, part):
+        self.parts.append(part)
+        if self.known is None and part.complete:
+            self.known = part.fragment
+
+
+def _ref_group_parts(parts):
+    groups = []
+    current = None
+    for part in parts:
+        if current is None or part.ab_state != current.ab_state \
+                or current.conflicts(part):
+            current = _RefGroup(part.ab_state)
+            groups.append(current)
+        current.absorb(part)
+    return groups
+
+
+def _ref_fuse_pair(prefix, suffix, payload_bits):
+    fwd, bwd = prefix.fragment, suffix.fragment
+    if len(fwd) + len(bwd) < payload_bits:
+        raise ValueError("prefix and suffix cannot cover the payload")
+    payload = np.empty(payload_bits, dtype=np.int8)
+    payload[:len(fwd)] = fwd
+    payload[payload_bits - len(bwd):] = bwd
+    lo, hi = payload_bits - len(bwd), len(fwd)
+    flagged = False
+    if hi > lo:
+        overlap_fwd = fwd[lo:hi]
+        overlap_bwd = bwd[:hi - lo]
+        if not np.array_equal(overlap_fwd, overlap_bwd):
+            flagged = True
+            payload[lo:hi] = overlap_fwd
+    return payload, flagged
+
+
+def _ref_fuse(parts, payload_bits):
+    samples = []
+    prefixes = [p for p in parts
+                if not p.complete and p.direction is Direction.FORWARD]
+    suffixes = [p for p in parts
+                if not p.complete and p.direction is Direction.BACKWARD]
+    flagged = False
+    used_s = set()
+    rest_p = []
+    for pre in prefixes:
+        match = None
+        for j, suf in enumerate(suffixes):
+            if j not in used_s and suf.frame_index == pre.frame_index \
+                    and len(pre.fragment) + len(suf.fragment) >= payload_bits:
+                match = j
+                break
+        if match is None:
+            rest_p.append(pre)
+        else:
+            used_s.add(match)
+            payload, flag = _ref_fuse_pair(pre, suffixes[match], payload_bits)
+            samples.append(payload)
+            flagged |= flag
+    rest_s = [s for j, s in enumerate(suffixes) if j not in used_s]
+    rest_p.sort(key=lambda p: len(p.fragment), reverse=True)
+    rest_s.sort(key=lambda p: len(p.fragment), reverse=True)
+    for pre, suf in zip(rest_p, rest_s):
+        if len(pre.fragment) + len(suf.fragment) >= payload_bits:
+            payload, flag = _ref_fuse_pair(pre, suf, payload_bits)
+            samples.append(payload)
+            flagged |= flag
+    return samples, flagged
+
+
+@st.composite
+def _part_lists(draw):
+    """(payload_bits, parts): complete fragments, prefixes and suffixes of
+    a few payloads, some with a flipped bit, under Ab states from a small
+    set and in a few frames, so that runs split on conflicts and joins
+    overlap, agreeing or not."""
+    payload_bits = draw(st.integers(1, 8))
+    payloads = draw(st.lists(st.lists(st.integers(0, 1), min_size=payload_bits,
+                                      max_size=payload_bits),
+                             min_size=1, max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(0, 24))):
+        bits = np.array(draw(st.sampled_from(payloads)), dtype=np.int8)
+        n = draw(st.integers(1, payload_bits))
+        direction = draw(st.sampled_from(list(Direction)))
+        fragment = (bits[:n] if direction is Direction.FORWARD
+                    else bits[payload_bits - n:]).copy()
+        if draw(st.integers(0, 4)) == 0:
+            fragment[draw(st.integers(0, n - 1))] ^= 1
+        parts.append(part(direction, draw(st.sampled_from([(0,), (1,)])),
+                          fragment, frame=draw(st.integers(0, 3)),
+                          complete=n == payload_bits))
+    return payload_bits, parts
+
+
+class TestGroupingAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_part_lists())
+    def test_group_parts_and_fuse(self, case):
+        payload_bits, parts = case
+        got, want = group_parts(parts), _ref_group_parts(parts)
+        assert [[id(p) for p in g] for g in got] \
+            == [[id(p) for p in g.parts] for g in want]
+        for group, ref in zip(got, want):
+            samples, flagged = fuse(group, payload_bits)
+            ref_samples, ref_flagged = _ref_fuse(ref.parts, payload_bits)
+            assert [(s.dtype, s.tolist()) for s in samples] \
+                == [(s.dtype, s.tolist()) for s in ref_samples]
+            assert (type(flagged), flagged) == (type(ref_flagged), ref_flagged)
 
 
 _POISON = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e300, 7.0])
@@ -854,7 +988,7 @@ def _sample_lists(draw):
     replaced by NaN, inf or out-of-range values."""
     scheme = draw(st.sampled_from(list(RllScheme)))
     version = draw(st.sampled_from([V1, V2]))
-    payload_bits = block_bits(scheme) * draw(st.integers(1, 3))
+    payload_bits = BLOCK_BITS[scheme] * draw(st.integers(1, 3))
     rows_per_chip = draw(st.sampled_from([1, 1.5, 2, 3]))
     height = draw(st.integers(1, 200))
     counts = [0, int(2 * rows_per_chip) - 1,
