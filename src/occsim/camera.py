@@ -38,23 +38,28 @@ class CameraConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rows < 1:
-            raise ValueError("rows must be positive")
-        if self.row_period_s <= 0 or self.row_exposure_s <= 0:
-            raise ValueError("row timing must be positive")
-        if self.delta_fps < 0:
-            raise ValueError("delta_fps must be non-negative")
-        if self.mean_fps - self.delta_fps <= 0:
-            raise ValueError("mean_fps - delta_fps must stay positive")
+        # each rule fails on NaN, and its message names the
+        # ExperimentConfig field it concerns
+        if not self.rows >= 2:
+            raise ValueError("camera_rows: must be at least 2")
+        if not (self.row_period_s > 0 and self.row_exposure_s > 0):
+            raise ValueError("row_period_s/row_exposure_factor: row timing "
+                             "must be positive")
+        if not self.delta_fps >= 0:
+            raise ValueError("delta_fps: must be non-negative")
+        if not self.mean_fps - self.delta_fps > 0:
+            raise ValueError("mean_fps: mean_fps - delta_fps must be positive")
         if self.delta_process not in ("uniform", "truncated_gaussian"):
-            raise ValueError(f"unknown delta_process {self.delta_process!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        fastest_interval = 1.0 / (self.mean_fps + self.delta_fps)
-        if self.capture_time_s > fastest_interval + 1e-12:
             raise ValueError(
-                "rolling exposure time exceeds the shortest frame interval; "
-                "frames would overlap"
+                f"delta_process: unknown process {self.delta_process!r}")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma: must be non-negative")
+        fastest = 1.0 / (self.mean_fps + self.delta_fps)
+        if not self.capture_time_s <= fastest + 1e-12:
+            raise ValueError(
+                f"camera_rows: rolling exposure time {self.capture_time_s:g} s "
+                f"exceeds the shortest frame interval {fastest:g} s; frames "
+                f"would overlap"
             )
 
     @property
@@ -79,10 +84,13 @@ class GeometryConfig:
     subpacket_rows: float
 
     def __post_init__(self):
-        if self.distance <= 0 or self.reference_distance <= 0:
-            raise ValueError("distances must be positive")
-        if self.subpacket_rows <= 0:
-            raise ValueError("subpacket_rows must be positive")
+        if not self.distance > 0:
+            raise ValueError("distance: must be positive")
+        if not self.reference_distance > 0:
+            raise ValueError("reference_distance: must be positive")
+        if not self.subpacket_rows > 0:
+            raise ValueError("payload_bits/rows_per_chip: sub-packet rows "
+                             "must be positive")
 
 
 def covered_rows(geometry: GeometryConfig, max_rows: int | None = None) -> int:

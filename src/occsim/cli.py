@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, io
@@ -187,21 +186,14 @@ def cmd_der(args) -> int:
         return 2
     if config.version != "v2":
         return _fail("detection-error studies require a v2 (two-Ab) config", 2)
-    chunks = []
-    remaining, index = config.trials, 0
-    while remaining > 0:
-        size = min(_DER_CHUNK, remaining)
+    # at most _DER_CHUNK packets per simulated link; chunk i is seeded
+    # seed + 101 i (payloads one more)
+    estimates = []
+    for index, start in enumerate(range(0, config.trials, _DER_CHUNK)):
         seed = config.seed + 101 * index
-        chunks.append((dataclasses.replace(config, seed=seed, trials=size),
-                       seed + 1))
-        remaining -= size
-        index += 1
-
-    if args.parallel > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            estimates = list(pool.map(monte_carlo_der, *zip(*chunks)))
-    else:
-        estimates = [monte_carlo_der(*chunk) for chunk in chunks]
+        chunk = dataclasses.replace(
+            config, seed=seed, trials=min(_DER_CHUNK, config.trials - start))
+        estimates.append(monte_carlo_der(chunk, seed + 1))
 
     transmitted = sum(e.transmitted for e in estimates)
     undetected = sum(e.undetected for e in estimates)
@@ -308,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("der", help="Monte-Carlo detection error study CSV")
     add_common(p, trials=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_der)
 
     p = sub.add_parser("fusion", help="fusion gain vs distance study CSV")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.resources
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -120,89 +121,76 @@ class ExperimentConfig:
     # --- validation and serialization ---------------------------------------
 
     def validate(self) -> list[str]:
-        """Field-named problems; empty when the config is runnable."""
-        problems = []
+        """Field-named problems; empty when the config is runnable.
+
+        The plan, camera, footprint and decoder check their own inputs;
+        this checks the config's own fields and the rules that span them.
+        """
+        problems = [f"{name}: must be finite"
+                    for name, value in vars(self).items()
+                    if isinstance(value, float) and not math.isfinite(value)]
         if self.scheme not in _SCHEMES:
             problems.append(f"scheme: unknown line code {self.scheme!r}")
         if self.version not in _VERSIONS:
             problems.append(f"version: unknown frame structure {self.version!r}")
-        if self.optical_clock_hz <= 0:
-            problems.append("optical_clock_hz: must be positive")
-        if self.packet_rate <= 0:
-            problems.append("packet_rate: must be positive")
-        if self.payload_bits < 1:
+        if not self.payload_bits >= 1:
             problems.append("payload_bits: must be positive")
-        if self.rows_per_chip < 1:
-            problems.append("rows_per_chip: must be at least 1")
-        if self.camera_rows < 2:
-            problems.append("camera_rows: must be at least 2")
         if not 0 < self.row_exposure_factor <= 1:
             problems.append("row_exposure_factor: must be in (0, 1]")
-        if self.delta_fps < 0:
-            problems.append("delta_fps: must be non-negative")
-        if self.mean_fps - self.delta_fps <= 0:
-            problems.append("mean_fps: mean_fps - delta_fps must be positive")
-        if self.trials < 1:
+        if not self.trials >= 1:
             problems.append("trials: must be at least 1")
+        if not self.seed >= 0:
+            problems.append("seed: must be non-negative")
+        # ds_length_s and row_period_s divide by these, so they come first
+        if not self.optical_clock_hz > 0:
+            problems.append("optical_clock_hz: must be positive")
+        if not self.rows_per_chip > 0:
+            problems.append("rows_per_chip: must be positive")
+        if problems:
+            return problems
+        try:  # the plan and the footprint both need ds_chips
+            self.ds_chips
+        except ValueError as exc:
+            return [f"payload_bits: {exc}"]
+
+        built = []
+        for build in (self.plan, self.camera, self.geometry, self.decoder):
+            try:
+                built.append(build())
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             return problems
 
-        floor = self.mean_fps - self.delta_fps
-        if self.version == "v1" and floor < self.packet_rate:
-            problems.append(
-                "mean_fps/delta_fps: the one-Ab structure supports only "
-                f"oversampling; the camera's frame-rate floor ({floor:g} fps) "
-                f"must be no less than packet_rate ({self.packet_rate:g}/s)"
-            )
-        try:
-            scheme = self.rll_scheme
-            version = self.frame_structure
-            subpacket_chip_length(self.payload_bits, scheme, version)
-        except ValueError as exc:
-            problems.append(f"payload_bits: {exc}")
-            return problems
-        try:
-            plan = self.plan()
-        except ValueError as exc:
-            problems.append(f"repetitions/packet_rate: {exc}")
-            plan = None
-        if plan is not None and self.version == "v1" \
-                and plan.repetitions < self.required_repetitions():
-            # fewer repetitions than the longest frame interval spans
-            # leaves dead air a frame can fall into, so packets get lost
-            # without the two-Ab structure there to detect it
-            problems.append(
-                f"repetitions: {plan.repetitions} sub-packet repetitions "
-                f"cover less than the longest frame interval; at least "
-                f"{self.required_repetitions()} are needed"
-            )
-        capture = self.camera_rows * self.row_period_s
-        if self.version == "v2" and capture < 2 * self.ds_length_s - 1e-12:
+        plan, camera = built[:2]
+        if self.version == "v1":
+            floor = self.mean_fps - self.delta_fps
+            if floor < self.packet_rate:
+                problems.append(
+                    "mean_fps/delta_fps: the one-Ab structure supports only "
+                    f"oversampling; the camera's frame-rate floor ({floor:g} "
+                    f"fps) must be no less than packet_rate "
+                    f"({self.packet_rate:g}/s)"
+                )
+            if plan.repetitions < self.required_repetitions():
+                # fewer repetitions than the longest frame interval spans
+                # leaves dead air a frame can fall into, so packets get lost
+                # without the two-Ab structure there to detect it
+                problems.append(
+                    f"repetitions: {plan.repetitions} sub-packet repetitions "
+                    f"cover less than the longest frame interval; at least "
+                    f"{self.required_repetitions()} are needed"
+                )
+        elif camera.capture_time_s < 2 * self.ds_length_s - 1e-12:
             # gap counting needs every frame to land one whole sub-packet
             # regardless of phase, which takes a two-sub-packet window
             problems.append(
-                f"camera_rows: rolling exposure time {capture:g} s is below "
+                f"camera_rows: rolling exposure time "
+                f"{camera.capture_time_s:g} s is below "
                 f"twice the sub-packet duration ({2 * self.ds_length_s:g} s); "
                 f"a frame could then miss every sub-packet boundary and "
                 f"break gap counting"
             )
-        fastest = 1.0 / (self.mean_fps + self.delta_fps)
-        if capture > fastest + 1e-12:
-            problems.append(
-                f"camera_rows: rolling exposure time {capture:g} s exceeds "
-                f"the shortest frame interval {fastest:g} s"
-            )
-        else:
-            # the camera checks the capture rule too; past it, the rules
-            # only the camera owns are delta_process's and noise_sigma's
-            try:
-                self.camera()
-            except ValueError as exc:
-                problems.append(f"delta_process/noise_sigma: {exc}")
-        try:
-            self.geometry()
-        except ValueError as exc:
-            problems.append(f"distance/reference_distance: {exc}")
         return problems
 
     def to_json(self) -> str:

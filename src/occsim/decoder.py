@@ -140,8 +140,8 @@ class DecoderConfig:
     fusion: bool = True
 
     def __post_init__(self):
-        if self.rows_per_chip < 1:
-            raise ValueError("rows_per_chip must be at least 1")
+        if not self.rows_per_chip >= 1:
+            raise ValueError("rows_per_chip: must be at least 1")
 
     def window_rows(self) -> int:
         # must exceed the longest identical-chip run (the SF's) in rows

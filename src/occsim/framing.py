@@ -100,16 +100,19 @@ class PacketPlan:
     optical_clock_hz: float
 
     def __post_init__(self):
-        if self.packet_rate <= 0 or self.ds_length_s <= 0:
-            raise ValueError("packet_rate and ds_length_s must be positive")
-        if self.optical_clock_hz <= 0:
-            raise ValueError("optical_clock_hz must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+        if not self.packet_rate > 0:
+            raise ValueError("packet_rate: must be positive")
+        if not self.optical_clock_hz > 0:
+            raise ValueError("optical_clock_hz: must be positive")
+        if not self.ds_length_s > 0:
+            raise ValueError("ds_length_s: must be positive")
+        if not self.repetitions >= 1:
+            raise ValueError("repetitions: must be at least 1")
         if self.repetitions * self.ds_chips > self.slot_chips:
             raise PlanInfeasible(
-                f"{self.repetitions} sub-packets of {self.ds_chips} chips "
-                f"exceed the {self.slot_chips}-chip packet slot"
+                f"repetitions/packet_rate: {self.repetitions} sub-packets of "
+                f"{self.ds_chips} chips exceed the {self.slot_chips}-chip "
+                f"packet slot"
             )
 
     @property
@@ -117,7 +120,7 @@ class PacketPlan:
         chips = self.ds_length_s * self.optical_clock_hz
         rounded = round(chips)
         if abs(chips - rounded) > 1e-6:
-            raise ValueError("ds_length_s must be a whole number of chips")
+            raise ValueError("ds_length_s: must be a whole number of chips")
         return rounded
 
     @property
@@ -132,9 +135,9 @@ class PacketPlan:
     def fill_slot(cls, packet_rate: float, ds_length_s: float,
                   optical_clock_hz: float) -> "PacketPlan":
         """Plan with as many whole sub-packet repetitions as the slot holds."""
-        slot = math.floor(optical_clock_hz / packet_rate + 1e-9)
-        ds = round(ds_length_s * optical_clock_hz)
-        return cls(packet_rate, ds_length_s, max(1, slot // ds), optical_clock_hz)
+        one = cls(packet_rate, ds_length_s, 1, optical_clock_hz)
+        return cls(packet_rate, ds_length_s, one.slot_chips // one.ds_chips,
+                   optical_clock_hz)
 
 
 def build_packet_stream(payloads, plan: PacketPlan, scheme: RllScheme,

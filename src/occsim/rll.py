@@ -28,12 +28,6 @@ class RllScheme(Enum):
     EIGHT_B_TEN_B = "8b10b"
 
 
-_EFFICIENCY = {
-    RllScheme.MANCHESTER: Fraction(1, 2),
-    RllScheme.FOUR_B_SIX_B: Fraction(4, 6),
-    RllScheme.EIGHT_B_TEN_B: Fraction(8, 10),
-}
-
 _PREAMBLE = {
     RllScheme.MANCHESTER: "011100",
     RllScheme.FOUR_B_SIX_B: "0011111000",
@@ -128,7 +122,7 @@ class ChipStream:
 
 def efficiency(scheme: RllScheme) -> Fraction:
     """Data-rate efficiency of the code (payload bits per chip)."""
-    return _EFFICIENCY[scheme]
+    return Fraction(_BLOCK_BITS[scheme], _CODEWORD_CHIPS[scheme])
 
 
 @functools.cache

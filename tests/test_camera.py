@@ -1,5 +1,7 @@
 """Rolling-shutter sampling: timing, exposure integration, and coverage."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,17 @@ class TestCameraConfigValidation:
         # 100 rows at 1 ms is 0.1 s of rolling exposure vs 25 fps frames
         with pytest.raises(ValueError, match="overlap"):
             camera(rows=100, row_period=0.001, mean_fps=25.0)
+
+    @pytest.mark.parametrize("setting, named", [
+        ({"rows": 1}, "camera_rows"),
+        ({"delta_fps": math.nan}, "delta_fps"),
+        ({"mean_fps": math.nan}, "mean_fps"),
+        ({"sigma": math.nan}, "noise_sigma"),
+        ({"row_period": math.nan}, "row_period_s"),
+    ])
+    def test_rule_names_config_field(self, setting, named):
+        with pytest.raises(ValueError, match=f"^{named}[:/]"):
+            camera(**setting)
 
     def test_capture_time(self):
         assert camera(rows=50, row_period=0.0005).capture_time_s == 0.025

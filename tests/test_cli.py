@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import json
+import math
 import struct
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -115,10 +117,18 @@ class TestEncode:
         ('{"distance": 0}', "distance"),
         ('{"distance": -2, "reference_distance": 1}', "distance"),
         ('{"distance": 1, "reference_distance": 0}', "reference_distance"),
+        ('{"optical_clock_hz": Infinity}', "optical_clock_hz"),
+        ('{"mean_fps": NaN}', "mean_fps"),
+        ('{"rows_per_chip": NaN}', "rows_per_chip"),
+        ('{"noise_sigma": NaN}', "noise_sigma"),
+        ('{"distance": NaN}', "distance"),
+        ('{"packet_rate": 0}', "packet_rate"),
+        ('{"seed": -1}', "seed"),
     ])
     def test_camera_and_geometry_rules_validated(self, tmp_path, capsys,
                                                  document, named):
-        # rules the camera and the footprint own are reported up front
+        # rules the plan, camera, footprint and config own are reported up
+        # front, each named by its config field
         path = tmp_path / "bad.json"
         path.write_text(document)
         assert run_cli("encode", "--config", path,
@@ -510,6 +520,25 @@ class TestConfigRoundtrip:
     def test_presets_all_valid(self):
         for name, preset in PRESETS.items():
             assert preset.validate() == [], name
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_single_field_edits_named_or_built(self, name):
+        # validate() never raises; a rejected edit is named first, and an
+        # accepted one leaves a config whose pipeline objects all build
+        hints = typing.get_type_hints(ExperimentConfig)
+        numeric = [field for field, hint in hints.items()
+                   if {int, float} & (set(typing.get_args(hint)) or {hint})]
+        for field in numeric:
+            for value in (0, -1, math.nan, math.inf, -math.inf):
+                config = dataclasses.replace(PRESETS[name], **{field: value})
+                problems = config.validate()
+                if problems:
+                    prefix = problems[0].split(": ")[0]
+                    assert field in prefix.split("/"), (field, value, problems)
+                else:
+                    for build in (config.plan, config.camera,
+                                  config.geometry, config.decoder):
+                        build()
 
     def test_required_repetitions_satisfied_by_presets(self):
         for name, preset in PRESETS.items():

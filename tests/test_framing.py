@@ -113,6 +113,16 @@ class TestPacketPlan:
         assert plan.repetitions == 3
         assert plan.pad_chips == 10
 
+    @pytest.mark.parametrize("args, named", [
+        ((0.0, 0.01, 1000.0), "packet_rate"),
+        ((10.0, 0.0, 1000.0), "ds_length_s"),
+        ((10.0, 0.01, 0.0), "optical_clock_hz"),
+        ((float("nan"), 0.01, 1000.0), "packet_rate"),
+    ])
+    def test_fill_slot_rejects_nonpositive_inputs(self, args, named):
+        with pytest.raises(ValueError, match=f"^{named}:"):
+            PacketPlan.fill_slot(*args)
+
     def test_ds_must_be_whole_chips(self):
         with pytest.raises(ValueError):
             PacketPlan(10.0, 0.0205001, 4, 1000.0).ds_chips
