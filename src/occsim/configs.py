@@ -13,6 +13,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -129,6 +130,11 @@ class ExperimentConfig:
         problems = [f"{name}: must be finite"
                     for name, value in vars(self).items()
                     if isinstance(value, float) and not math.isfinite(value)]
+        # float arithmetic on an int beyond float range raises OverflowError
+        problems += [f"{name}: too large"
+                     for name, value in vars(self).items()
+                     if isinstance(value, int)
+                     and abs(value) > sys.float_info.max]
         if self.scheme not in _SCHEMES:
             problems.append(f"scheme: unknown line code {self.scheme!r}")
         if self.version not in _VERSIONS:
@@ -146,12 +152,21 @@ class ExperimentConfig:
             problems.append("optical_clock_hz: must be positive")
         if not self.rows_per_chip > 0:
             problems.append("rows_per_chip: must be positive")
+        if self.reference_distance is not None and self.distance is None:
+            problems.append("reference_distance: needs distance")
         if problems:
             return problems
         try:  # the plan and the footprint both need ds_chips
-            self.ds_chips
+            ds_chips = self.ds_chips
         except ValueError as exc:
             return [f"payload_bits: {exc}"]
+        # ints within float range can still give a product beyond it
+        if ds_chips > sys.float_info.max:
+            problems.append("payload_bits: too large")
+        if self.optical_clock_hz * self.rows_per_chip > sys.float_info.max:
+            problems.append("optical_clock_hz/rows_per_chip: too large")
+        if problems:
+            return problems
 
         built = []
         for build in (self.plan, self.camera, self.geometry, self.decoder):

@@ -1,21 +1,26 @@
 """Receiver chain: row luminance -> chips -> payload fragments -> payloads.
 
-Frames are sliced a frames x rows block at a time: each frame's covered
-rows are de-trended with a centered moving average and sliced into chips,
-one chip per ``rows_per_chip`` rows, at the row offset that slices
-sharpest and still shows a start-frame (SF) match; all offsets of all
-the block's frames are sliced and searched in one pass, the only SF
-search, which hands each frame's SF positions to the fragment reader.
-Per frame, one codeword-table lookup gives the codeword value at every
-chip position, Ab bits included, and each SF yields fragments that are
-strided slices of those values up to the first invalid codeword.  A
-forward fragment is a payload prefix of the sub-packet starting at the
-SF; a backward one is a payload suffix of the sub-packet ending there.
+Frames are sliced and read a frames x rows block at a time.  Each frame's
+covered rows are de-trended with a centered moving average and sliced
+into chips, one chip per ``rows_per_chip`` rows, at the row offset that
+slices sharpest and still shows a start-frame (SF) match; all offsets of
+all the block's frames are sliced and searched in one pass, the only SF
+search.  The slicer hands the fragment reader each frame's chips at its
+chosen offset as one padded frames x chips array, and the SF table: each
+SF's frame and position.  The reader keeps each frame's dominant
+sub-packet grid and reads every SF of the block at once: one
+codeword-table lookup gives the codeword value at every chip position of
+every frame, a Manchester one the Ab bits, and each SF's windows are
+gathered into one SF x payload-codewords matrix, cut at the first invalid
+codeword counted away from the SF.  A forward fragment is a payload
+prefix of the sub-packet starting at the SF; a backward one is a payload
+suffix of the sub-packet ending there.
 
 Fragments are grouped by asynchronous-bit state along the stream; a
 group's complete fragments and, with fusion, its prefix + suffix joins
-are its samples, majority voted.  Under the two-bit structure, consecutive
-group states also reveal how many packets were skipped (up to three).
+are its samples, and every group's samples are majority voted in one
+pass.  Under the two-bit structure, consecutive group states also reveal
+how many packets were skipped (up to three).
 """
 
 from __future__ import annotations
@@ -214,8 +219,8 @@ def _sf_match(chips: np.ndarray, scheme: RllScheme) -> np.ndarray:
     return match
 
 
-def frames_to_chips(block, config: DecoderConfig
-                    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
+def _slice(block, config: DecoderConfig
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Detrend and slice each frame (row) of a frames x rows block of
     covered rows into chips, and find their start frames.
 
@@ -223,14 +228,21 @@ def frames_to_chips(block, config: DecoderConfig
     offset within one chip is tried.  Among offsets that detect an SF,
     the one with the sharpest slicing (largest mean absolute group mean)
     wins: the best-aligned offset mixes adjacent chips least, while a
-    misaligned decode can alias whole spurious SF grids.  A frame's entry
-    is that offset's chips and the positions in them where a whole SF
-    starts, or None when no offset produces an SF.
+    misaligned decode can alias whole spurious SF grids.
+
+    Returns each frame's chips at its chosen offset as one frames x chips
+    ``int8`` array, each frame's chip count (the runs of different offsets
+    differ by at most one chip; a shorter run is padded), and the SF
+    table: the frame and the chip position of every whole SF at the
+    chosen offsets, by frame, then position.  A frame with no SF at any
+    offset has no entry in the table.
     """
     block = np.asarray(block, dtype=np.float64)
     frames, length = block.shape
     if length < 2 * config.rows_per_chip:
-        return [None] * frames
+        none = np.empty(0, dtype=np.intp)
+        return (np.empty((frames, 0), dtype=np.int8),
+                np.zeros(frames, dtype=np.intp), none, none)
     window = config.window_rows()
     signal = np.empty_like(block)
     for f in range(frames):
@@ -248,8 +260,8 @@ def frames_to_chips(block, config: DecoderConfig
     runs = list(zip(bounds[:-1], bounds[1:]))
     margins = [np.abs(means[:, lo:hi]).sum(axis=1) / (hi - lo)
                for lo, hi in runs]
-    spans = [(lo, max(lo, hi - sf_len + 1)) for lo, hi in runs]
-    hits = [np.count_nonzero(match[:, lo:end], axis=1) for lo, end in spans]
+    hits = [np.count_nonzero(match[:, lo:max(lo, hi - sf_len + 1)], axis=1)
+            for lo, hi in runs]
     best = np.zeros(frames, dtype=np.int64)
     best_margin, best_hits = margins[0], hits[0]
     for offset in range(1, len(runs)):
@@ -258,74 +270,125 @@ def frames_to_chips(block, config: DecoderConfig
         best[better] = offset
         best_margin = np.where(better, margins[offset], best_margin)
         best_hits = np.where(better, hits[offset], best_hits)
-    return [(chips[f, bounds[o]:bounds[o + 1]],
-             np.flatnonzero(match[f, slice(*spans[o])])) if h else None
-            for f, (o, h) in enumerate(zip(best.tolist(), best_hits.tolist()))]
+    first, lengths = bounds[best], np.diff(bounds)[best]
+    columns = first[:, None] + np.arange(lengths.max())
+    chosen = np.take_along_axis(chips, np.minimum(columns, chips.shape[1] - 1),
+                                axis=1)
+    sf_frame, column = np.nonzero(match)
+    sf_position = column - first[sf_frame]
+    inside = (sf_position >= 0) & (
+        sf_position < lengths[sf_frame] - sf_len + 1)
+    return chosen, lengths, sf_frame[inside], sf_position[inside]
 
 
-def decode_frame(chips, positions, config: DecoderConfig,
-                 frame_index: int = 0) -> list[DecodedPart]:
-    """Forward and backward fragments from the SFs at ``positions`` (as
-    :func:`frames_to_chips` finds them) in one frame's chips.
+def frames_to_chips(block, config: DecoderConfig
+                    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Per frame (row) of a frames x rows block of covered rows: its chips
+    at the chosen row offset and the positions in them where a whole SF
+    starts, or None when no offset produces an SF.
 
-    Only the SFs on the frame's dominant sub-packet grid are read.  A
-    fragment is read away from its SF up to the first invalid codeword.
-    A complete fragment is dropped when the sub-packet's other Ab copy
+    A per-frame view of the arrays the block slicer returns; see
+    :func:`_slice` for how the offset is chosen.
+    """
+    chips, lengths, sf_frame, sf_position = _slice(block, config)
+    cuts = np.searchsorted(sf_frame, np.arange(len(chips) + 1)).tolist()
+    return [(chips[f, :lengths[f]], sf_position[lo:hi]) if hi > lo else None
+            for f, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
+
+
+def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
+                sf_position: np.ndarray, config: DecoderConfig,
+                frame_indices) -> list[DecodedPart]:
+    """Forward and backward fragments of every SF of a block in one array
+    pass, in order of frame, SF position and direction (backward first).
+
+    ``chips`` is frames x chips (row f valid up to ``lengths[f]``), the SF
+    table gives each SF's row and chip position, and ``frame_indices``
+    the frame index of each row.  Per frame, only the SFs on its dominant
+    sub-packet grid are read (the lowest residue wins a tie).  A fragment
+    is read away from its SF up to the first invalid codeword.  A
+    complete fragment is dropped when the sub-packet's other Ab copy
     disagrees with the one next to the SF: it would poison grouping.
     """
     scheme, payload_bits = config.scheme, config.payload_bits
-    chips = np.asarray(chips, dtype=np.int8)
     sf_len = len(preamble(scheme))
     ab_chips = ab_chip_count(config.version)
     pay_chips = payload_chip_count(payload_bits, scheme)
     cw = codeword_chips(scheme)
+    n_words = pay_chips // cw
     ds_chips = subpacket_chip_length(payload_bits, scheme, config.version)
 
-    if len(positions) > 1:
-        # keep only the dominant sub-packet grid; stray matches are artifacts
-        residues = positions % ds_chips
-        keep = residues == np.bincount(residues, minlength=ds_chips).argmax()
-        positions = positions[keep]
+    # keep only each frame's dominant sub-packet grid; stray matches are
+    # artifacts
+    residues = sf_position % ds_chips
+    counts = np.bincount(sf_frame * ds_chips + residues,
+                         minlength=len(chips) * ds_chips)
+    dominant = counts.reshape(len(chips), ds_chips).argmax(axis=1)
+    on_grid = residues == dominant[sf_frame]
+    frame, position = sf_frame[on_grid], sf_position[on_grid]
+    length = lengths[frame]
 
     words = codeword_values(chips, scheme)
     manchester = (words if scheme is RllScheme.MANCHESTER
                   else codeword_values(chips, RllScheme.MANCHESTER))
 
-    def ab_at(lo: int) -> tuple[int, ...] | None:
-        """The Manchester-coded Ab bits at chips[lo:lo + ab_chips]."""
-        if lo < 0 or lo + ab_chips > len(chips):
-            return None
-        bits = manchester[lo:lo + ab_chips:2]
-        return None if (bits < 0).any() else tuple(int(b) for b in bits)
+    # per SF (rows) and direction (columns: backward, forward)
+    end = position - ab_chips  # payload end of the sub-packet ending here
+    start = position + sf_len + ab_chips  # payload start of the one starting
+    n = np.stack([np.minimum(pay_chips, end),  # codewords in the window
+                  np.minimum(pay_chips, length - start)], axis=1) // cw
 
-    parts = []
-    for p in (int(q) for q in positions):
-        end = p - ab_chips  # payload end of the sub-packet ending at this SF
-        n_back = min(pay_chips, end) // cw
-        start = p + sf_len + ab_chips  # payload start of the one starting here
-        n_fwd = min(pay_chips, len(chips) - start) // cw
-        # (direction, Ab position, first codeword, codewords, other Ab copy)
-        for direction, ab_lo, lo, n, other_lo in (
-                (Direction.BACKWARD, end, end - n_back * cw, n_back,
-                 end - pay_chips - ab_chips),
-                (Direction.FORWARD, p + sf_len, start, n_fwd,
-                 start + pay_chips)):
-            ab = ab_at(ab_lo)
-            if ab is None or n < 1:
-                continue
-            values = words[lo:lo + n * cw:cw]
-            invalid = np.flatnonzero(values < 0)
-            if invalid.size:
-                values = (values[invalid[-1] + 1:]
-                          if direction is Direction.BACKWARD
-                          else values[:invalid[0]])
-            fragment = codeword_bits(values, scheme)
-            complete = len(fragment) == payload_bits
-            if fragment.size and not (complete
-                                      and ab_at(other_lo) not in (None, ab)):
-                parts.append(DecodedPart(frame_index, direction, ab, fragment,
-                                         complete, p))
-    return parts
+    # the Ab copy next to the SF, then the sub-packet's other copy, each
+    # valid when in range and made of Manchester symbols
+    ab_lo = np.stack([end, position + sf_len,
+                      end - pay_chips - ab_chips, start + pay_chips], axis=1)
+    at = np.clip(ab_lo[..., None] + np.arange(0, ab_chips, 2), 0,
+                 manchester.shape[1] - 1)
+    ab = manchester[frame[:, None, None], at]
+    ab_ok = ((ab_lo >= 0) & (ab_lo + ab_chips <= length[:, None])
+             & (ab >= 0).all(axis=-1))
+
+    # every window's codewords in payload order: a backward window holds
+    # the last n, a forward window the first n
+    word_lo = np.stack([end - pay_chips, start], axis=1)
+    at = np.clip(word_lo[..., None] + cw * np.arange(n_words), 0,
+                 words.shape[1] - 1)
+    values = words[frame[:, None, None], at]
+    # counted away from the SF, a fragment ends at its first invalid
+    # codeword or at the window's end: one argmax over both directions
+    stop = np.ones(values.shape[:-1] + (n_words + 1,), dtype=bool)
+    stop[:, 0, :-1] = values[:, 0, ::-1] < 0
+    stop[:, 1, :-1] = values[:, 1] < 0
+    stop[..., :-1] |= np.arange(n_words) >= n[..., None]
+    kept = stop.argmax(axis=-1)
+    complete = kept == n_words
+    disagree = ab_ok[:, 2:] & (ab[:, 2:] != ab[:, :2]).any(axis=-1)
+    read = ab_ok[:, :2] & (kept > 0) & ~(complete & disagree)
+
+    bits = codeword_bits(values, scheme)
+    block_bits = payload_bits // n_words
+    s, d = np.nonzero(read)
+    cut = (kept[s, d] * block_bits).tolist()
+    directions = (Direction.BACKWARD, Direction.FORWARD)
+    return [DecodedPart(frame_indices[f], directions[k], tuple(state),
+                        bits[i, k, payload_bits - c:] if k == 0
+                        else bits[i, k, :c], whole, p)
+            for i, k, f, p, state, c, whole in zip(
+                s.tolist(), d.tolist(), frame[s].tolist(),
+                position[s].tolist(), ab[s, d].tolist(), cut,
+                complete[s, d].tolist())]
+
+
+def decode_frame(chips, positions, config: DecoderConfig,
+                 frame_index: int = 0) -> list[DecodedPart]:
+    """Forward and backward fragments from the SFs at ``positions`` (as
+    :func:`frames_to_chips` finds them) in one frame's chips: the
+    one-frame case of the block reader, :func:`_read_parts`."""
+    chips = np.asarray(chips, dtype=np.int8)
+    positions = np.asarray(positions, dtype=np.intp)
+    return _read_parts(chips[None], np.array([len(chips)]),
+                       np.zeros(len(positions), dtype=np.intp), positions,
+                       config, [frame_index])
 
 
 def _join(fwd: np.ndarray, bwd: np.ndarray, payload_bits: int
@@ -384,18 +447,26 @@ def fuse(parts: list[DecodedPart], payload_bits: int
     return samples, flagged
 
 
+def _vote(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position majority of each group of rows of ``stack`` (groups
+    start at ``starts``, in order), and where each group tied; a tie takes
+    the group's first row."""
+    # counted wider than int8 whatever numpy's default for reduceat
+    ones = np.add.reduceat(stack, starts, axis=0, dtype=np.intp)
+    n = np.diff(np.append(starts, len(stack)))[:, None]
+    voted = (2 * ones > n).astype(np.int8)
+    ties = 2 * ones == n
+    voted[ties] = stack[starts][ties]
+    return voted, ties
+
+
 def majority_vote(samples: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per-position majority; ties take the earliest sample and are flagged."""
     if not samples:
         raise ValueError("majority_vote needs at least one sample")
-    stack = np.stack([np.asarray(s, dtype=np.int8) for s in samples])
-    ones = stack.sum(axis=0)
-    n = len(samples)
-    voted = (2 * ones > n).astype(np.int8)
-    ties = np.flatnonzero(2 * ones == n)
-    if len(ties):
-        voted[ties] = stack[0][ties]
-    return voted, ties
+    voted, ties = _vote(np.stack([np.asarray(s, dtype=np.int8)
+                                  for s in samples]), [0])
+    return voted[0], np.flatnonzero(ties[0])
 
 
 _V2_STATE_INDEX = {ab_state_v2(i): i for i in range(4)}
@@ -472,8 +543,8 @@ def decode_samples(samples: list[FrameSample],
     """Full decode of a frame sequence into a link report."""
     parts: list[DecodedPart] = []
     frames_with_sf = 0
-    # runs of consecutive samples with one covered-row count are sliced as
-    # frames x rows blocks, in order
+    # runs of consecutive samples with one covered-row count are sliced and
+    # read as frames x rows blocks, in order
     slices = [sample.covered_slice() for sample in samples]
     start = 0
     for width, run in itertools.groupby(len(rows) for rows in slices):
@@ -481,19 +552,17 @@ def decode_samples(samples: list[FrameSample],
         step = max(1, _BLOCK_ELEMENTS // max(width, 1))
         for lo in range(start, end, step):
             hi = min(lo + step, end)
-            block = np.stack(slices[lo:hi])
-            for sample, sliced in zip(samples[lo:hi],
-                                      frames_to_chips(block, config)):
-                if sliced is None:
-                    continue
-                frames_with_sf += 1
-                parts.extend(decode_frame(*sliced, config, sample.index))
+            sliced = _slice(np.stack(slices[lo:hi]), config)
+            frames_with_sf += np.unique(sliced[2]).size
+            parts += _read_parts(*sliced, config,
+                                 [sample.index for sample in samples[lo:hi]])
         start = end
 
-    groups = group_parts(parts)
-    recovered: list[RecoveredGroup] = []
+    # every recovered group's samples, stacked in group order, voted at once
+    voted_groups = []
+    rows: list[np.ndarray] = []
     unrecovered = 0
-    for group in groups:
+    for group in group_parts(parts):
         group_samples = [p.fragment for p in group if p.complete]
         flagged = False
         if config.fusion:
@@ -502,17 +571,27 @@ def decode_samples(samples: list[FrameSample],
         if not group_samples:
             unrecovered += 1
             continue
-        voted, ties = majority_vote(group_samples)
-        frames = [p.frame_index for p in group]
-        recovered.append(RecoveredGroup(
-            ab_state=group[0].ab_state,
-            payload=voted,
-            first_frame=min(frames),
-            last_frame=max(frames),
-            n_samples=len(group_samples),
-            tie_positions=tuple(int(t) for t in ties),
-            overlap_flagged=flagged,
-        ))
+        voted_groups.append((group, len(rows), len(group_samples), flagged))
+        rows += group_samples
+
+    recovered: list[RecoveredGroup] = []
+    if rows:
+        voted, ties = _vote(np.stack(rows), [g[1] for g in voted_groups])
+        tie_positions = [[] for _ in voted_groups]
+        for g, t in zip(*(a.tolist() for a in np.nonzero(ties))):
+            tie_positions[g].append(t)
+        for (group, _, n, flagged), payload, tied in zip(
+                voted_groups, voted, tie_positions):
+            frames = [p.frame_index for p in group]
+            recovered.append(RecoveredGroup(
+                ab_state=group[0].ab_state,
+                payload=payload,
+                first_frame=min(frames),
+                last_frame=max(frames),
+                n_samples=n,
+                tie_positions=tuple(tied),
+                overlap_flagged=flagged,
+            ))
 
     gaps: list[GapReport] = []
     if config.version is FrameStructure.V2_TWO_AB:

@@ -211,24 +211,28 @@ def _codeword_table(scheme: RllScheme) -> np.ndarray:
 
 
 def codeword_values(chips, scheme: RllScheme) -> np.ndarray:
-    """Value of the codeword starting at each chip position, -1 where the
-    chips there form none: one table lookup for a whole chip array."""
+    """Value of the codeword starting at each chip position along the last
+    axis, -1 where the chips there form none: one table lookup for a whole
+    chip array."""
     chips = np.asarray(chips, dtype=np.int8)
     if not _is_binary(chips):
         raise ValueError("chips must be 0/1 valued")
     width = _CODEWORD_CHIPS[scheme]
-    n = max(len(chips) - width + 1, 0)
-    words = np.zeros(n, dtype=np.intp)
+    n = max(chips.shape[-1] - width + 1, 0)
+    words = np.zeros(chips.shape[:-1] + (n,), dtype=np.intp)
     for k in range(width):
-        words = (words << 1) | chips[k:k + n]
+        words <<= 1
+        words |= chips[..., k:k + n]
     return _codeword_table(scheme)[words]
 
 
 def codeword_bits(values, scheme: RllScheme) -> np.ndarray:
-    """Data bits, MSB first, of valid codeword values."""
+    """Data bits, MSB first, of valid codeword values along the last axis."""
+    values = np.asarray(values)
     width = _BLOCK_BITS[scheme]
     shifts = np.arange(width - 1, -1, -1)
-    return ((np.asarray(values)[:, None] >> shifts) & 1).astype(np.int8).ravel()
+    bits = ((values[..., None] >> shifts) & 1).astype(np.int8)
+    return bits.reshape(values.shape[:-1] + (values.shape[-1] * width,))
 
 
 def chips_to_ascii(chips) -> str:

@@ -124,6 +124,24 @@ class TestEncode:
         ('{"distance": NaN}', "distance"),
         ('{"packet_rate": 0}', "packet_rate"),
         ('{"seed": -1}', "seed"),
+        ('{"reference_distance": 2}', "reference_distance"),
+        pytest.param('{"camera_rows": 1%s}' % ("0" * 400), "camera_rows",
+                     id="camera_rows=10**400"),
+        pytest.param('{"payload_bits": 1%s}' % ("0" * 400), "payload_bits",
+                     id="payload_bits=10**400"),
+        pytest.param('{"trials": 1%s}' % ("0" * 400), "trials",
+                     id="trials=10**400"),
+        pytest.param('{"seed": 1%s}' % ("0" * 400), "seed",
+                     id="seed=10**400"),
+        # within float range, but the sub-packet length or the row rate
+        # derived from it is not
+        pytest.param('{"payload_bits": 1%s}' % ("0" * 308), "payload_bits",
+                     id="payload_bits=10**308"),
+        pytest.param('{"payload_bits": 1%s, "optical_clock_hz": 1000}'
+                     % ("0" * 308), "payload_bits",
+                     id="payload_bits=10**308,int_clock"),
+        pytest.param('{"optical_clock_hz": 1%s}' % ("0" * 308),
+                     "optical_clock_hz", id="optical_clock_hz=10**308"),
     ])
     def test_camera_and_geometry_rules_validated(self, tmp_path, capsys,
                                                  document, named):

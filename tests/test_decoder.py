@@ -845,6 +845,150 @@ class TestAgainstReference:
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
+def _half_removed(rows, window):
+    """A detrend for rows of 0/1 levels: every chip slices at margin 0.5."""
+    return np.asarray(rows, dtype=np.float64) - 0.5
+
+
+@st.composite
+def _reader_blocks(draw):
+    """(DecoderConfig, frame indices, frames x rows block) of 0/1 rows that
+    slice, with :func:`_half_removed` as the detrend, into chosen chips
+    whose features are known.  At two rows per chip a frame drawn at row
+    phase 1 shows one chip fewer than one at phase 0, so a block's chosen
+    chip runs differ in length.
+
+    Each frame's chips are a window of a packet stream whose sub-packets
+    may hold an invalid codeword mid-payload or an Ab copy flipped to
+    another valid state; a window opening on an SF, closing with one or
+    closing one chip short of a codeword's end; two sub-packets on grids
+    1 to ds - 1 chips apart (a residue tie); or coded data with no SF.  A
+    few chips may be flipped.
+    """
+    scheme = draw(st.sampled_from(list(RllScheme)))
+    version = draw(st.sampled_from([V1, V2]))
+    payload_bits = BLOCK_BITS[scheme] * draw(st.integers(1, 4))
+    rows_per_chip = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sf_len, cw = len(preamble(scheme)), codeword_chips(scheme)
+    ab_chips = ab_chip_count(version)
+    ds = subpacket_chip_length(payload_bits, scheme, version)
+    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits), k // 2,
+                            scheme, version) for k in range(12)]
+    for sub in subs:
+        fault = draw(st.sampled_from(["none", "codeword", "ab"]))
+        if fault == "codeword":
+            lo = sf_len + ab_chips + cw * draw(
+                st.integers(0, payload_bits // BLOCK_BITS[scheme] - 1))
+            sub[lo:lo + cw] = 0
+        elif fault == "ab":
+            lo = draw(st.sampled_from([sf_len, ds - ab_chips]))
+            sub[lo:lo + 2] ^= 1
+    stream = np.concatenate(subs)
+    n = draw(st.integers(sf_len, 3 * ds + 8))  # chips shown at phase 0
+    coded = encode_rll(rng.integers(0, 2, size=BLOCK_BITS[scheme]
+                                    * (n // cw + 1)), scheme)
+    block = []
+    for _ in range(draw(st.integers(1, 6))):
+        phase = draw(st.integers(0, rows_per_chip - 1))
+        m = n - phase  # chips the frame shows
+        kind = draw(st.sampled_from(
+            ["window", "sf_first", "sf_last", "mid_codeword", "grids",
+             "no_sf"]))
+        if kind == "window":
+            lo = draw(st.integers(0, len(stream) - m))
+            chips = stream[lo:lo + m]
+        elif kind == "sf_first":
+            lo = ds * draw(st.integers(0, 7))
+            chips = stream[lo:lo + m]
+        elif kind == "sf_last":
+            end = ds * draw(st.integers(4, 11)) + sf_len
+            chips = stream[end - m:end]
+        elif kind == "mid_codeword":  # the last codeword lacks one chip
+            end = (ds * draw(st.integers(4, 10)) + sf_len + ab_chips
+                   + cw * draw(st.integers(0, payload_bits
+                                           // BLOCK_BITS[scheme] - 1))
+                   + cw - 1)
+            chips = stream[end - m:end]
+        elif kind == "grids":
+            lo, gap = ds * draw(st.integers(0, 10)), draw(st.integers(1, ds - 1))
+            chips = np.concatenate([stream[lo:lo + ds], coded[:gap],
+                                    stream[lo + ds:lo + 2 * ds],
+                                    coded[gap:]])[:m]
+        else:
+            chips = coded[:m]
+        chips = chips.copy()
+        chips[rng.integers(0, m, size=draw(st.integers(0, 2)))] ^= 1
+        if phase:
+            # rows 1.. show the chips; row 0 and the last row belong to
+            # chips the frame does not show whole
+            chips = np.concatenate([chips[:1], chips, chips[-1:]])
+        rows = np.repeat(chips, rows_per_chip)[phase:phase + n * rows_per_chip]
+        block.append(rows.astype(np.float64))
+    indices = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=len(block),
+                                      max_size=len(block)))).tolist()
+    config = DecoderConfig(scheme=scheme, version=version,
+                           payload_bits=payload_bits,
+                           rows_per_chip=rows_per_chip)
+    return config, indices, np.array(block)
+
+
+def _ref_majority_vote(samples):
+    """Per-position majority of one group, ties to its first sample."""
+    stack = np.stack([np.asarray(s, dtype=np.int8) for s in samples])
+    ones = stack.sum(axis=0)
+    voted = (2 * ones > len(samples)).astype(np.int8)
+    ties = np.flatnonzero(2 * ones == len(samples))
+    voted[ties] = stack[0][ties]
+    return voted, ties
+
+
+class TestBlockReaderAgainstReference:
+    """The block reader (slicing, then every SF of the block at once)
+    against the reference slicer and reader run frame by frame."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_reader_blocks(), st.integers(0, 2**32 - 1))
+    def test_block_parts(self, case, seed):
+        config, indices, block = case
+        with mock.patch.object(decoder, "detrend", _half_removed):
+            chips, lengths, sf_frame, sf_position = decoder._slice(block,
+                                                                   config)
+        # a frame is read up to its own run's end, whatever pads the rest
+        pad = np.arange(chips.shape[1]) >= lengths[:, None]
+        chips[pad] = np.random.default_rng(seed).integers(0, 2, pad.sum())
+        got = decoder._read_parts(chips, lengths, sf_frame, sf_position,
+                                  config, indices)
+        want = []
+        for rows, index in zip(block, indices):
+            ref_chips = _ref_frame_to_chips(rows, config, _half_removed)
+            if ref_chips is not None:
+                want += _ref_decode_frame(ref_chips, config.scheme,
+                                          config.version,
+                                          config.payload_bits, index)
+        assert _fields(got) == _fields(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda bits: st.lists(
+               st.lists(st.lists(st.integers(0, 1), min_size=bits,
+                                 max_size=bits), min_size=1, max_size=6),
+               min_size=1, max_size=8)),
+           st.integers(0, 300))
+    def test_batched_vote(self, groups, copies):
+        # even groups tie; a group of more than 127 samples must not
+        # wrap its count
+        if copies:
+            groups = groups + [[groups[0][0]] * copies]
+        stack = np.array([s for g in groups for s in g], dtype=np.int8)
+        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        voted, ties = decoder._vote(stack, starts)
+        assert len(voted) == len(ties) == len(groups)
+        for group, row, tied in zip(groups, voted, ties):
+            want, want_ties = _ref_majority_vote(group)
+            assert row.dtype == want.dtype and row.tolist() == want.tolist()
+            assert np.flatnonzero(tied).tolist() == want_ties.tolist()
+
+
 # --- reference grouping and fusion ------------------------------------------
 # Grouping by a group object and joins through a public pair function that
 # checked coverage itself, as they were before group_parts returned lists
