@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the benchmark on a parent commit and on this checkout, in pairs.
 
-For every workload, ``perfbench/run.py`` runs N times on each side, the
-two sides alternating and the side that goes first swapping every pair.
+For every workload of ``BENCHMARK.json``, ``perfbench/run.py`` runs N
+times on each side for the benchmark's ``run_seconds``, the two sides
+alternating and the side that goes first swapping every pair.
 The parent is checked out into a ``git worktree`` under ``.bench_build/``
 and runs its own ``perfbench/`` and ``src/``; the change is this checkout,
 as its files stand.  Timing is left to run.py: each run's record line and
@@ -36,10 +37,6 @@ def parse_args(argv=None):
                         help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float,
-                        default=BENCHMARK["run_seconds"])
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in BENCHMARK["workloads"]])
     return parser.parse_args(argv)
 
 
@@ -48,11 +45,12 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """run.py's record and metrics lines of one run in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """run.py's record and metrics lines of one run in ``tree``, as long as
+    ``BENCHMARK.json``'s ``run_seconds``."""
     done = subprocess.run(
         [sys.executable, *BENCHMARK["command"][1:], "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"])],
         cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or len(lines) < 2:
@@ -103,18 +101,18 @@ def main(argv=None) -> int:
         "change": revision(git("rev-parse", "HEAD"), bool(
             git("status", "--porcelain", "--", "src", "perfbench"))),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": BENCHMARK["run_seconds"],
         "pairs": args.pairs,
         "workloads": {},
     }
     try:
-        for workload in args.workloads:
+        for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs = []
             for pair in range(args.pairs):
                 sides = [("parent", tree), ("change", ROOT)]
                 for order, (name, where) in enumerate(
                         sides[::-1] if pair % 2 else sides):
-                    run = run_once(where, workload, args.seed, args.seconds)
+                    run = run_once(where, workload, args.seed)
                     runs.append({"pair": pair, "order": order, "side": name,
                                  **run})
                     wall = run["metrics"]["wall_s"]["value"]
