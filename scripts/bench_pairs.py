@@ -4,10 +4,10 @@
 For every workload of ``BENCHMARK.json``, ``perfbench/run.py`` runs N
 times on each side for the benchmark's ``run_seconds``, the two sides
 alternating and the side that goes first swapping every pair.
-The parent is checked out into a ``git worktree`` under ``.bench_build/``
-and runs its own ``perfbench/`` and ``src/``; the change is this checkout,
-as its files stand.  Timing is left to run.py: each run's record line and
-metrics line are kept as run.py printed them.
+The parent's committed files are extracted with ``git archive`` under
+``.bench_build/`` and run their own ``perfbench/`` and ``src/``; the
+change is this checkout, as its files stand.  Timing is left to run.py:
+each run's record line and metrics line are kept as run.py printed them.
 
 The runs are appended as one round to ``BENCH_<number>.json`` at the
 repository root.  Each end-to-end metric of ``BENCHMARK.json`` is
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -91,7 +92,14 @@ def main(argv=None) -> int:
     parent_rev = git("rev-parse", args.parent)
     tree = ROOT / ".bench_build" / f"parent-{parent_rev[:12]}"
     if not tree.exists():
-        git("worktree", "add", "--detach", str(tree), parent_rev)
+        tree.mkdir(parents=True)
+        archive = subprocess.Popen(["git", "archive", parent_rev], cwd=ROOT,
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout,
+                       check=True)
+        archive.stdout.close()
+        if archive.wait():
+            raise RuntimeError(f"git archive {parent_rev} failed")
     out = ROOT / f"BENCH_{args.number}.json"
     rounds = (json.loads(out.read_text(encoding="utf-8"))["rounds"]
                 if out.exists() else [])
@@ -124,7 +132,7 @@ def main(argv=None) -> int:
             out.write_text(json.dumps({"rounds": rounds + [this]}, indent=1)
                            + "\n", encoding="utf-8")
     finally:
-        git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(tree)
     return 0
 
 

@@ -29,12 +29,10 @@ from .decoder import (
     Direction,
     GapReport,
     LinkReport,
-    decode_frame,
     decode_samples,
     detect_missed,
     detrend,
     fuse,
-    majority_vote,
 )
 from .experiment import (
     GapAccounting,

@@ -281,21 +281,6 @@ def _slice(block, config: DecoderConfig
     return chosen, lengths, sf_frame[inside], sf_position[inside]
 
 
-def frames_to_chips(block, config: DecoderConfig
-                    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Per frame (row) of a frames x rows block of covered rows: its chips
-    at the chosen row offset and the positions in them where a whole SF
-    starts, or None when no offset produces an SF.
-
-    A per-frame view of the arrays the block slicer returns; see
-    :func:`_slice` for how the offset is chosen.
-    """
-    chips, lengths, sf_frame, sf_position = _slice(block, config)
-    cuts = np.searchsorted(sf_frame, np.arange(len(chips) + 1)).tolist()
-    return [(chips[f, :lengths[f]], sf_position[lo:hi]) if hi > lo else None
-            for f, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
-
-
 def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
                 sf_position: np.ndarray, config: DecoderConfig,
                 frame_indices) -> list[DecodedPart]:
@@ -379,18 +364,6 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
                 complete[s, d].tolist())]
 
 
-def decode_frame(chips, positions, config: DecoderConfig,
-                 frame_index: int = 0) -> list[DecodedPart]:
-    """Forward and backward fragments from the SFs at ``positions`` (as
-    :func:`frames_to_chips` finds them) in one frame's chips: the
-    one-frame case of the block reader, :func:`_read_parts`."""
-    chips = np.asarray(chips, dtype=np.int8)
-    positions = np.asarray(positions, dtype=np.intp)
-    return _read_parts(chips[None], np.array([len(chips)]),
-                       np.zeros(len(positions), dtype=np.intp), positions,
-                       config, [frame_index])
-
-
 def _join(fwd: np.ndarray, bwd: np.ndarray, payload_bits: int
           ) -> tuple[np.ndarray, bool]:
     """A payload from a prefix and a suffix that together cover it, and
@@ -458,15 +431,6 @@ def _vote(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     ties = 2 * ones == n
     voted[ties] = stack[starts][ties]
     return voted, ties
-
-
-def majority_vote(samples: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position majority; ties take the earliest sample and are flagged."""
-    if not samples:
-        raise ValueError("majority_vote needs at least one sample")
-    voted, ties = _vote(np.stack([np.asarray(s, dtype=np.int8)
-                                  for s in samples]), [0])
-    return voted[0], np.flatnonzero(ties[0])
 
 
 _V2_STATE_INDEX = {ab_state_v2(i): i for i in range(4)}

@@ -9,8 +9,11 @@ with a mandatory header, dot-decimal floats.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ def _clock_hz(value, where: str) -> float:
         clock_hz = float(value)
     except ValueError:
         clock_hz = float("nan")
-    if not clock_hz > 0:
+    if not 0 < clock_hz < math.inf:
         raise FileFormatError(
             f"{where}: clock_hz must be a positive number, got {value!r}")
     return clock_hz
@@ -131,7 +134,82 @@ def write_frames_csv(path, samples: list[FrameSample]) -> None:
 
 
 def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
-    """Rebuild frame samples from CSV; coverage defaults to the full sensor."""
+    """Rebuild frame samples, by frame index, from CSV; coverage defaults
+    to the full sensor.
+
+    After the header, each line is one row: integer ``frame_index`` and
+    ``row``, finite ``start_time_s`` and ``luma``.  A frame's rows must be
+    exactly ``0..n-1``, in any order, and frames may interleave; a frame's
+    start time is that of its first line, the later lines' start times
+    are only checked to be finite.
+
+    A well-formed file is parsed in one numpy pass (:func:`_parse_frames`).
+    Anything that pass does not accept gets the per-line pass
+    (:func:`_parse_frame_lines`), which raises a :class:`FileFormatError`
+    naming the line or frame at fault.  The per-line pass also accepts
+    input the numpy pass does not (quoted fields, ``1_0``, indexes beyond
+    int64), and is the only reader of it.
+    """
+    frames = _parse_frames(path)
+    if frames is None:
+        frames = _parse_frame_lines(path)
+    samples = []
+    for index, start, luma in frames:
+        cov = len(luma) if covered_rows is None else min(covered_rows, len(luma))
+        samples.append(FrameSample(index, start, luma, cov))
+    return samples
+
+
+_FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
+                             ("row", np.int64), ("luma", np.float64)])
+# numpy's parser reads the ASCII separators \x1c-\x1f as blanks and some
+# non-ASCII letters as digits, where int() and float() reject both; a file
+# made only of these bytes parses the same both ways
+_PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
+
+
+def _parse_frames(path) -> list[tuple[int, float, np.ndarray]] | None:
+    """(index, start time, luma) per frame, by index, from one
+    ``np.loadtxt`` pass streamed from the file; None for a file it does
+    not accept as well-formed."""
+    with open(path, "rb") as raw:
+        for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
+                return None
+            # any warning is a rejection too: numpy before 2.0 reads "1.0"
+            # as an integer with only a DeprecationWarning, and an empty
+            # body is a UserWarning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=_FRAME_CSV_DTYPE, delimiter=",",
+                                   comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    start, luma = table["start"], table["luma"]
+    if not (np.isfinite(start).all() and np.isfinite(luma).all()):
+        return None
+    # by index, then row
+    order = np.lexsort((table["row"], table["index"]))
+    index = table["index"][order]
+    cuts = np.flatnonzero(index[1:] != index[:-1]) + 1
+    first = np.concatenate([[0], cuts])
+    sizes = np.diff(np.append(first, len(order)))
+    # rows 0..n-1 per frame: no gap, no duplicate
+    if not np.array_equal(table["row"][order],
+                          np.arange(len(order)) - np.repeat(first, sizes)):
+        return None
+    first_line = np.minimum.reduceat(order, first)
+    return list(zip(index[first].tolist(), start[first_line].tolist(),
+                    np.split(luma[order], cuts)))
+
+
+def _parse_frame_lines(path) -> list[tuple[int, float, np.ndarray]]:
+    """:func:`_parse_frames`, one csv line at a time: the diagnostic pass,
+    which names the line or frame a file is rejected for."""
     by_frame: dict[int, dict] = {}
     # bytes that are not UTF-8 become lone surrogates, which no number
     # parses, so they are reported on their line like any bad field
@@ -158,6 +236,11 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
                     luma = float(fields[3])
                 except ValueError as exc:
                     raise FileFormatError(f"line {lineno}: {exc}") from None
+                for column, value in ((1, start), (3, luma)):
+                    if not math.isfinite(value):
+                        raise FileFormatError(
+                            f"line {lineno}: {FRAME_CSV_HEADER[column]} must "
+                            f"be finite, got {fields[column]!r}")
                 entry = by_frame.setdefault(index, {"start": start, "rows": {}})
                 if row in entry["rows"]:
                     raise FileFormatError(f"line {lineno}: duplicate row {row}")
@@ -166,16 +249,15 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
             # e.g. a stray quote that runs a field past the csv field limit
             raise FileFormatError(f"line {reader.line_num}: {exc}") from None
 
-    samples = []
+    frames = []
     for index in sorted(by_frame):
         entry = by_frame[index]
         rows = entry["rows"]
         if sorted(rows) != list(range(len(rows))):
             raise FileFormatError(f"frame {index}: non-contiguous row numbers")
         luma = np.array([rows[r] for r in range(len(rows))], dtype=np.float64)
-        cov = len(luma) if covered_rows is None else min(covered_rows, len(luma))
-        samples.append(FrameSample(index, entry["start"], luma, cov))
-    return samples
+        frames.append((index, entry["start"], luma))
+    return frames
 
 
 def write_manifest(path, payload: dict) -> None:

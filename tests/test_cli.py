@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import struct
 import tempfile
 import typing
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from occsim import cli, io
@@ -299,10 +300,15 @@ class TestReadChipstream:
          "line 1: not UTF-8 text"),
         (b"OCHP" + _PACKED_HEADER.pack(1, 0.0, 8) + b"\x55",
          "packed header: clock_hz must be a positive number"),
+        (b"clock_hz=inf\nchips=4\n0101\n",
+         "line 1: clock_hz must be a positive number, got 'inf'"),
+        (b"OCHP" + _PACKED_HEADER.pack(1, math.inf, 8) + b"\x55",
+         "packed header: clock_hz must be a positive number, got inf"),
     ], ids=["short_header", "bad_version", "truncated_bits", "unknown_key",
             "non_binary_body", "count_mismatch", "missing_header",
             "non_numeric_clock", "zero_clock", "non_numeric_count",
-            "non_utf8_body", "mangled_magic", "packed_zero_clock"])
+            "non_utf8_body", "mangled_magic", "packed_zero_clock",
+            "ascii_inf_clock", "packed_inf_clock"])
     def test_malformed_stream_rejected(self, tmp_path, raw, message):
         path = tmp_path / "stream.chips"
         path.write_bytes(raw)
@@ -333,12 +339,46 @@ class TestReadFramesCsv:
          "line 2: could not convert"),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,\"0.5\n"
          + b"0,0.0,1,0.5\n" * 20000, "field larger than field limit"),
-    ], ids=["non_utf8_field", "runaway_quote"])
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,inf\n",
+         "line 2: luma must be finite, got 'inf'"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,NaN,1,0.5\n",
+         "line 3: start_time_s must be finite, got 'NaN'"),
+        (b"frame_index,start_time_s,row,luma\n0,-inf,0,0.5\n",
+         "line 2: start_time_s must be finite, got '-inf'"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,1,0.5\n1,0.1,1,0.5\n"
+         b"1,0.1,0,0.5\n0,0.0,1,0.5\n", "line 5: duplicate row 1"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,0.0,2,0.5\n",
+         "frame 0: non-contiguous row numbers"),
+    ], ids=["non_utf8_field", "runaway_quote", "inf_luma", "nan_start",
+            "minus_inf_start", "duplicate_row", "row_gap"])
     def test_malformed_frames_rejected(self, tmp_path, raw, message):
         path = tmp_path / "frames.csv"
         path.write_bytes(raw)
         with pytest.raises(io.FileFormatError, match=message):
             io.read_frames_csv(path)
+
+    def test_frames_and_rows_in_any_order(self, tmp_path):
+        # a frame's start time is its first line's; later lines' are not
+        # checked against it
+        path = tmp_path / "frames.csv"
+        path.write_bytes(b"frame_index,start_time_s,row,luma\r\n"
+                         b"7,0.5,1,0.25\r\n2,0.125,0,1e-3\r\n"
+                         b"7,9.0,0,-0.0\r\n7,0.5,2,3\r\n")
+        samples = io.read_frames_csv(path, covered_rows=2)
+        assert [(s.index, s.start_time_s, s.row_luma.tolist(), s.covered_rows)
+                for s in samples] == [(2, 0.125, [1e-3], 1),
+                                      (7, 0.5, [-0.0, 0.25, 3.0], 2)]
+        assert math.copysign(1.0, samples[1].row_luma[0]) == -1.0
+
+    def test_written_frames_read_back(self, tmp_path):
+        samples = [FrameSample(k, 0.1 * k, np.random.default_rng(k).random(7),
+                               7) for k in range(3)]
+        path = tmp_path / "frames.csv"
+        io.write_frames_csv(path, samples)
+        got = io.read_frames_csv(path)
+        assert [(s.index, s.start_time_s, s.row_luma.tobytes())
+                for s in got] == [(s.index, s.start_time_s, s.row_luma.tobytes())
+                                  for s in samples]
 
 
 def _csv_writer_frames(path, samples):
@@ -418,6 +458,142 @@ def test_mangled_files_fail_cleanly(tmp_path, kind, edits):
         read(path)
     except io.FileFormatError:
         pass  # a clean rejection; any other exception fails the test
+
+
+# --- the frame CSV's numpy pass against its per-line pass ------------------
+
+def _edited(data: bytes, edits) -> bytes:
+    """``data`` with ``_EDITS`` applied in turn."""
+    data = bytearray(data)
+    for op, position, byte in edits:
+        at = position % (len(data) + 1)
+        if op == "replace" and at < len(data):
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        elif op == "delete" and at < len(data):
+            del data[at]
+        elif op == "truncate":
+            del data[at:]
+    return bytes(data)
+
+
+def _one_underscore(text: str) -> str:
+    return re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)
+
+
+# how a line spells its integer and its float fields, and whether both
+# passes must accept the spelling
+_SPELLINGS = {
+    "plain": (str, repr, True),
+    "spaced": (lambda v: f" {v}\t", lambda v: f"\t{v!r} ", True),
+    "exponent": (str, lambda v: f"{v:E}", True),
+    "signed": (lambda v: f"{v:+d}", lambda v: f"{v:+.17g}", True),
+    "float_int": (lambda v: f"{v}.0", repr, False),
+    "underscore": (lambda v: _one_underscore(str(v)),
+                   lambda v: _one_underscore(repr(v)), False),
+    "hash": (lambda v: f"{v}#", lambda v: f"{v!r}#x", False),
+    "quoted": (lambda v: f'"{v}"', lambda v: f'"{v!r}"', False),
+    "separator": (lambda v: f"{v}\x1c", lambda v: f"\x1f{v!r}", False),
+    "non_ascii_digit": (lambda v: f"{v}\u0968", lambda v: f"{v!r}\u0968",
+                        False),
+}
+
+
+@st.composite
+def _frame_csvs(draw):
+    """A frame CSV, and whether it is a well-formed body of at least one
+    line in spellings both passes accept.
+
+    Up to four frames of 1-4 rows, lines shuffled.  Each field is plain
+    or takes one of the file's other spellings and each line its own line end (LF, CRLF or
+    bare CR), maybe followed by one of the file's kinds of blank line.
+    Extreme files hold indexes at and past the int64 range and
+    non-finite values.  At most one line is duplicated, dropped, widened
+    or narrowed.
+    """
+    extreme = draw(st.booleans())
+    indices = draw(st.lists(
+        st.integers(-3, 30) | st.sampled_from(
+            [-2**63 - 1, -2**63, 2**63 - 1, 2**63] if extreme else [0]),
+        unique=True, max_size=4))
+    values = st.floats(-1e6, 1e6) | st.sampled_from(
+        [-0.0, 5e-324, 1e308]
+        + ([math.inf, -math.inf, math.nan] if extreme else []))
+    lines = []
+    for index in indices:
+        for row in range(draw(st.integers(1, 4))):
+            lines.append([index, draw(values), row, draw(values)])
+    defect = draw(st.none() | st.sampled_from(["duplicate", "drop", "wide",
+                                               "narrow"]))
+    if lines and defect:
+        k = draw(st.integers(0, len(lines) - 1))
+        if defect == "duplicate":
+            lines.append(list(lines[k]))
+        elif defect == "drop":
+            del lines[k]
+        elif defect == "wide":
+            lines[k].append(0)
+        else:
+            lines[k].pop()
+    spellings = ["plain"] + draw(st.lists(st.sampled_from(sorted(_SPELLINGS)),
+                                          max_size=2))
+    blanks = draw(st.sampled_from([[""], ["", "\n"], ["", "\n", " \n"]]))
+    # numpy warns on an empty body, which goes to the per-line pass
+    plain = bool(lines) and defect is None and all(
+        -2**63 <= index < 2**63 and math.isfinite(start)
+        and math.isfinite(luma) for index, start, _, luma in lines)
+    text = ",".join(io.FRAME_CSV_HEADER) + "\n"
+    for k in draw(st.permutations(range(len(lines)))):
+        fields = []
+        for column, value in enumerate(lines[k]):
+            spelling = _SPELLINGS[draw(st.sampled_from(spellings))]
+            plain &= spelling[2]
+            fields.append(spelling[column % 2](value))
+        text += ",".join(fields) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        blank = draw(st.sampled_from(blanks))
+        plain &= blank != " \n"
+        text += blank
+    return text, plain
+
+
+def _frame_fields(frames):
+    """Every field of parsed frames with its scalar type; floats as bits."""
+    return [(type(index), index, type(start), start.hex(), luma.dtype,
+             luma.tobytes()) for index, start, luma in frames]
+
+
+class TestFramesCsvNumpyPass:
+    """Whatever the numpy pass of read_frames_csv accepts, the per-line
+    pass reads to the same frames."""
+
+    @staticmethod
+    def _check(path):
+        fast = io._parse_frames(path)
+        if fast is not None:
+            assert _frame_fields(fast) == _frame_fields(
+                io._parse_frame_lines(path))
+        return fast
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_frame_csvs())
+    # numpy's default comment character would end the field at "#"
+    @example(("frame_index,start_time_s,row,luma\n0,0.5,0,1.5#x\n", False))
+    def test_generated_files(self, tmp_path, case):
+        text, plain = case
+        path = tmp_path / "frames.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = self._check(path)
+        assert fast is not None or not plain
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_EDITS, min_size=1, max_size=4))
+    def test_mangled_files(self, tmp_path, edits):
+        path = tmp_path / "frames.csv"
+        path.write_bytes(_edited(_VALID_FILES["frames"], edits))
+        self._check(path)
 
 
 class TestStudies:

@@ -19,14 +19,11 @@ from occsim.decoder import (
     LinkReport,
     _group_means,
     _sf_match,
-    decode_frame,
     decode_samples,
     detect_missed,
     detrend,
-    frames_to_chips,
     fuse,
     group_parts,
-    majority_vote,
 )
 from occsim.experiment import gap_accounting, random_payloads, run_link
 from occsim.framing import (
@@ -127,11 +124,28 @@ class TestBinarize:
 
 
 def _decode_frame(chips, scheme, version, payload_bits, frame_index=0):
-    """decode_frame on one frame's chips and every SF in them."""
+    """The block reader on one frame's chips and every SF in them."""
     chips = np.asarray(chips, dtype=np.int8)
+    positions = np.flatnonzero(_sf_match(chips, scheme))
     config = DecoderConfig(scheme, version, payload_bits, rows_per_chip=1)
-    return decode_frame(chips, np.flatnonzero(_sf_match(chips, scheme)),
-                        config, frame_index)
+    return decoder._read_parts(chips[None], np.array([len(chips)]),
+                               np.zeros(len(positions), dtype=np.intp),
+                               positions, config, [frame_index])
+
+
+def _frames_to_chips(block, config):
+    """Per frame (row) of a block, as the block slicer finds them: its
+    chips at the chosen offset and its SF positions, or None without SF."""
+    chips, lengths, sf_frame, sf_position = decoder._slice(block, config)
+    cuts = np.searchsorted(sf_frame, np.arange(len(chips) + 1)).tolist()
+    return [(chips[f, :lengths[f]], sf_position[lo:hi]) if hi > lo else None
+            for f, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
+
+
+def _majority_vote(samples):
+    """One group through the batched vote: its bits and tie positions."""
+    voted, ties = decoder._vote(np.array(samples, dtype=np.int8), [0])
+    return voted[0], np.flatnonzero(ties[0])
 
 
 class TestFindSf:
@@ -276,7 +290,7 @@ class TestFuse:
 class TestMajorityVote:
     def test_unanimous(self):
         samples = [np.array([0, 1, 1, 0])] * 7
-        voted, ties = majority_vote(samples)
+        voted, ties = _majority_vote(samples)
         assert voted.tolist() == [0, 1, 1, 0]
         assert len(ties) == 0
 
@@ -284,18 +298,18 @@ class TestMajorityVote:
         good = np.array([1, 0, 1, 0, 1])
         bad = good.copy()
         bad[2] ^= 1
-        voted, _ = majority_vote([good, good, bad, good, good])
+        voted, _ = _majority_vote([good, good, bad, good, good])
         assert voted.tolist() == good.tolist()
 
     def test_single_sample_is_itself(self):
-        voted, ties = majority_vote([np.array([1, 1, 0])])
+        voted, ties = _majority_vote([np.array([1, 1, 0])])
         assert voted.tolist() == [1, 1, 0]
         assert len(ties) == 0
 
     def test_tie_takes_earliest_and_flags(self):
         a = np.array([1, 0])
         b = np.array([0, 0])
-        voted, ties = majority_vote([a, b])
+        voted, ties = _majority_vote([a, b])
         assert voted.tolist() == [1, 0]
         assert ties.tolist() == [0]
 
@@ -406,7 +420,7 @@ class TestEndToEnd:
         samples = [base.copy() for _ in range(9)]
         for k in range(4):
             samples[k][3] ^= 1
-        voted, _ = majority_vote(samples)
+        voted, _ = _majority_vote(samples)
         assert voted.tolist() == base.tolist()
 
     def test_fusion_off_requires_complete_parts(self):
@@ -468,7 +482,7 @@ class TestFrameToChips:
         rows = np.repeat(chips, 2).astype(np.float64)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        sliced, = frames_to_chips(rows[None], config)
+        sliced, = _frames_to_chips(rows[None], config)
         assert sliced is not None
         decoded, positions = sliced
         assert np.array_equal(decoded, chips)
@@ -480,7 +494,7 @@ class TestFrameToChips:
         rows = np.repeat(encode_rll(payload, MAN), 2).astype(np.float64)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        assert frames_to_chips(rows[None], config) == [None]
+        assert _frames_to_chips(rows[None], config) == [None]
 
     def test_tie_keeps_first_offset(self, monkeypatch):
         # both chip phases see one SF at the same slicing margin once the
@@ -489,7 +503,7 @@ class TestFrameToChips:
         rows = np.array(_TIE_ROWS, dtype=float)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        (chips, positions), = frames_to_chips(rows[None], config)
+        (chips, positions), = _frames_to_chips(rows[None], config)
         assert chips.tolist() == _TIE_CHIPS
         assert positions.tolist() == [6]
 
@@ -741,7 +755,7 @@ def _blocks(draw):
 
 
 def _check_sliced(got, rows, config, detrend=detrend):
-    """A frames_to_chips entry against the reference: the same chips, and
+    """A _frames_to_chips entry against the reference: the same chips, and
     SF positions that the reference search finds in those chips."""
     want = _ref_frame_to_chips(rows, config, detrend)
     if want is None:
@@ -791,14 +805,14 @@ class TestAgainstReference:
         config = DecoderConfig(scheme=scheme, version=version,
                                payload_bits=payload_bits,
                                rows_per_chip=rows_per_chip)
-        got, = frames_to_chips(rows[None], config)
+        got, = _frames_to_chips(rows[None], config)
         _check_sliced(got, rows, config)
 
     @settings(max_examples=300, deadline=None)
     @given(_blocks())
     def test_frames_to_chips_blocks(self, case):
         config, block = case
-        got = frames_to_chips(block, config)
+        got = _frames_to_chips(block, config)
         assert len(got) == len(block)
         for rows, sliced in zip(block, got):
             _check_sliced(sliced, rows, config)
@@ -814,7 +828,7 @@ class TestAgainstReference:
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
         with mock.patch.object(decoder, "detrend", _mean_removed):
-            got = frames_to_chips(block, config)
+            got = _frames_to_chips(block, config)
         assert got[at][0].tolist() == _TIE_CHIPS
         for rows, sliced in zip(block, got):
             _check_sliced(sliced, rows, config, _mean_removed)
