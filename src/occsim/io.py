@@ -162,9 +162,9 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
 
 _FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
                              ("row", np.int64), ("luma", np.float64)])
-# numpy's parser reads the ASCII separators \x1c-\x1f as blanks and some
-# non-ASCII letters as digits, where int() and float() reject both; a file
-# made only of these bytes parses the same both ways
+# numpy's parser reads the ASCII separators \x1c-\x1f as blanks, which
+# int() and float() reject, and misreads some non-ASCII characters as
+# digits; a file made only of these bytes parses the same both ways
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
 
 
