@@ -48,7 +48,6 @@ from .framing import (
     ab_state_v1,
     ab_state_v2,
     build_packet_stream,
-    build_subpacket,
     repetition_count,
     subpacket_chip_length,
 )

@@ -1,14 +1,14 @@
 """Receiver chain: row luminance -> chips -> payload fragments -> payloads.
 
-Frames are sliced and read a frames x rows block at a time.  Each frame's
-covered rows are de-trended with a centered moving average and sliced
-into chips, one chip per ``rows_per_chip`` rows, at the row offset that
-slices sharpest and still shows a start-frame (SF) match; all offsets of
-all the block's frames are sliced and searched in one pass, the only SF
-search.  The slicer hands the fragment reader each frame's chips at its
-chosen offset as one padded frames x chips array, and the SF table: each
-SF's frame and position.  The reader keeps each frame's dominant
-sub-packet grid and reads every SF of the block at once: one
+Frames are sliced and read a frames x rows block at a time.  The block's
+covered rows are de-trended in one pass, a centered moving average along
+each frame, and sliced into chips, one chip per ``rows_per_chip`` rows,
+at the row offset that slices sharpest and still shows a start-frame (SF)
+match; all offsets of all the block's frames are sliced and searched in
+one pass, the only SF search.  The slicer hands the fragment reader each
+frame's chips at its chosen offset as one padded frames x chips array,
+and the SF table: each SF's frame and position.  The reader keeps each
+frame's dominant sub-packet grid and reads every SF of the block at once: one
 codeword-table lookup gives the codeword value at every chip position of
 every frame, a Manchester one the Ab bits, and each SF's windows are
 gathered into one SF x payload-codewords matrix, cut at the first invalid
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import _BLOCK_ELEMENTS, FrameSample
 from .framing import (
@@ -155,21 +156,27 @@ class DecoderConfig:
 
 
 def detrend(row_luma, window: int) -> np.ndarray:
-    """Subtract a centered moving average (odd window).
+    """Subtract a centered moving average (odd window) along the last axis.
 
     Near the ends the window is truncated to the available rows and
     normalized by the actual count; replicating edge rows instead would
-    bias the baseline exactly where fragments start and end.
+    bias the baseline exactly where fragments start and end.  A frames x
+    rows block is detrended in one pass, each row exactly as on its own.
     """
-    signal = np.asarray(row_luma, dtype=np.float64)
-    window = min(window, len(signal))
+    # C order, so each row reduces as a contiguous run, as it does alone
+    signal = np.ascontiguousarray(row_luma, dtype=np.float64)
+    n = signal.shape[-1]
+    window = min(window, n)
     if window % 2 == 0:
         window -= 1
     if window < 3:
-        return signal - signal.mean() if signal.size else signal
-    kernel = np.ones(window)
-    sums = np.convolve(signal, kernel, mode="same")
-    counts = np.convolve(np.ones_like(signal), kernel, mode="same")
+        return signal - signal.mean(axis=-1, keepdims=True) if n else signal
+    half = window // 2
+    padded = np.zeros(signal.shape[:-1] + (n + 2 * half,))
+    padded[..., half:half + n] = signal
+    sums = sliding_window_view(padded, window, axis=-1).sum(axis=-1)
+    i = np.arange(n)
+    counts = np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
     return signal - sums / counts
 
 
@@ -243,11 +250,8 @@ def _slice(block, config: DecoderConfig
         none = np.empty(0, dtype=np.intp)
         return (np.empty((frames, 0), dtype=np.int8),
                 np.zeros(frames, dtype=np.intp), none, none)
-    window = config.window_rows()
-    signal = np.empty_like(block)
-    for f in range(frames):
-        signal[f] = detrend(block[f], window)
-    means, bounds = _group_means(signal, config.rows_per_chip,
+    means, bounds = _group_means(detrend(block, config.window_rows()),
+                                 config.rows_per_chip,
                                  max(1, math.ceil(config.rows_per_chip)))
     chips = (means > 0).astype(np.int8)
     # one SF search along every offset's chips of every frame; a hit counts

@@ -4,7 +4,8 @@ A sub-packet is SF || Ab chips || RLL(payload) || Ab chips, measured from
 one SF start to the next.  A packet repeats the same sub-packet back to
 back inside its slot of 1/packet_rate seconds; the slot remainder that
 cannot hold a whole sub-packet is filled with LED-off chips so the packet
-grid stays exact.
+grid stays exact.  A stream is built as a packets x slot-chips matrix:
+every packet's sub-packet comes out of one line-code pass and one tile.
 
 Asynchronous bits carry the transmit clock state.  Structure V1 uses one
 bit alternating with the packet index; V2 adds a second bit toggling at
@@ -82,14 +83,6 @@ def subpacket_chip_length(payload_bits: int, scheme: RllScheme,
             + payload_chip_count(payload_bits, scheme))
 
 
-def build_subpacket(payload, packet_index: int, scheme: RllScheme,
-                    version: FrameStructure) -> np.ndarray:
-    """SF || Ab chips || RLL(payload) || Ab chips for one sub-packet."""
-    ab = encode_rll(ab_bits(packet_index, version), RllScheme.MANCHESTER)
-    body = encode_rll(payload, scheme)
-    return np.concatenate([preamble(scheme), ab, body, ab]).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class PacketPlan:
     """Timing of one packet: slot rate, sub-packet duration, repetitions."""
@@ -142,24 +135,34 @@ class PacketPlan:
 
 def build_packet_stream(payloads, plan: PacketPlan, scheme: RllScheme,
                         version: FrameStructure) -> ChipStream:
-    """Chip stream for a payload sequence on the plan's exact packet grid."""
-    payloads = [np.asarray(p, dtype=np.int8) for p in payloads]
-    if not payloads:
+    """Chip stream for a payload sequence on the plan's exact packet grid.
+
+    All packets are built at once: one line-code pass over the packets x
+    bits payload matrix, Ab chips looked up by packet index mod 4 (the
+    two-bit cycle, whose first bit is the one-bit state), and one tile of
+    the packets x sub-packet matrix into each packet's zero-padded slot.
+    """
+    try:
+        bits = np.asarray(payloads, dtype=np.int8)
+    except ValueError as err:  # ragged rows
+        raise ValueError("all payloads must have the same bit length") from err
+    if not len(bits):
         return ChipStream(np.empty(0, dtype=np.int8), plan.optical_clock_hz)
-    lengths = {len(p) for p in payloads}
-    if len(lengths) != 1:
-        raise ValueError("all payloads must have the same bit length")
-    ds_chips = subpacket_chip_length(lengths.pop(), scheme, version)
+    if bits.ndim != 2:
+        raise ValueError("payloads must be a sequence of bit vectors")
+    ds_chips = subpacket_chip_length(bits.shape[1], scheme, version)
     if ds_chips != plan.ds_chips:
         raise ValueError(
             f"plan expects {plan.ds_chips}-chip sub-packets, payloads "
             f"produce {ds_chips}"
         )
 
-    pad = np.zeros(plan.pad_chips, dtype=np.int8)
-    slots = []
-    for index, payload in enumerate(payloads):
-        sub = build_subpacket(payload, index, scheme, version)
-        slots.append(np.tile(sub, plan.repetitions))
-        slots.append(pad)
-    return ChipStream(np.concatenate(slots), plan.optical_clock_hz)
+    packets = len(bits)
+    ab_cycle = encode_rll([ab_bits(k, version) for k in range(4)],
+                          RllScheme.MANCHESTER)
+    ab = ab_cycle[np.arange(packets) % 4]
+    sf = np.broadcast_to(preamble(scheme), (packets, len(preamble(scheme))))
+    sub = np.concatenate([sf, ab, encode_rll(bits, scheme), ab], axis=1)
+    slots = np.zeros((packets, plan.slot_chips), dtype=np.int8)
+    slots[:, :plan.repetitions * ds_chips] = np.tile(sub, plan.repetitions)
+    return ChipStream(slots.ravel(), plan.optical_clock_hz)

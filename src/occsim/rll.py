@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,6 +97,17 @@ for _value, _neg, _pos in _RAW_8B10B:
 
 if len(ENCODE_4B6B) != 16 or len(ENCODE_8B10B) != 512:
     raise ValueError("incomplete line-code codebook data")
+# the matrix encoder tracks 8B10B disparity per byte, not per codeword: a
+# byte's two codewords must both flip it, or both keep it
+if any((sum(ENCODE_8B10B[(b, -1)]) == 5) != (sum(ENCODE_8B10B[(b, +1)]) == 5)
+       for b in range(256)):
+    raise ValueError("8B10B codebook: a byte's codewords differ in balance")
+
+# codeword chips indexed by value (4B6B) or by (byte, disparity is +1)
+_WORDS_4B6B = np.array([ENCODE_4B6B[v] for v in range(16)], dtype=np.int8)
+_WORDS_8B10B = np.array([[ENCODE_8B10B[(b, rd)] for rd in (-1, +1)]
+                         for b in range(256)], dtype=np.int8)
+_UNBALANCED_8B10B = _WORDS_8B10B[:, 0].sum(axis=1) != 5
 
 
 @dataclass(frozen=True)
@@ -111,8 +123,8 @@ class ChipStream:
             raise ValueError("chips must be one-dimensional")
         if not _is_binary(chips):
             raise ValueError("chips must be 0/1 valued")
-        if not self.clock_hz > 0:
-            raise ValueError("clock_hz must be positive")
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError("clock_hz must be positive and finite")
         object.__setattr__(self, "chips", chips)
 
     @property
@@ -153,47 +165,46 @@ def _is_binary(values: np.ndarray) -> bool:
 
 
 def _pack_bits_msb(bits: np.ndarray, width: int) -> np.ndarray:
+    """Values of consecutive ``width``-bit words along the last axis."""
     weights = 1 << np.arange(width - 1, -1, -1)
-    return bits.reshape(-1, width) @ weights
+    words = bits.shape[-1] // width
+    return bits.reshape(bits.shape[:-1] + (words, width)) @ weights
 
 
 def encode_rll(bits, scheme: RllScheme) -> np.ndarray:
-    """Encode payload bits into line-coded chips.
+    """Encode payload bits along the last axis into line-coded chips.
 
-    8B10B starts at running disparity -1; the disparity carried across
+    Every row of a packets x bits matrix is encoded as a stream of its
+    own, with one codeword-table lookup for the whole matrix.  8B10B
+    starts each row at running disparity -1; the disparity carried across
     codewords keeps any encoded stream balanced within +/-2 chips.
     """
     bits = np.asarray(bits, dtype=np.int8)
     if not _is_binary(bits):
         raise ValueError("payload bits must be 0/1 valued")
     block = _BLOCK_BITS[scheme]
-    if len(bits) % block:
+    if bits.shape[-1] % block:
         raise ValueError(
             f"{scheme.value} requires a payload length divisible by {block}, "
-            f"got {len(bits)}"
+            f"got {bits.shape[-1]}"
         )
-    if len(bits) == 0:
-        return np.empty(0, dtype=np.int8)
 
     if scheme is RllScheme.MANCHESTER:
-        out = np.empty(2 * len(bits), dtype=np.int8)
-        out[0::2] = bits
-        out[1::2] = 1 - bits
+        out = np.empty(bits.shape[:-1] + (2 * bits.shape[-1],), dtype=np.int8)
+        out[..., 0::2] = bits
+        out[..., 1::2] = 1 - bits
         return out
 
+    values = _pack_bits_msb(bits, block)
     if scheme is RllScheme.FOUR_B_SIX_B:
-        values = _pack_bits_msb(bits, 4)
-        return np.concatenate([ENCODE_4B6B[int(v)] for v in values]).astype(np.int8)
-
-    values = _pack_bits_msb(bits, 8)
-    rd = -1
-    words = []
-    for v in values:
-        word = ENCODE_8B10B[(int(v), rd)]
-        words.append(word)
-        if sum(word) != 5:  # unbalanced codeword flips the running disparity
-            rd = -rd
-    return np.concatenate(words).astype(np.int8)
+        words = _WORDS_4B6B[values]
+    else:
+        # the disparity before word k is -1 flipped once per unbalanced
+        # word before it; a byte's two codewords share their balance
+        unbalanced = _UNBALANCED_8B10B[values]
+        flips = np.cumsum(unbalanced, axis=-1) - unbalanced
+        words = _WORDS_8B10B[values, flips % 2]
+    return words.reshape(bits.shape[:-1] + (words.shape[-2] * words.shape[-1],))
 
 
 @functools.cache
@@ -205,7 +216,7 @@ def _codeword_table(scheme: RllScheme) -> np.ndarray:
         book = DECODE_4B6B if scheme is RllScheme.FOUR_B_SIX_B else DECODE_8B10B
     width = _CODEWORD_CHIPS[scheme]
     table = np.full(1 << width, -1, dtype=np.int16)
-    table[_pack_bits_msb(np.array(list(book)), width)] = list(book.values())
+    table[_pack_bits_msb(np.array(list(book)), width)[:, 0]] = list(book.values())
     table.flags.writeable = False
     return table
 

@@ -32,7 +32,6 @@ from occsim.framing import (
     ab_bit_count,
     ab_chip_count,
     build_packet_stream,
-    build_subpacket,
     subpacket_chip_length,
 )
 from occsim.rll import (
@@ -51,6 +50,15 @@ V1 = FrameStructure.V1_ONE_AB
 V2 = FrameStructure.V2_TWO_AB
 MAN = RllScheme.MANCHESTER
 BLOCK_BITS = {MAN: 1, RllScheme.FOUR_B_SIX_B: 4, RllScheme.EIGHT_B_TEN_B: 8}
+
+
+def _subpacket(payload, index, scheme, version):
+    """The sub-packet of packet ``index``: its slot in an unpadded,
+    one-repetition stream of ``index + 1`` copies of the payload."""
+    ds = subpacket_chip_length(len(payload), scheme, version)
+    plan = PacketPlan(1.0, 1.0, 1, float(ds))
+    stream = build_packet_stream([payload] * (index + 1), plan, scheme, version)
+    return stream.chips[-ds:]
 
 
 def part(direction, ab, fragment, frame=0, complete=None, position=0):
@@ -150,7 +158,7 @@ def _majority_vote(samples):
 
 class TestFindSf:
     def test_three_subpackets_on_grid(self):
-        sub = build_subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
+        sub = _subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = np.tile(sub, 3)
         positions = np.flatnonzero(_sf_match(chips, MAN))
         assert positions.tolist() == [0, len(sub), 2 * len(sub)]
@@ -162,7 +170,7 @@ class TestFindSf:
         assert len(np.flatnonzero(_sf_match(chips, MAN))) == 0
 
     def test_truncated_sf_not_reported(self):
-        sub = build_subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
+        sub = _subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = sub[:4]  # SF cut by the coverage boundary
         assert len(np.flatnonzero(_sf_match(chips, MAN))) == 0
 
@@ -171,7 +179,7 @@ class TestDecodeFrame:
     PAYLOAD = [1, 0, 1, 1, 0]
 
     def _sub(self, index, version=V1, payload=None):
-        return build_subpacket(payload or self.PAYLOAD, index, MAN, version)
+        return _subpacket(payload or self.PAYLOAD, index, MAN, version)
 
     def test_full_subpacket_gives_complete_forward(self):
         chips = np.concatenate([self._sub(0), self._sub(0)])
@@ -223,7 +231,7 @@ class TestDecodeFrame:
         from occsim.framing import ab_bits
 
         payload = [int(c) for c in format(value, "016b")]
-        sub = build_subpacket(payload, index, scheme, version)
+        sub = _subpacket(payload, index, scheme, version)
         parts = _decode_frame(np.tile(sub, 2), scheme, version, 16, 0)
         completes = [p for p in parts
                      if p.complete and p.direction is Direction.FORWARD]
@@ -477,7 +485,7 @@ def _mean_removed(rows, window):
 
 class TestFrameToChips:
     def test_recovers_transmitted_chips(self):
-        sub = build_subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
+        sub = _subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = np.tile(sub, 3)
         rows = np.repeat(chips, 2).astype(np.float64)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
@@ -682,8 +690,8 @@ def _frames(draw):
     n_sub = draw(st.integers(2, 5))
     first = draw(st.integers(0, 7))
     reps = draw(st.integers(1, 2))
-    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits),
-                            first + k // reps, scheme, version)
+    subs = [_subpacket(rng.integers(0, 2, size=payload_bits),
+                       first + k // reps, scheme, version)
             for k in range(n_sub)]
     starts = np.cumsum([0] + [len(s) for s in subs])
     stream = np.concatenate(subs)
@@ -726,8 +734,8 @@ def _blocks(draw):
     rows_per_chip = draw(st.sampled_from([1, 1.5, 2, 2.5, 3]))
     width = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits), k // 2,
-                            scheme, version) for k in range(8)]
+    subs = [_subpacket(rng.integers(0, 2, size=payload_bits), k // 2,
+                       scheme, version) for k in range(8)]
     need = int(width / rows_per_chip) + 2
     stream = np.tile(np.concatenate(subs),
                      need // sum(len(s) for s in subs) + 2)
@@ -887,8 +895,8 @@ def _reader_blocks(draw):
     sf_len, cw = len(preamble(scheme)), codeword_chips(scheme)
     ab_chips = ab_chip_count(version)
     ds = subpacket_chip_length(payload_bits, scheme, version)
-    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits), k // 2,
-                            scheme, version) for k in range(12)]
+    subs = [_subpacket(rng.integers(0, 2, size=payload_bits), k // 2,
+                       scheme, version) for k in range(12)]
     for sub in subs:
         fault = draw(st.sampled_from(["none", "codeword", "ab"]))
         if fault == "codeword":
@@ -1162,8 +1170,8 @@ def _sample_lists(draw):
         covered = draw(st.lists(st.sampled_from(counts), min_size=n_frames,
                                 max_size=n_frames))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    subs = [build_subpacket(rng.integers(0, 2, size=payload_bits), k // 3,
-                            scheme, version) for k in range(12)]
+    subs = [_subpacket(rng.integers(0, 2, size=payload_bits), k // 3,
+                       scheme, version) for k in range(12)]
     stream = np.concatenate(subs)
     need = int(height / rows_per_chip) + 2
     stream = np.tile(stream, need // len(stream) + 2)

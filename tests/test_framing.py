@@ -9,18 +9,42 @@ from occsim.framing import (
     FrameStructure,
     PacketPlan,
     PlanInfeasible,
+    ab_bits,
     ab_state_v1,
     ab_state_v2,
     build_packet_stream,
-    build_subpacket,
     repetition_count,
     subpacket_chip_length,
 )
-from occsim.rll import RllScheme, chips_to_ascii, preamble
+from occsim.rll import RllScheme, chips_to_ascii, encode_rll, preamble
 from occsim.decoder import _sf_match
 
 V1 = FrameStructure.V1_ONE_AB
 V2 = FrameStructure.V2_TWO_AB
+BLOCK_BITS = {RllScheme.MANCHESTER: 1, RllScheme.FOUR_B_SIX_B: 4,
+              RllScheme.EIGHT_B_TEN_B: 8}
+
+
+def _subpacket(payload, index, scheme, version):
+    """The sub-packet of packet ``index``: its slot in an unpadded,
+    one-repetition stream of ``index + 1`` copies of the payload."""
+    ds = subpacket_chip_length(len(payload), scheme, version)
+    plan = PacketPlan(1.0, 1.0, 1, float(ds))
+    stream = build_packet_stream([payload] * (index + 1), plan, scheme, version)
+    return stream.chips[-ds:]
+
+
+def _ref_packet_stream(payloads, plan, scheme, version):
+    """The stream built one packet at a time: each packet's sub-packet
+    tiled over its repetitions, then the slot's LED-off pad."""
+    slots = []
+    for index, payload in enumerate(payloads):
+        ab = encode_rll(ab_bits(index, version), RllScheme.MANCHESTER)
+        sub = np.concatenate([preamble(scheme), ab,
+                              encode_rll(payload, scheme), ab])
+        slots.append(np.tile(sub, plan.repetitions))
+        slots.append(np.zeros(plan.pad_chips, dtype=np.int8))
+    return np.concatenate(slots).astype(np.int8)
 
 
 class TestAbStates:
@@ -75,11 +99,11 @@ class TestRepetitionCount:
 
 class TestBuildSubpacket:
     def test_empty_payload_v1_layout(self):
-        chips = build_subpacket([], 1, RllScheme.MANCHESTER, V1)
+        chips = _subpacket([], 1, RllScheme.MANCHESTER, V1)
         assert chips_to_ascii(chips) == "011100" + "10" + "" + "10"
 
     def test_leading_and_trailing_ab_identical(self):
-        chips = build_subpacket([1, 0, 1, 0], 2, RllScheme.MANCHESTER, V2)
+        chips = _subpacket([1, 0, 1, 0], 2, RllScheme.MANCHESTER, V2)
         sf = len(preamble(RllScheme.MANCHESTER))
         assert np.array_equal(chips[sf:sf + 4], chips[-4:])
 
@@ -87,14 +111,14 @@ class TestBuildSubpacket:
         payload = [1, 0, 1, 0]
         for scheme in (RllScheme.MANCHESTER, RllScheme.FOUR_B_SIX_B):
             p = payload * (2 if scheme is RllScheme.FOUR_B_SIX_B else 1)
-            v1 = build_subpacket(p, 0, scheme, V1)
-            v2 = build_subpacket(p, 0, scheme, V2)
+            v1 = _subpacket(p, 0, scheme, V1)
+            v2 = _subpacket(p, 0, scheme, V2)
             assert len(v2) == len(v1) + 4
 
     def test_ab_period_two_under_v1(self):
         payload = [0, 1, 1, 0]
-        a = build_subpacket(payload, 3, RllScheme.MANCHESTER, V1)
-        b = build_subpacket(payload, 5, RllScheme.MANCHESTER, V1)
+        a = _subpacket(payload, 3, RllScheme.MANCHESTER, V1)
+        b = _subpacket(payload, 5, RllScheme.MANCHESTER, V1)
         assert np.array_equal(a, b)
 
 
@@ -179,6 +203,24 @@ class TestBuildPacketStream:
         subs = [stream.chips[k * ds:(k + 1) * ds] for k in range(4)]
         for sub in subs[1:]:
             assert np.array_equal(sub, subs[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(RllScheme)), st.sampled_from([V1, V2]),
+           st.integers(0, 5), st.integers(1, 4), st.integers(0, 9),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_matches_per_packet_reference(self, scheme, version, words, reps,
+                                          pad, packets, seed):
+        bits = words * BLOCK_BITS[scheme]
+        clock = 1000.0
+        ds = subpacket_chip_length(bits, scheme, version)
+        plan = PacketPlan(clock / (reps * ds + pad), ds / clock, reps, clock)
+        assert plan.pad_chips == pad
+        rng = np.random.default_rng(seed)
+        payloads = list(rng.integers(0, 2, size=(packets, bits), dtype=np.int8))
+        stream = build_packet_stream(payloads, plan, scheme, version)
+        want = _ref_packet_stream(payloads, plan, scheme, version)
+        assert stream.chips.dtype == want.dtype
+        assert stream.chips.tolist() == want.tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 31))

@@ -1,6 +1,7 @@
 """Line-code constants, roundtrips, balance, and preamble uniqueness."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,25 @@ class TestConstants:
             assert ENCODE_4B6B[value] == tuple(int(c) for c in word)
 
 
+def _ref_encode_rll(bits, scheme):
+    """Chips of one payload, one codeword at a time, 8B10B carrying its
+    running disparity from -1 across codewords."""
+    if scheme is RllScheme.MANCHESTER:
+        return [c for b in bits for c in MANCHESTER_PAIRS[int(b)]]
+    width = 4 if scheme is RllScheme.FOUR_B_SIX_B else 8
+    values = [int("".join(str(int(b)) for b in bits[k:k + width]), 2)
+              for k in range(0, len(bits), width)]
+    if scheme is RllScheme.FOUR_B_SIX_B:
+        return [c for v in values for c in ENCODE_4B6B[v]]
+    chips, rd = [], -1
+    for v in values:
+        word = ENCODE_8B10B[(v, rd)]
+        chips.extend(word)
+        if sum(word) != 5:
+            rd = -rd
+    return chips
+
+
 class TestEncode:
     def test_manchester_convention(self):
         assert encode_rll([1, 0], RllScheme.MANCHESTER).tolist() == [1, 0, 0, 1]
@@ -98,6 +118,23 @@ class TestEncode:
             encode_rll([1, 0, 1], RllScheme.FOUR_B_SIX_B)
         with pytest.raises(ValueError, match="8"):
             encode_rll([1] * 12, RllScheme.EIGHT_B_TEN_B)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALL_SCHEMES), st.integers(0, 4), st.integers(0, 6),
+           st.integers(0, 2**32 - 1))
+    def test_matrix_rows_encode_alone(self, scheme, rows, words, seed):
+        # a packets x bits matrix encodes each row as its own stream, the
+        # per-codeword reference's chips; 8B10B restarts at disparity -1
+        block = {RllScheme.MANCHESTER: 1, RllScheme.FOUR_B_SIX_B: 4,
+                 RllScheme.EIGHT_B_TEN_B: 8}[scheme]
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 2, size=(rows, words * block), dtype=np.int8)
+        out = encode_rll(matrix, scheme)
+        assert out.dtype == np.int8
+        assert out.shape == (rows, words * codeword_chips(scheme))
+        for row, chips in zip(matrix, out):
+            assert chips.tolist() == _ref_encode_rll(row, scheme)
+            assert encode_rll(row, scheme).tolist() == chips.tolist()
 
     def test_output_length_matches_efficiency(self):
         for scheme, n in ((RllScheme.MANCHESTER, 7),
@@ -167,6 +204,13 @@ class TestBalance:
         for bit in (0, 1):
             pair = encode_rll([bit], RllScheme.MANCHESTER)
             assert pair.sum() == 1
+
+    def test_8b10b_codeword_pair_shares_balance(self):
+        # the encoder counts disparity flips per byte: both codewords of a
+        # byte must be balanced, or both unbalanced
+        for byte in range(256):
+            neg, pos = ENCODE_8B10B[(byte, -1)], ENCODE_8B10B[(byte, +1)]
+            assert (sum(neg) == 5) == (sum(pos) == 5), byte
 
     def test_8b10b_running_disparity_bounded(self):
         rng = np.random.default_rng(7)
@@ -279,6 +323,11 @@ class TestChipStream:
             ChipStream(np.array([0, -1], dtype=np.int8), 1000.0)
         with pytest.raises(ValueError):
             ChipStream(np.array([0, 1], dtype=np.int8), 0.0)
+
+    @pytest.mark.parametrize("clock_hz", [math.inf, math.nan, -math.inf])
+    def test_nonfinite_clock_rejected(self, clock_hz):
+        with pytest.raises(ValueError, match="clock_hz"):
+            ChipStream(np.array([0, 1], dtype=np.int8), clock_hz)
 
     def test_duration(self):
         stream = ChipStream(np.array([1, 0, 1, 0], dtype=np.int8), 8.0)
