@@ -97,17 +97,15 @@ for _value, _neg, _pos in _RAW_8B10B:
 
 if len(ENCODE_4B6B) != 16 or len(ENCODE_8B10B) != 512:
     raise ValueError("incomplete line-code codebook data")
-# the matrix encoder tracks 8B10B disparity per byte, not per codeword: a
-# byte's two codewords must both flip it, or both keep it
-if any((sum(ENCODE_8B10B[(b, -1)]) == 5) != (sum(ENCODE_8B10B[(b, +1)]) == 5)
-       for b in range(256)):
-    raise ValueError("8B10B codebook: a byte's codewords differ in balance")
-
 # codeword chips indexed by value (4B6B) or by (byte, disparity is +1)
 _WORDS_4B6B = np.array([ENCODE_4B6B[v] for v in range(16)], dtype=np.int8)
 _WORDS_8B10B = np.array([[ENCODE_8B10B[(b, rd)] for rd in (-1, +1)]
                          for b in range(256)], dtype=np.int8)
 _UNBALANCED_8B10B = _WORDS_8B10B[:, 0].sum(axis=1) != 5
+# the matrix encoder tracks 8B10B disparity per byte, not per codeword: a
+# byte's two codewords must both flip it, or both keep it
+if (_UNBALANCED_8B10B != (_WORDS_8B10B[:, 1].sum(axis=1) != 5)).any():
+    raise ValueError("8B10B codebook: a byte's codewords differ in balance")
 
 
 @dataclass(frozen=True)

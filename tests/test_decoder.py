@@ -68,6 +68,18 @@ def part(direction, ab, fragment, frame=0, complete=None, position=0):
                        position)
 
 
+def _ref_detrend(row, window):
+    """One row minus its centered moving average, the sums and the window
+    counts each from an ``np.convolve`` of ones."""
+    window = min(window, len(row))
+    window -= window % 2 == 0
+    if window < 3:
+        return row - row.mean()
+    kernel = np.ones(window)
+    return row - (np.convolve(row, kernel, mode="same")
+                  / np.convolve(np.ones_like(row), kernel, mode="same"))
+
+
 class TestDetrend:
     def test_constant_input_goes_to_zero(self):
         out = detrend(np.full(50, 0.7), 9)
@@ -86,6 +98,22 @@ class TestDetrend:
         ramp = np.linspace(0.0, 0.3, len(rows))
         means, _ = _group_means(detrend(rows + ramp, 17)[None], 2)
         assert np.array_equal(means[0] > 0, chips)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 120), st.integers(1, 130),
+           st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_block_rows_match_convolve_reference(self, frames, rows, window,
+                                                 scale, seed):
+        # each row of a block detrends exactly as it does alone, and within
+        # a sum's rounding of the per-row convolve moving average
+        block = scale * np.random.default_rng(seed).normal(size=(frames, rows))
+        out = detrend(block, window)
+        assert out.shape == block.shape
+        for row, got in zip(block, out):
+            assert got.tolist() == detrend(row, window).tolist()
+            tolerance = window * np.finfo(float).eps * np.abs(row).max()
+            np.testing.assert_allclose(got, _ref_detrend(row, window),
+                                       rtol=0, atol=tolerance)
 
     def test_window_mean_near_zero(self):
         rng = np.random.default_rng(4)
