@@ -254,13 +254,13 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
                 reference_distance=1.0, seed=seed + 1, trials=config.packets)
             payloads = random_payloads(cell.trials, cell.payload_bits, seed,
                                        distinct=True)
-            sent = {tuple(int(b) for b in p) for p in payloads}
+            sent = {p.tobytes() for p in payloads}
             stream = build_packet_stream(payloads, cell.plan(),
                                          cell.rll_scheme, cell.frame_structure)
             samples = sample_frames(stream, cell.camera(), cell.geometry())
             for fusion in (True, False):
                 report = decode_samples(samples, cell.decoder(fusion))
-                got = {tuple(int(b) for b in g.payload) for g in report.groups}
+                got = {g.payload.tobytes() for g in report.groups}
                 rows.append(FusionStudyRow(
                     distance_ratio=ratio,
                     ds_length_s=cell.ds_length_s,

@@ -188,9 +188,10 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
 
     prefix = _prefix_integral(waveform)
     chips = waveform.chips.astype(np.float64)
-    row_offsets = np.arange(camera.rows) * camera.row_period_s
     exposure = camera.row_exposure_s
     begin = (camera.rows - cov) // 2
+    # only the covered rows are integrated; the rest stay dark
+    row_offsets = np.arange(begin, begin + cov) * camera.row_period_s
 
     frames = []
     step = max(1, _BLOCK_ELEMENTS // camera.rows)
@@ -199,9 +200,8 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
         begins = block_starts[:, None] + row_offsets
         integ = (_integral_at(prefix, chips, waveform.clock_hz, begins + exposure)
                  - _integral_at(prefix, chips, waveform.clock_hz, begins))
-        luma = integ / exposure
-        luma[:, :begin] = 0.0
-        luma[:, begin + cov:] = 0.0
+        luma = np.zeros((len(block_starts), camera.rows))
+        luma[:, begin:begin + cov] = integ / exposure
         if camera.noise_sigma > 0:
             luma += noise_rng.normal(0.0, camera.noise_sigma, luma.shape)
         np.clip(luma, 0.0, 1.0, out=luma)

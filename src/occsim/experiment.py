@@ -28,13 +28,13 @@ def random_payloads(count: int, payload_bits: int, seed: int,
         )
     rng = np.random.default_rng(seed)
     payloads: list[np.ndarray] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     while len(payloads) < count:
         batch = rng.integers(0, 2, size=(count - len(payloads), payload_bits),
                              dtype=np.int8)
         for bits in batch:
             if distinct:
-                key = tuple(int(b) for b in bits)
+                key = bits.tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
@@ -66,9 +66,9 @@ class LinkOutcome:
     n_frames_sampled: int
     n_frames_decoded: int
 
-    def payload_index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(int(b) for b in p): i
-                for i, p in enumerate(self.transmitted)}
+    def payload_index(self) -> dict[bytes, int]:
+        """Packet index by payload, keyed by the int8 payload's bytes."""
+        return {p.tobytes(): i for i, p in enumerate(self.transmitted)}
 
 
 def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
@@ -124,7 +124,7 @@ def gap_accounting(outcome: LinkOutcome, strict: bool = True) -> GapAccounting:
     observations = []
     corrupt = 0
     for group in outcome.report.groups:
-        key = tuple(int(b) for b in group.payload)
+        key = group.payload.tobytes()
         if key not in index_of_payload:
             if strict:
                 raise ValueError(

@@ -2,13 +2,12 @@
 
 ASCII chip streams carry a key=value header followed by 0/1 lines; the
 packed format stores the same header fields in a fixed binary layout with
-the chips bit-packed MSB-first.  Frame CSVs are one row per sensor row
-with a mandatory header, dot-decimal floats.
+the chips bit-packed MSB-first.  A frame CSV is a mandatory header, then
+one line per sensor row, in the one grammar :func:`read_frames_csv` states.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -137,22 +136,20 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
     """Rebuild frame samples, by frame index, from CSV; coverage defaults
     to the full sensor.
 
-    After the header, each line is one row: integer ``frame_index`` and
-    ``row``, finite ``start_time_s`` and ``luma``.  A frame's rows must be
-    exactly ``0..n-1``, in any order, and frames may interleave; a frame's
-    start time is that of its first line, the later lines' start times
-    are only checked to be finite.
+    The grammar: the header line exactly, then one row per non-empty
+    line as ``np.loadtxt`` reads it with delimiter ``,`` and no comments
+    (int64 ``frame_index`` and ``row``, float64 ``start_time_s`` and
+    ``luma``, spaces and tabs around a field, no quoting); printable
+    ASCII, tab, CR and LF only; finite floats.  A frame's rows are
+    exactly ``0..n-1``, in any order, and frames may interleave; its
+    start time is its first line's.  No rows read as no frames.
 
-    A well-formed file is parsed in one numpy pass (:func:`_parse_frames`).
-    Anything that pass does not accept gets the per-line pass
-    (:func:`_parse_frame_lines`), which raises a :class:`FileFormatError`
-    naming the line or frame at fault.  The per-line pass also accepts
-    input the numpy pass does not (quoted fields, ``1_0``, indexes beyond
-    int64), and is the only reader of it.
+    :func:`_parse_frames` is the only reader; a file it rejects goes to
+    :func:`_diagnose`, only to name the first line or frame at fault.
     """
     frames = _parse_frames(path)
     if frames is None:
-        frames = _parse_frame_lines(path)
+        raise _diagnose(path)
     samples = []
     for index, start, luma in frames:
         cov = len(luma) if covered_rows is None else min(covered_rows, len(luma))
@@ -162,33 +159,42 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
 
 _FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
                              ("row", np.int64), ("luma", np.float64)])
-# numpy's parser reads the ASCII separators \x1c-\x1f as blanks, which
-# int() and float() reject, and misreads some non-ASCII characters as
-# digits; a file made only of these bytes parses the same both ways
+# numpy's parser reads the ASCII separators \x1c-\x1f and some other
+# bytes as blanks and misreads some non-ASCII characters as digits
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
+
+
+def _load_rows(lines) -> np.ndarray:
+    """The body grammar: one ``np.loadtxt`` over an open text file or a
+    list of lines, raising ValueError or Warning for what it rejects."""
+    # any warning is a rejection too: numpy before 2.0 reads "1.0" as an
+    # integer with only a DeprecationWarning, and an empty body is a
+    # UserWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype=_FRAME_CSV_DTYPE, delimiter=",",
+                          comments=None, ndmin=1)
 
 
 def _parse_frames(path) -> list[tuple[int, float, np.ndarray]] | None:
     """(index, start time, luma) per frame, by index, from one
-    ``np.loadtxt`` pass streamed from the file; None for a file it does
-    not accept as well-formed."""
+    :func:`_load_rows` pass streamed from the file; None for a file it
+    does not accept."""
     with open(path, "rb") as raw:
         for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
             if chunk.translate(None, _PLAIN_BYTES):
                 return None
     with open(path, "r", encoding="ascii") as fh:
-        try:
-            if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
-                return None
-            # any warning is a rejection too: numpy before 2.0 reads "1.0"
-            # as an integer with only a DeprecationWarning, and an empty
-            # body is a UserWarning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(fh, dtype=_FRAME_CSV_DTYPE, delimiter=",",
-                                   comments=None, ndmin=1)
-        except (ValueError, Warning):
+        if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
             return None
+        body = fh.tell()
+        try:
+            table = _load_rows(fh)
+        except (ValueError, Warning):
+            # only empty lines: a header-only file, as a zero-length
+            # simulation writes it
+            fh.seek(body)
+            return [] if all(line == "\n" for line in fh) else None
     start, luma = table["start"], table["luma"]
     if not (np.isfinite(start).all() and np.isfinite(luma).all()):
         return None
@@ -207,57 +213,43 @@ def _parse_frames(path) -> list[tuple[int, float, np.ndarray]] | None:
                     np.split(luma[order], cuts)))
 
 
-def _parse_frame_lines(path) -> list[tuple[int, float, np.ndarray]]:
-    """:func:`_parse_frames`, one csv line at a time: the diagnostic pass,
-    which names the line or frame a file is rejected for."""
-    by_frame: dict[int, dict] = {}
-    # bytes that are not UTF-8 become lone surrogates, which no number
-    # parses, so they are reported on their line like any bad field
-    with open(path, "r", encoding="utf-8", errors="surrogateescape",
-              newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise FileFormatError("line 1: empty file, expected header")
-            if header != FRAME_CSV_HEADER:
-                raise FileFormatError(
-                    f"line 1: expected header {','.join(FRAME_CSV_HEADER)}"
-                )
-            for lineno, fields in enumerate(reader, start=2):
-                if not fields:
-                    continue
-                if len(fields) != 4:
-                    raise FileFormatError(f"line {lineno}: expected 4 columns")
-                try:
-                    index = int(fields[0])
-                    start = float(fields[1])
-                    row = int(fields[2])
-                    luma = float(fields[3])
-                except ValueError as exc:
-                    raise FileFormatError(f"line {lineno}: {exc}") from None
-                for column, value in ((1, start), (3, luma)):
-                    if not math.isfinite(value):
-                        raise FileFormatError(
-                            f"line {lineno}: {FRAME_CSV_HEADER[column]} must "
-                            f"be finite, got {fields[column]!r}")
-                entry = by_frame.setdefault(index, {"start": start, "rows": {}})
-                if row in entry["rows"]:
-                    raise FileFormatError(f"line {lineno}: duplicate row {row}")
-                entry["rows"][row] = luma
-        except csv.Error as exc:
-            # e.g. a stray quote that runs a field past the csv field limit
-            raise FileFormatError(f"line {reader.line_num}: {exc}") from None
-
-    frames = []
-    for index in sorted(by_frame):
-        entry = by_frame[index]
-        rows = entry["rows"]
-        if sorted(rows) != list(range(len(rows))):
-            raise FileFormatError(f"frame {index}: non-contiguous row numbers")
-        luma = np.array([rows[r] for r in range(len(rows))], dtype=np.float64)
-        frames.append((index, entry["start"], luma))
-    return frames
+def _diagnose(path) -> FileFormatError:
+    """Why :func:`_parse_frames` rejects the file: the first line at
+    fault, each line checked on its own by the same grammar, else the
+    first frame whose rows are not ``0..n-1``."""
+    rows: dict[int, set[int]] = {}
+    # one character per byte, so a byte numpy misreads is still seen
+    with open(path, "r", encoding="latin-1") as fh:
+        if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
+            return FileFormatError(
+                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.removesuffix("\n")
+            if not line:
+                continue
+            try:
+                (index, start, row, luma), = _load_rows([line]).tolist()
+            except (ValueError, Warning) as exc:
+                return FileFormatError(f"line {lineno}: {exc}")
+            bad = line.encode("latin-1").translate(None, _PLAIN_BYTES)
+            if bad:
+                return FileFormatError(
+                    f"line {lineno}: byte {bad[:1]!r} is not printable ASCII")
+            for column, value in ((1, start), (3, luma)):
+                if not math.isfinite(value):
+                    text = line.split(",")[column].strip()
+                    return FileFormatError(
+                        f"line {lineno}: {FRAME_CSV_HEADER[column]} must "
+                        f"be finite, got {text!r}")
+            if row in rows.setdefault(index, set()):
+                return FileFormatError(f"line {lineno}: duplicate row {row}")
+            rows[index].add(row)
+    gaps = [index for index, seen in rows.items()
+            if min(seen) != 0 or max(seen) != len(seen) - 1]
+    if gaps:
+        return FileFormatError(f"frame {min(gaps)}: non-contiguous row numbers")
+    # reached only if the file changed between the two readings
+    return FileFormatError("rejected, though no line or frame is at fault")
 
 
 def write_manifest(path, payload: dict) -> None:

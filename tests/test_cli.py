@@ -338,7 +338,7 @@ class TestReadFramesCsv:
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.\xff5\n",
          "line 2: could not convert"),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,\"0.5\n"
-         + b"0,0.0,1,0.5\n" * 20000, "field larger than field limit"),
+         + b"0,0.0,1,0.5\n" * 20000, "^line 2: "),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,inf\n",
          "line 2: luma must be finite, got 'inf'"),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,NaN,1,0.5\n",
@@ -369,6 +369,16 @@ class TestReadFramesCsv:
                 for s in samples] == [(2, 0.125, [1e-3], 1),
                                       (7, 0.5, [-0.0, 0.25, 3.0], 2)]
         assert math.copysign(1.0, samples[1].row_luma[0]) == -1.0
+
+    @pytest.mark.parametrize("raw", [
+        b"frame_index,start_time_s,row,luma",
+        b"frame_index,start_time_s,row,luma\r\n",
+        b"frame_index,start_time_s,row,luma\n\n\r\n\r",
+    ], ids=["header_no_newline", "header_only", "blank_lines_only"])
+    def test_body_without_rows_reads_as_no_frames(self, tmp_path, raw):
+        path = tmp_path / "frames.csv"
+        path.write_bytes(raw)
+        assert io.read_frames_csv(path) == []
 
     def test_written_frames_read_back(self, tmp_path):
         samples = [FrameSample(k, 0.1 * k, np.random.default_rng(k).random(7),
@@ -435,33 +445,6 @@ _EDITS = st.tuples(
               st.integers(0, 255)))
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(sorted(_VALID_FILES)),
-       st.lists(_EDITS, min_size=1, max_size=4))
-def test_mangled_files_fail_cleanly(tmp_path, kind, edits):
-    data = bytearray(_VALID_FILES[kind])
-    for op, position, byte in edits:
-        at = position % (len(data) + 1)
-        if op == "replace" and at < len(data):
-            data[at] = byte
-        elif op == "insert":
-            data.insert(at, byte)
-        elif op == "delete" and at < len(data):
-            del data[at]
-        elif op == "truncate":
-            del data[at:]
-    path = tmp_path / kind
-    path.write_bytes(bytes(data))
-    read = io.read_frames_csv if kind == "frames" else io.read_chipstream
-    try:
-        read(path)
-    except io.FileFormatError:
-        pass  # a clean rejection; any other exception fails the test
-
-
-# --- the frame CSV's numpy pass against its per-line pass ------------------
-
 def _edited(data: bytes, edits) -> bytes:
     """``data`` with ``_EDITS`` applied in turn."""
     data = bytearray(data)
@@ -478,16 +461,39 @@ def _edited(data: bytes, edits) -> bytes:
     return bytes(data)
 
 
+def _located(exc: io.FileFormatError) -> bool:
+    """Whether a frame-CSV rejection names its line or frame."""
+    return str(exc).startswith(("line ", "frame "))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_VALID_FILES)),
+       st.lists(_EDITS, min_size=1, max_size=4))
+def test_mangled_files_fail_cleanly(tmp_path, kind, edits):
+    path = tmp_path / kind
+    path.write_bytes(_edited(_VALID_FILES[kind], edits))
+    read = io.read_frames_csv if kind == "frames" else io.read_chipstream
+    try:
+        read(path)
+    except io.FileFormatError as exc:
+        # a clean rejection; any other exception fails the test
+        assert kind != "frames" or _located(exc), exc
+
+
+# --- the frame-CSV grammar against ground truth -----------------------------
+
 def _one_underscore(text: str) -> str:
     return re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)
 
 
-# how a line spells its integer and its float fields, and whether both
-# passes must accept the spelling
+# how a line spells its integer and its float fields, and whether the
+# grammar admits the spelling; a spelling that leaves the text as
+# plain ("1_0" needs two digits) is admitted whatever its flag
 _SPELLINGS = {
     "plain": (str, repr, True),
     "spaced": (lambda v: f" {v}\t", lambda v: f"\t{v!r} ", True),
-    "exponent": (str, lambda v: f"{v:E}", True),
+    "exponent": (str, lambda v: f"{v:.16E}", True),
     "signed": (lambda v: f"{v:+d}", lambda v: f"{v:+.17g}", True),
     "float_int": (lambda v: f"{v}.0", repr, False),
     "underscore": (lambda v: _one_underscore(str(v)),
@@ -498,19 +504,44 @@ _SPELLINGS = {
     "non_ascii_digit": (lambda v: f"{v}\u0968", lambda v: f"{v!r}\u0968",
                         False),
 }
+_HEADER = ",".join(io.FRAME_CSV_HEADER) + "\n"
+
+
+def _expected_frames(lines):
+    """The frames a file of these final (index, start, row, luma, ...)
+    lines holds, by index with the start time of each frame's first
+    line; None if the grammar rejects it."""
+    frames: dict[int, tuple[float, dict[int, float]]] = {}
+    for line in lines:
+        if len(line) != 4:
+            return None
+        index, start, row, luma = line
+        if not (-2**63 <= index < 2**63 and math.isfinite(start)
+                and math.isfinite(luma)):
+            return None
+        rows = frames.setdefault(index, (start, {}))[1]
+        if row in rows:
+            return None
+        rows[row] = luma
+    if any(sorted(rows) != list(range(len(rows)))
+           for _, rows in frames.values()):
+        return None
+    return [(index, start, [rows[r] for r in range(len(rows))])
+            for index, (start, rows) in sorted(frames.items())]
 
 
 @st.composite
 def _frame_csvs(draw):
-    """A frame CSV, and whether it is a well-formed body of at least one
-    line in spellings both passes accept.
+    """A frame CSV and the frames it holds (None if it is invalid).
 
-    Up to four frames of 1-4 rows, lines shuffled.  Each field is plain
-    or takes one of the file's other spellings and each line its own line end (LF, CRLF or
-    bare CR), maybe followed by one of the file's kinds of blank line.
-    Extreme files hold indexes at and past the int64 range and
-    non-finite values.  At most one line is duplicated, dropped, widened
-    or narrowed.
+    Up to four frames of 1-4 rows, each line with its own start time,
+    lines shuffled.  At most one line is duplicated, dropped, widened or
+    narrowed, and validity is decided from the lines that remain (a
+    dropped last row leaves a valid file).  Each field is plain or takes
+    one of the file's other spellings, each line its own line end (LF,
+    CRLF or bare CR), maybe followed by one of the file's kinds of blank
+    line.  Extreme files hold indexes at and past the int64 range and
+    non-finite values.
     """
     extreme = draw(st.booleans())
     indices = draw(st.lists(
@@ -536,64 +567,91 @@ def _frame_csvs(draw):
             lines[k].append(0)
         else:
             lines[k].pop()
+    lines = [lines[k] for k in draw(st.permutations(range(len(lines))))]
+    expected = _expected_frames(lines)
     spellings = ["plain"] + draw(st.lists(st.sampled_from(sorted(_SPELLINGS)),
                                           max_size=2))
     blanks = draw(st.sampled_from([[""], ["", "\n"], ["", "\n", " \n"]]))
-    # numpy warns on an empty body, which goes to the per-line pass
-    plain = bool(lines) and defect is None and all(
-        -2**63 <= index < 2**63 and math.isfinite(start)
-        and math.isfinite(luma) for index, start, _, luma in lines)
-    text = ",".join(io.FRAME_CSV_HEADER) + "\n"
-    for k in draw(st.permutations(range(len(lines)))):
+    text = _HEADER
+    valid = expected is not None
+    for line in lines:
         fields = []
-        for column, value in enumerate(lines[k]):
+        for column, value in enumerate(line):
             spelling = _SPELLINGS[draw(st.sampled_from(spellings))]
-            plain &= spelling[2]
-            fields.append(spelling[column % 2](value))
+            field = spelling[column % 2](value)
+            valid &= (spelling[2]
+                      or field == _SPELLINGS["plain"][column % 2](value))
+            fields.append(field)
         text += ",".join(fields) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
         blank = draw(st.sampled_from(blanks))
-        plain &= blank != " \n"
+        valid &= blank != " \n"
         text += blank
-    return text, plain
+    return text, expected if valid else None
 
 
-def _frame_fields(frames):
-    """Every field of parsed frames with its scalar type; floats as bits."""
-    return [(type(index), index, type(start), start.hex(), luma.dtype,
-             luma.tobytes()) for index, start, luma in frames]
+def _read_fields(path):
+    """Every field of the frames read from ``path``, with scalar types;
+    floats as bits."""
+    return [(type(s.index), s.index, type(s.start_time_s),
+             s.start_time_s.hex(), s.row_luma.dtype, s.row_luma.tobytes())
+            for s in io.read_frames_csv(path)]
 
 
-class TestFramesCsvNumpyPass:
-    """Whatever the numpy pass of read_frames_csv accepts, the per-line
-    pass reads to the same frames."""
+def _fields(frames):
+    """:func:`_read_fields` of (index, start, luma list) frames."""
+    return [(int, index, float, start.hex(), np.dtype(np.float64),
+             np.array(luma, dtype=np.float64).tobytes())
+            for index, start, luma in frames]
 
-    @staticmethod
-    def _check(path):
-        fast = io._parse_frames(path)
-        if fast is not None:
-            assert _frame_fields(fast) == _frame_fields(
-                io._parse_frame_lines(path))
-        return fast
+
+def _split_lines(data: bytes):
+    """The rows of a file the reader accepted, read with str.split, int
+    and float."""
+    lines = (line.split(",") for line in data.decode("ascii").splitlines()[1:]
+             if line)
+    return [[int(index), float(start), int(row), float(luma)]
+            for index, start, row, luma in lines]
+
+
+class TestFramesCsvGrammar:
+    """read_frames_csv accepts exactly the files of its grammar, reads
+    them bit for bit, and names the line or frame of every rejection."""
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_frame_csvs())
     # numpy's default comment character would end the field at "#"
-    @example(("frame_index,start_time_s,row,luma\n0,0.5,0,1.5#x\n", False))
+    @example((_HEADER + "0,0.5,0,1.5#x\n", None))
+    # beyond Python's 4 300-digit int() limit and the csv module's
+    # 131 072-character field limit
+    @example((_HEADER + "0" * 5000 + "7,0.5,0,1.5\n", [(7, 0.5, [1.5])]))
+    @example((_HEADER + "7,0.5,0,1." + "0" * 140000 + "\n",
+              [(7, 0.5, [1.0])]))
     def test_generated_files(self, tmp_path, case):
-        text, plain = case
+        text, expected = case
         path = tmp_path / "frames.csv"
         path.write_bytes(text.encode("utf-8"))
-        fast = self._check(path)
-        assert fast is not None or not plain
+        if expected is None:
+            with pytest.raises(io.FileFormatError) as rejected:
+                io.read_frames_csv(path)
+            assert _located(rejected.value), rejected.value
+        else:
+            assert _read_fields(path) == _fields(expected)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(_EDITS, min_size=1, max_size=4))
     def test_mangled_files(self, tmp_path, edits):
+        data = _edited(_VALID_FILES["frames"], edits)
         path = tmp_path / "frames.csv"
-        path.write_bytes(_edited(_VALID_FILES["frames"], edits))
-        self._check(path)
+        path.write_bytes(data)
+        try:
+            got = _read_fields(path)
+        except io.FileFormatError as exc:
+            assert _located(exc), exc
+        else:
+            expected = _expected_frames(_split_lines(data))
+            assert expected is not None and got == _fields(expected)
 
 
 class TestStudies:

@@ -435,7 +435,7 @@ class TestEndToEnd:
         outcome = small_link(payload_bits=15, packets=30, distinct=True,
                              clock=2000.0, rows=112)
         index_of = outcome.payload_index()
-        indices = [index_of[tuple(int(b) for b in g.payload)]
+        indices = [index_of[g.payload.tobytes()]
                    for g in outcome.report.groups]
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
