@@ -29,9 +29,11 @@ from .decoder import (
     Direction,
     GapReport,
     LinkReport,
+    PartTable,
     decode_samples,
     detect_missed,
     detrend,
+    extract_parts,
     fuse,
 )
 from .experiment import (

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .camera import sample_frames
 from .configs import ExperimentConfig
-from .decoder import decode_samples
+from .decoder import decode_samples, extract_parts
 from .experiment import gap_accounting, random_payloads, run_link
 from .framing import FrameStructure, ab_chip_count, build_packet_stream
 from .rll import RllScheme, efficiency, preamble
@@ -237,8 +237,9 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
     reference distance of 1.0: the footprint model pins the optics once
     across the whole grid, so the reference distance of each sub-packet
     length scales as 1/ds_length and absolute distances are comparable
-    between grid cells.  Frames are sampled once per cell and decoded with
-    fusion on and off.
+    between grid cells.  Each cell's frames are sampled and their parts
+    extracted once; the one part table is assembled twice, with fusion on
+    and with fusion off.
     """
     rows: list[FusionStudyRow] = []
     for ds_index, payload_bits in enumerate(config.payload_bits_grid):
@@ -257,9 +258,11 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
             sent = {p.tobytes() for p in payloads}
             stream = build_packet_stream(payloads, cell.plan(),
                                          cell.rll_scheme, cell.frame_structure)
-            samples = sample_frames(stream, cell.camera(), cell.geometry())
+            table = extract_parts(
+                sample_frames(stream, cell.camera(), cell.geometry()),
+                cell.decoder())
             for fusion in (True, False):
-                report = decode_samples(samples, cell.decoder(fusion))
+                report = decode_samples(table, cell.decoder(fusion))
                 got = {g.payload.tobytes() for g in report.groups}
                 rows.append(FusionStudyRow(
                     distance_ratio=ratio,
@@ -267,4 +270,5 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
                     fusion=fusion,
                     recovered_fraction=len(sent & got) / len(sent),
                 ))
+            del table  # held only while its cell is decoded
     return rows

@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .camera import covered_rows, sample_frames
 from .configs import PRESETS, ExperimentConfig, load_config
-from .decoder import decode_samples
+from .decoder import decode_samples, extract_parts
 from .experiment import random_payloads
 from .framing import build_packet_stream
 from .rll import efficiency
@@ -125,7 +125,8 @@ def cmd_decode(args) -> int:
     covered = None if geometry is None \
         else covered_rows(geometry, max_rows=config.camera_rows)
     samples = io.read_frames_csv(args.frames, covered_rows=covered)
-    report = decode_samples(samples, config.decoder(fusion=not args.no_fusion))
+    decoder = config.decoder(fusion=not args.no_fusion)
+    report = decode_samples(extract_parts(samples, decoder), decoder)
     text = report.to_text()
     print(text)
     if args.out:

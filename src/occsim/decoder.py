@@ -16,18 +16,22 @@ codeword counted away from the SF.  A forward fragment is a payload
 prefix of the sub-packet starting at the SF; a backward one is a payload
 suffix of the sub-packet ending there.
 
-Fragments are grouped by asynchronous-bit state along the stream; a
-group's complete fragments and, with fusion, its prefix + suffix joins
-are its samples, and every group's samples are majority voted in one
-pass.  Under the two-bit structure, consecutive group states also reveal
-how many packets were skipped (up to three).
+A decode is two calls.  :func:`extract_parts` slices and reads a frame
+sequence into a :class:`PartTable`, which never depends on
+``DecoderConfig.fusion``; :func:`decode_samples` assembles a table into a
+report, so one table serves both arms of a fusion comparison.  Fragments
+are grouped by asynchronous-bit state along the stream; a group's
+complete fragments and, with fusion, its prefix + suffix joins are its
+samples, and every group's samples are majority voted in one pass.  Under
+the two-bit structure, consecutive group states also reveal how many
+packets were skipped (up to three).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -490,25 +494,46 @@ def group_parts(parts: list[DecodedPart]) -> list[list[DecodedPart]]:
     """
     groups: list[list[DecodedPart]] = []
     known = None  # the current group's first complete fragment
+    known_bytes = None  # its bytes, when it is int8
     for part in parts:
         frag = part.fragment
         same = bool(groups) and part.ab_state == groups[-1][0].ab_state
         if same and known is not None:
-            same = np.array_equal(
-                known[:len(frag)] if part.direction is Direction.FORWARD
-                else known[len(known) - len(frag):], frag)
+            forward = part.direction is Direction.FORWARD
+            if known_bytes is not None and frag.dtype == np.int8:
+                # a byte compare of the reader's int8 bits is the cheap test
+                same = (known_bytes.startswith if forward
+                        else known_bytes.endswith)(frag.tobytes())
+            else:
+                same = np.array_equal(known[:len(frag)] if forward
+                                      else known[len(known) - len(frag):],
+                                      frag)
         if not same:
             groups.append([])
-            known = None
+            known = known_bytes = None
         groups[-1].append(part)
         if known is None and part.complete:
             known = frag
+            if frag.dtype == np.int8:
+                known_bytes = frag.tobytes()
     return groups
 
 
-def decode_samples(samples: list[FrameSample],
-                   config: DecoderConfig) -> LinkReport:
-    """Full decode of a frame sequence into a link report."""
+@dataclass(frozen=True)
+class PartTable:
+    """Every fragment read from a frame sequence, in stream order, with the
+    frame counts and the config of the read; :func:`decode_samples`
+    assembles it into a report with or without fusion."""
+
+    parts: tuple[DecodedPart, ...]
+    n_frames: int
+    n_frames_with_sf: int
+    config: DecoderConfig
+
+
+def extract_parts(samples: list[FrameSample],
+                  config: DecoderConfig) -> PartTable:
+    """Slice and read a frame sequence into its part table."""
     parts: list[DecodedPart] = []
     frames_with_sf = 0
     # runs of consecutive samples with one covered-row count are sliced and
@@ -525,6 +550,19 @@ def decode_samples(samples: list[FrameSample],
             parts += _read_parts(*sliced, config,
                                  [sample.index for sample in samples[lo:hi]])
         start = end
+    return PartTable(tuple(parts), len(samples), frames_with_sf, config)
+
+
+def decode_samples(table: PartTable, config: DecoderConfig) -> LinkReport:
+    """Group, fuse (when ``config.fusion``) and vote a part table into a
+    link report.  ``config`` may differ from the table's only in
+    ``fusion``: extraction does not read it."""
+    for name in (f.name for f in fields(DecoderConfig) if f.name != "fusion"):
+        ours, read = getattr(config, name), getattr(table.config, name)
+        if ours != read:
+            raise ValueError(f"{name}: {ours!r} differs from the part "
+                             f"table's {read!r}")
+    parts = table.parts
 
     # every recovered group's samples, stacked in group order, voted at once
     voted_groups = []
@@ -568,8 +606,8 @@ def decode_samples(samples: list[FrameSample],
         gaps = detect_missed(observations)
 
     return LinkReport(
-        n_frames=len(samples),
-        n_frames_with_sf=frames_with_sf,
+        n_frames=table.n_frames,
+        n_frames_with_sf=table.n_frames_with_sf,
         n_parts=len(parts),
         n_complete_parts=sum(p.complete for p in parts),
         groups=recovered,

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraConfig, FrameSample, GeometryConfig, sample_frames
-from .decoder import DecoderConfig, LinkReport, decode_samples, missed_packets
+from .decoder import (
+    DecoderConfig,
+    LinkReport,
+    decode_samples,
+    extract_parts,
+    missed_packets,
+)
 from .framing import FrameStructure, PacketPlan, build_packet_stream
 from .rll import RllScheme
 
@@ -84,7 +90,7 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
     config = DecoderConfig(scheme=scheme, version=version,
                            payload_bits=len(payloads[0]),
                            rows_per_chip=rows_per_chip)
-    report = decode_samples(kept, config)
+    report = decode_samples(extract_parts(kept, config), config)
     return LinkOutcome(
         transmitted=[np.asarray(p, dtype=np.int8) for p in payloads],
         report=report,

@@ -164,7 +164,7 @@ _FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
 
 
-def _load_rows(lines) -> np.ndarray:
+def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
     """The body grammar: one ``np.loadtxt`` over an open text file or a
     list of lines, raising ValueError or Warning for what it rejects."""
     # any warning is a rejection too: numpy before 2.0 reads "1.0" as an
@@ -172,8 +172,8 @@ def _load_rows(lines) -> np.ndarray:
     # UserWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(lines, dtype=_FRAME_CSV_DTYPE, delimiter=",",
-                          comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1)
 
 
 def _parse_frames(path) -> list[tuple[int, float, np.ndarray]] | None:
@@ -230,7 +230,7 @@ def _diagnose(path) -> FileFormatError:
             try:
                 (index, start, row, luma), = _load_rows([line]).tolist()
             except (ValueError, Warning) as exc:
-                return FileFormatError(f"line {lineno}: {exc}")
+                return FileFormatError(f"line {lineno}: {_fault(line) or exc}")
             bad = line.encode("latin-1").translate(None, _PLAIN_BYTES)
             if bad:
                 return FileFormatError(
@@ -250,6 +250,20 @@ def _diagnose(path) -> FileFormatError:
         return FileFormatError(f"frame {min(gaps)}: non-contiguous row numbers")
     # reached only if the file changed between the two readings
     return FileFormatError("rejected, though no line or frame is at fault")
+
+
+def _fault(line: str) -> str | None:
+    """What :func:`_load_rows` rejects in one body line: its field count,
+    else its first field that does not read alone by the same grammar."""
+    fields = line.split(",")
+    if len(fields) != len(FRAME_CSV_HEADER):
+        return f"expected {len(FRAME_CSV_HEADER)} fields, got {len(fields)}"
+    for column, (name, text) in enumerate(zip(FRAME_CSV_HEADER, fields)):
+        try:
+            _load_rows([text], _FRAME_CSV_DTYPE[column])
+        except (ValueError, Warning):
+            return f"{name}: could not convert {text.strip()!r}"
+    return None
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -7,9 +7,12 @@ import pytest
 
 from occsim.analysis import (
     DEFAULT_SWEEP_GRID,
+    FusionStudyConfig,
+    FusionStudyRow,
     NonPositiveBudget,
     bit_rate_limit,
     der,
+    fusion_gain_experiment,
     monte_carlo_der,
     scheme_overhead,
     skip_probability,
@@ -21,8 +24,16 @@ from occsim.analysis import (
 )
 from dataclasses import replace
 
-from occsim.configs import PRESETS
-from occsim.framing import FrameStructure, PacketPlan, subpacket_chip_length
+from occsim.camera import sample_frames
+from occsim.configs import PRESETS, ExperimentConfig
+from occsim.decoder import decode_samples, extract_parts
+from occsim.experiment import random_payloads
+from occsim.framing import (
+    FrameStructure,
+    PacketPlan,
+    build_packet_stream,
+    subpacket_chip_length,
+)
 from occsim.rll import RllScheme, efficiency
 
 V1 = FrameStructure.V1_ONE_AB
@@ -200,14 +211,54 @@ class TestMonteCarloDer:
         assert est.missed_reported == est.missed_true
 
 
+def _ref_fusion_rows(config: FusionStudyConfig) -> list[FusionStudyRow]:
+    """The fusion study with each arm extracting its own parts from the
+    cell's frames."""
+    rows = []
+    for ds_index, payload_bits in enumerate(config.payload_bits_grid):
+        for ratio_index, ratio in enumerate(config.distance_ratios):
+            seed = config.seed + 1000 * ds_index + 10 * ratio_index
+            cell = ExperimentConfig(
+                scheme=config.scheme.value, version=config.version.value,
+                optical_clock_hz=config.optical_clock_hz,
+                packet_rate=config.packet_rate, payload_bits=payload_bits,
+                rows_per_chip=config.rows_per_chip,
+                camera_rows=config.camera_rows, mean_fps=config.mean_fps,
+                delta_fps=config.delta_fps, distance=ratio,
+                reference_distance=1.0, seed=seed + 1, trials=config.packets)
+            payloads = random_payloads(cell.trials, payload_bits, seed,
+                                       distinct=True)
+            samples = sample_frames(
+                build_packet_stream(payloads, cell.plan(), cell.rll_scheme,
+                                    cell.frame_structure),
+                cell.camera(), cell.geometry())
+            sent = {p.tobytes() for p in payloads}
+            for fusion in (True, False):
+                decoder = cell.decoder(fusion)
+                report = decode_samples(extract_parts(samples, decoder),
+                                        decoder)
+                got = {g.payload.tobytes() for g in report.groups}
+                rows.append(FusionStudyRow(ratio, cell.ds_length_s, fusion,
+                                           len(sent & got) / len(sent)))
+    return rows
+
+
 class TestFusionStudy:
     def test_near_distance_identical_with_and_without(self):
-        from occsim.analysis import FusionStudyConfig, fusion_gain_experiment
-
         rows = fusion_gain_experiment(FusionStudyConfig(
             distance_ratios=(0.5,), packets=10, seed=2))
         by_mode = {r.fusion: r.recovered_fraction for r in rows}
         assert by_mode[True] == by_mode[False] == 1.0
+
+    def test_rows_match_an_extraction_per_arm(self):
+        config = FusionStudyConfig(payload_bits_grid=(40, 80),
+                                   distance_ratios=(1.0, 2.5), packets=8,
+                                   packet_rate=0.25, seed=5)
+        rows = fusion_gain_experiment(config)
+        assert rows == _ref_fusion_rows(config)
+        # the grid reaches a cell that only fusion recovers in part
+        assert any(a.recovered_fraction != b.recovered_fraction
+                   for a, b in zip(rows[::2], rows[1::2]))
 
 
 class TestSweep:

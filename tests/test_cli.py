@@ -336,7 +336,17 @@ class TestReadChipstream:
 class TestReadFramesCsv:
     @pytest.mark.parametrize("raw, message", [
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.\xff5\n",
-         "line 2: could not convert"),
+         "line 2: luma: could not convert"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,0.0,1,x\n",
+         "^line 3: luma: could not convert 'x'$"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,0.0,1\n",
+         "^line 3: expected 4 fields, got 3$"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,0.0,1,0.5,7\n",
+         "^line 3: expected 4 fields, got 5$"),
+        (b"frame_index,start_time_s,row,luma\n0,0.0,1.5,0.5\n",
+         "^line 2: row: could not convert '1.5'$"),
+        (b"frame_index,start_time_s,row,luma\n0,,0,0.5\n",
+         "^line 2: start_time_s: could not convert ''$"),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,\"0.5\n"
          + b"0,0.0,1,0.5\n" * 20000, "^line 2: "),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,inf\n",
@@ -349,8 +359,9 @@ class TestReadFramesCsv:
          b"1,0.1,0,0.5\n0,0.0,1,0.5\n", "line 5: duplicate row 1"),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,0.0,2,0.5\n",
          "frame 0: non-contiguous row numbers"),
-    ], ids=["non_utf8_field", "runaway_quote", "inf_luma", "nan_start",
-            "minus_inf_start", "duplicate_row", "row_gap"])
+    ], ids=["non_utf8_field", "bad_field", "short_line", "long_line",
+            "fractional_row", "empty_field", "runaway_quote", "inf_luma",
+            "nan_start", "minus_inf_start", "duplicate_row", "row_gap"])
     def test_malformed_frames_rejected(self, tmp_path, raw, message):
         path = tmp_path / "frames.csv"
         path.write_bytes(raw)

@@ -1,5 +1,6 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from unittest import mock
@@ -22,6 +23,7 @@ from occsim.decoder import (
     decode_samples,
     detect_missed,
     detrend,
+    extract_parts,
     fuse,
     group_parts,
 )
@@ -460,14 +462,27 @@ class TestEndToEnd:
         assert voted.tolist() == base.tolist()
 
     def test_fusion_off_requires_complete_parts(self):
-        # the same frames decoded with fusion on and off
+        # the same parts assembled with fusion on and off
         payloads, plan, camera = small_link_inputs()
         samples = sample_frames(build_packet_stream(payloads, plan, MAN, V1),
                                 camera)
+        table = extract_parts(samples, DecoderConfig(MAN, V1, 5, 2))
         with_fusion, without = (
-            decode_samples(samples, DecoderConfig(MAN, V1, 5, 2, fusion=f))
+            decode_samples(table, DecoderConfig(MAN, V1, 5, 2, fusion=f))
             for f in (True, False))
         assert len(without.groups) <= len(with_fusion.groups)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", RllScheme.FOUR_B_SIX_B), ("version", V2),
+        ("payload_bits", 6), ("rows_per_chip", 3)])
+    def test_assembly_config_must_match_the_read(self, field, value):
+        payloads, plan, camera = small_link_inputs(packets=4)
+        samples = sample_frames(build_packet_stream(payloads, plan, MAN, V1),
+                                camera)
+        config = DecoderConfig(MAN, V1, 5, 2)
+        table = extract_parts(samples, config)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            decode_samples(table, dataclasses.replace(config, **{field: value}))
 
     @pytest.mark.parametrize("scheme,bits,clock", [
         (RllScheme.FOUR_B_SIX_B, 24, 4000.0),
@@ -1170,6 +1185,18 @@ class TestGroupingAgainstReference:
                 == [(s.dtype, s.tolist()) for s in ref_samples]
             assert (type(flagged), flagged) == (type(ref_flagged), ref_flagged)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_part_lists(), st.lists(st.sampled_from(
+        [np.int8, np.int64, np.float64, np.bool_]), min_size=24, max_size=24))
+    def test_group_parts_of_other_dtypes(self, case, dtypes):
+        # fragments that are not the reader's int8 group by value, as
+        # before the byte compare
+        _, parts = case
+        parts = [dataclasses.replace(p, fragment=p.fragment.astype(dtype))
+                 for p, dtype in zip(parts, dtypes)]
+        assert [[id(p) for p in g] for g in group_parts(parts)] \
+            == [[id(p) for p in g.parts] for g in _ref_group_parts(parts)]
+
 
 _POISON = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e300, 7.0])
 
@@ -1218,16 +1245,38 @@ def _sample_lists(draw):
     return config, samples
 
 
+def _decode(samples, config):
+    return decode_samples(extract_parts(samples, config), config)
+
+
+def _outputs(report):
+    return report.to_text(), [g.payload.tobytes() for g in report.groups]
+
+
 class TestDecodeSamplesFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_sample_lists())
     def test_degrades_to_a_report(self, case):
         config, samples = case
         with np.errstate(invalid="ignore", over="ignore"):
-            report = decode_samples(samples, config)
+            report = _decode(samples, config)
             # one frame per block slices every frame as the block does
             with mock.patch.object(decoder, "_BLOCK_ELEMENTS", 1):
-                single = decode_samples(samples, config)
+                single = _decode(samples, config)
         assert isinstance(report, LinkReport)
         assert report.n_frames == len(samples)
         assert report.to_text() == single.to_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sample_lists(), st.sampled_from([decoder._BLOCK_ELEMENTS, 1]))
+    def test_one_table_assembles_both_arms(self, case, block_elements):
+        # one extraction assembled per arm reports what a fresh
+        # extract-and-decode of each arm does
+        config, samples = case
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(decoder, "_BLOCK_ELEMENTS", block_elements):
+            table = extract_parts(samples, config)
+            for fusion in (True, False):
+                arm = dataclasses.replace(config, fusion=fusion)
+                assert _outputs(decode_samples(table, arm)) \
+                    == _outputs(_decode(samples, arm))
