@@ -262,7 +262,7 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
                 sample_frames(stream, cell.camera(), cell.geometry()),
                 cell.decoder())
             for fusion in (True, False):
-                report = decode_samples(table, cell.decoder(fusion))
+                report = decode_samples(table, fusion=fusion)
                 got = {g.payload.tobytes() for g in report.groups}
                 rows.append(FusionStudyRow(
                     distance_ratio=ratio,

@@ -125,8 +125,8 @@ def cmd_decode(args) -> int:
     covered = None if geometry is None \
         else covered_rows(geometry, max_rows=config.camera_rows)
     samples = io.read_frames_csv(args.frames, covered_rows=covered)
-    decoder = config.decoder(fusion=not args.no_fusion)
-    report = decode_samples(extract_parts(samples, decoder), decoder)
+    report = decode_samples(extract_parts(samples, config.decoder()),
+                            fusion=not args.no_fusion)
     text = report.to_text()
     print(text)
     if args.out:

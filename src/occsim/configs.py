@@ -112,12 +112,11 @@ class ExperimentConfig:
                               reference_distance=reference,
                               subpacket_rows=self.ds_chips * self.rows_per_chip)
 
-    def decoder(self, fusion: bool = True) -> DecoderConfig:
+    def decoder(self) -> DecoderConfig:
         return DecoderConfig(scheme=self.rll_scheme,
                              version=self.frame_structure,
                              payload_bits=self.payload_bits,
-                             rows_per_chip=self.rows_per_chip,
-                             fusion=fusion)
+                             rows_per_chip=self.rows_per_chip)
 
     # --- validation and serialization ---------------------------------------
 

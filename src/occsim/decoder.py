@@ -17,21 +17,20 @@ prefix of the sub-packet starting at the SF; a backward one is a payload
 suffix of the sub-packet ending there.
 
 A decode is two calls.  :func:`extract_parts` slices and reads a frame
-sequence into a :class:`PartTable`, which never depends on
-``DecoderConfig.fusion``; :func:`decode_samples` assembles a table into a
-report, so one table serves both arms of a fusion comparison.  Fragments
-are grouped by asynchronous-bit state along the stream; a group's
-complete fragments and, with fusion, its prefix + suffix joins are its
-samples, and every group's samples are majority voted in one pass.  Under
-the two-bit structure, consecutive group states also reveal how many
-packets were skipped (up to three).
+sequence into a :class:`PartTable`; :func:`decode_samples` assembles a
+table into a report, with or without fusion, so one table serves both
+arms of a fusion comparison.  Fragments are grouped by asynchronous-bit
+state along the stream; a group's complete fragments and, with fusion,
+its prefix + suffix joins are its samples, and every group's samples are
+majority voted in one pass.  Under the two-bit structure, consecutive
+group states also reveal how many packets were skipped (up to three).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -66,9 +65,14 @@ class DecodedPart:
     frame_index: int
     direction: Direction
     ab_state: tuple[int, ...]
-    fragment: np.ndarray
+    fragment: np.ndarray  # payload bits, held as int8
     complete: bool
     position: int = 0  # where its SF starts among the frame's chips
+
+    def __post_init__(self):
+        # the reader's dtype; group_parts compares fragments by bytes
+        if self.fragment.dtype != np.int8:
+            object.__setattr__(self, "fragment", self.fragment.astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,6 @@ class DecoderConfig:
     version: FrameStructure
     payload_bits: int
     rows_per_chip: float
-    fusion: bool = True
 
     def __post_init__(self):
         if not self.rows_per_chip >= 1:
@@ -493,29 +496,20 @@ def group_parts(parts: list[DecodedPart]) -> list[list[DecodedPart]]:
     what lets the gap detector see a skipped full cycle.
     """
     groups: list[list[DecodedPart]] = []
-    known = None  # the current group's first complete fragment
-    known_bytes = None  # its bytes, when it is int8
+    known = None  # the bytes of the current group's first complete fragment
     for part in parts:
-        frag = part.fragment
         same = bool(groups) and part.ab_state == groups[-1][0].ab_state
         if same and known is not None:
-            forward = part.direction is Direction.FORWARD
-            if known_bytes is not None and frag.dtype == np.int8:
-                # a byte compare of the reader's int8 bits is the cheap test
-                same = (known_bytes.startswith if forward
-                        else known_bytes.endswith)(frag.tobytes())
-            else:
-                same = np.array_equal(known[:len(frag)] if forward
-                                      else known[len(known) - len(frag):],
-                                      frag)
+            # int8 bits: a forward part must be a prefix, a backward one a
+            # suffix of the known fragment's bytes
+            same = (known.startswith if part.direction is Direction.FORWARD
+                    else known.endswith)(part.fragment.tobytes())
         if not same:
             groups.append([])
-            known = known_bytes = None
+            known = None
         groups[-1].append(part)
         if known is None and part.complete:
-            known = frag
-            if frag.dtype == np.int8:
-                known_bytes = frag.tobytes()
+            known = part.fragment.tobytes()
     return groups
 
 
@@ -553,15 +547,10 @@ def extract_parts(samples: list[FrameSample],
     return PartTable(tuple(parts), len(samples), frames_with_sf, config)
 
 
-def decode_samples(table: PartTable, config: DecoderConfig) -> LinkReport:
-    """Group, fuse (when ``config.fusion``) and vote a part table into a
-    link report.  ``config`` may differ from the table's only in
-    ``fusion``: extraction does not read it."""
-    for name in (f.name for f in fields(DecoderConfig) if f.name != "fusion"):
-        ours, read = getattr(config, name), getattr(table.config, name)
-        if ours != read:
-            raise ValueError(f"{name}: {ours!r} differs from the part "
-                             f"table's {read!r}")
+def decode_samples(table: PartTable, *, fusion: bool) -> LinkReport:
+    """Group, fuse (when ``fusion``) and vote a part table into a link
+    report, under the payload length and frame structure of its read."""
+    config = table.config
     parts = table.parts
 
     # every recovered group's samples, stacked in group order, voted at once
@@ -571,7 +560,7 @@ def decode_samples(table: PartTable, config: DecoderConfig) -> LinkReport:
     for group in group_parts(parts):
         group_samples = [p.fragment for p in group if p.complete]
         flagged = False
-        if config.fusion:
+        if fusion:
             joined, flagged = fuse(group, config.payload_bits)
             group_samples += joined
         if not group_samples:

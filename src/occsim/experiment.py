@@ -90,7 +90,7 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
     config = DecoderConfig(scheme=scheme, version=version,
                            payload_bits=len(payloads[0]),
                            rows_per_chip=rows_per_chip)
-    report = decode_samples(extract_parts(kept, config), config)
+    report = decode_samples(extract_parts(kept, config), fusion=True)
     return LinkOutcome(
         transmitted=[np.asarray(p, dtype=np.int8) for p in payloads],
         report=report,

@@ -234,9 +234,8 @@ def _ref_fusion_rows(config: FusionStudyConfig) -> list[FusionStudyRow]:
                 cell.camera(), cell.geometry())
             sent = {p.tobytes() for p in payloads}
             for fusion in (True, False):
-                decoder = cell.decoder(fusion)
-                report = decode_samples(extract_parts(samples, decoder),
-                                        decoder)
+                report = decode_samples(extract_parts(samples, cell.decoder()),
+                                        fusion=fusion)
                 got = {g.payload.tobytes() for g in report.groups}
                 rows.append(FusionStudyRow(ratio, cell.ds_length_s, fusion,
                                            len(sent & got) / len(sent)))

@@ -467,22 +467,9 @@ class TestEndToEnd:
         samples = sample_frames(build_packet_stream(payloads, plan, MAN, V1),
                                 camera)
         table = extract_parts(samples, DecoderConfig(MAN, V1, 5, 2))
-        with_fusion, without = (
-            decode_samples(table, DecoderConfig(MAN, V1, 5, 2, fusion=f))
-            for f in (True, False))
+        with_fusion, without = (decode_samples(table, fusion=f)
+                                for f in (True, False))
         assert len(without.groups) <= len(with_fusion.groups)
-
-    @pytest.mark.parametrize("field, value", [
-        ("scheme", RllScheme.FOUR_B_SIX_B), ("version", V2),
-        ("payload_bits", 6), ("rows_per_chip", 3)])
-    def test_assembly_config_must_match_the_read(self, field, value):
-        payloads, plan, camera = small_link_inputs(packets=4)
-        samples = sample_frames(build_packet_stream(payloads, plan, MAN, V1),
-                                camera)
-        config = DecoderConfig(MAN, V1, 5, 2)
-        table = extract_parts(samples, config)
-        with pytest.raises(ValueError, match=f"^{field}: "):
-            decode_samples(table, dataclasses.replace(config, **{field: value}))
 
     @pytest.mark.parametrize("scheme,bits,clock", [
         (RllScheme.FOUR_B_SIX_B, 24, 4000.0),
@@ -1189,13 +1176,18 @@ class TestGroupingAgainstReference:
     @given(_part_lists(), st.lists(st.sampled_from(
         [np.int8, np.int64, np.float64, np.bool_]), min_size=24, max_size=24))
     def test_group_parts_of_other_dtypes(self, case, dtypes):
-        # fragments that are not the reader's int8 group by value, as
-        # before the byte compare
+        # a part built from another dtype holds its bits as int8 and
+        # groups as the reference groups the int8 parts
         _, parts = case
-        parts = [dataclasses.replace(p, fragment=p.fragment.astype(dtype))
-                 for p, dtype in zip(parts, dtypes)]
-        assert [[id(p) for p in g] for g in group_parts(parts)] \
-            == [[id(p) for p in g.parts] for g in _ref_group_parts(parts)]
+        cast = [dataclasses.replace(p, fragment=p.fragment.astype(dtype))
+                for p, dtype in zip(parts, dtypes)]
+        assert all(c.fragment.dtype == np.int8
+                   and c.fragment.tolist() == p.fragment.tolist()
+                   for c, p in zip(cast, parts))
+        got = {id(p): i for i, p in enumerate(cast)}
+        want = {id(p): i for i, p in enumerate(parts)}
+        assert [[got[id(p)] for p in g] for g in group_parts(cast)] \
+            == [[want[id(p)] for p in g.parts] for g in _ref_group_parts(parts)]
 
 
 _POISON = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e300, 7.0])
@@ -1240,13 +1232,12 @@ def _sample_lists(draw):
             luma[row] = value
         samples.append(FrameSample(index, index / 30.0, luma,
                                    min(cov, height)))
-    config = DecoderConfig(scheme, version, payload_bits, rows_per_chip,
-                           fusion=draw(st.booleans()))
+    config = DecoderConfig(scheme, version, payload_bits, rows_per_chip)
     return config, samples
 
 
-def _decode(samples, config):
-    return decode_samples(extract_parts(samples, config), config)
+def _decode(samples, config, fusion):
+    return decode_samples(extract_parts(samples, config), fusion=fusion)
 
 
 def _outputs(report):
@@ -1255,14 +1246,14 @@ def _outputs(report):
 
 class TestDecodeSamplesFuzz:
     @settings(max_examples=200, deadline=None)
-    @given(_sample_lists())
-    def test_degrades_to_a_report(self, case):
+    @given(_sample_lists(), st.booleans())
+    def test_degrades_to_a_report(self, case, fusion):
         config, samples = case
         with np.errstate(invalid="ignore", over="ignore"):
-            report = _decode(samples, config)
+            report = _decode(samples, config, fusion)
             # one frame per block slices every frame as the block does
             with mock.patch.object(decoder, "_BLOCK_ELEMENTS", 1):
-                single = _decode(samples, config)
+                single = _decode(samples, config, fusion)
         assert isinstance(report, LinkReport)
         assert report.n_frames == len(samples)
         assert report.to_text() == single.to_text()
@@ -1277,6 +1268,5 @@ class TestDecodeSamplesFuzz:
                 mock.patch.object(decoder, "_BLOCK_ELEMENTS", block_elements):
             table = extract_parts(samples, config)
             for fusion in (True, False):
-                arm = dataclasses.replace(config, fusion=fusion)
-                assert _outputs(decode_samples(table, arm)) \
-                    == _outputs(_decode(samples, arm))
+                assert _outputs(decode_samples(table, fusion=fusion)) \
+                    == _outputs(_decode(samples, config, fusion))
