@@ -12,7 +12,6 @@ from .analysis import (
     sweep_frequency,
     symbols_per_image,
     throughput_packet,
-    throughput_with_detection,
 )
 from .camera import (
     CameraConfig,
@@ -24,9 +23,7 @@ from .camera import (
 )
 from .configs import PRESETS, ExperimentConfig, load_config
 from .decoder import (
-    DecodedPart,
     DecoderConfig,
-    Direction,
     GapReport,
     LinkReport,
     PartTable,

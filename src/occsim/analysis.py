@@ -37,15 +37,15 @@ def scheme_overhead(scheme: RllScheme,
     return len(preamble(scheme)) + ab_chip_count(version)
 
 
-def bit_rate_limit(eta, symbols_per_frame, overhead, fps_min,
-                   subpackets_per_frame: int = 1) -> Fraction:
-    """Error-free bit-rate ceiling from the frame-rate floor."""
+def bit_rate_limit(eta, symbols_per_frame, overhead, fps_min) -> Fraction:
+    """Error-free bit-rate ceiling from the frame-rate floor, one
+    sub-packet per frame."""
     eta = Fraction(eta)
-    budget = Fraction(symbols_per_frame, subpackets_per_frame) - Fraction(overhead)
+    budget = Fraction(symbols_per_frame) - Fraction(overhead)
     if budget <= 0:
         raise NonPositiveBudget(
             f"overhead {overhead} exhausts the per-frame budget of "
-            f"{symbols_per_frame}/{subpackets_per_frame} symbols"
+            f"{symbols_per_frame} symbols"
         )
     return eta * budget * Fraction(fps_min)
 
@@ -59,15 +59,6 @@ def throughput_packet(eta, payload_symbols, overhead, packet_rate) -> Fraction:
             f"overhead {overhead} exhausts the {payload_symbols}-symbol payload"
         )
     return eta * budget * Fraction(packet_rate)
-
-
-def throughput_with_detection(eta, payload_symbols, overhead,
-                              boosted_packet_rate,
-                              correction_overhead=0) -> Fraction:
-    """Net bit rate when the faster two-bit structure is in use."""
-    return (throughput_packet(eta, payload_symbols, overhead,
-                              boosted_packet_rate)
-            - Fraction(correction_overhead))
 
 
 def skip_probability(packet_length_s, excess_interval_s) -> Fraction:
@@ -101,8 +92,9 @@ def der(packet_rate, frame_rate_mean, frame_rate_floor=None) -> Fraction:
     return max(Fraction(0), (rp - mean) / (24 * rp * rp))
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson score 95 % interval of a binomial proportion."""
+    z = 1.96  # the normal quantile of a two-sided 95 % interval
     if total <= 0:
         raise ValueError("total must be positive")
     p = successes / total

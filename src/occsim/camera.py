@@ -169,8 +169,9 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
     each sample's ``row_luma`` is a row of its block.
     """
     duration = waveform.duration_s if duration_s is None else duration_s
-    if duration > waveform.duration_s + 1e-12:
-        raise ValueError("duration exceeds the waveform duration")
+    if not 0 <= duration <= waveform.duration_s + 1e-12:
+        raise ValueError(f"duration: {duration!r} s is not within the "
+                         f"waveform's [0, {waveform.duration_s!r}] s")
 
     cov = camera.rows if geometry is None \
         else covered_rows(geometry, max_rows=camera.rows)

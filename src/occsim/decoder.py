@@ -14,16 +14,20 @@ every frame, a Manchester one the Ab bits, and each SF's windows are
 gathered into one SF x payload-codewords matrix, cut at the first invalid
 codeword counted away from the SF.  A forward fragment is a payload
 prefix of the sub-packet starting at the SF; a backward one is a payload
-suffix of the sub-packet ending there.
+suffix of the sub-packet ending there.  Each fragment is its window's
+payload row, zeroed outside the fragment, and that row is the one form a
+fragment takes from the reader to the vote.
 
 A decode is two calls.  :func:`extract_parts` slices and reads a frame
-sequence into a :class:`PartTable`; :func:`decode_samples` assembles a
-table into a report, with or without fusion, so one table serves both
-arms of a fusion comparison.  Fragments are grouped by asynchronous-bit
-state along the stream; a group's complete fragments and, with fusion,
-its prefix + suffix joins are its samples, and every group's samples are
-majority voted in one pass.  Under the two-bit structure, consecutive
-group states also reveal how many packets were skipped (up to three).
+sequence into a :class:`PartTable`, one column per part field and one
+parts x payload-bits matrix; :func:`decode_samples` assembles a table into
+a report, with or without fusion, so one table serves both arms of a
+fusion comparison.  Fragments are grouped by asynchronous-bit state along
+the stream; a group's complete rows and, with fusion, its prefix + suffix
+joins (one ``np.where`` over the paired rows) are its samples, and every
+group's samples are majority voted in one pass.  Under the two-bit
+structure, consecutive group states also reveal how many packets were
+skipped (up to three).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,28 +54,6 @@ from .rll import (
     payload_chip_count,
     preamble,
 )
-
-
-class Direction(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
-@dataclass(frozen=True)
-class DecodedPart:
-    """A payload prefix (forward) or suffix (backward) with its Ab state."""
-
-    frame_index: int
-    direction: Direction
-    ab_state: tuple[int, ...]
-    fragment: np.ndarray  # payload bits, held as int8
-    complete: bool
-    position: int = 0  # where its SF starts among the frame's chips
-
-    def __post_init__(self):
-        # the reader's dtype; group_parts compares fragments by bytes
-        if self.fragment.dtype != np.int8:
-            object.__setattr__(self, "fragment", self.fragment.astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -160,6 +141,30 @@ class DecoderConfig:
         # must exceed the longest identical-chip run (the SF's) in rows
         window = round(self.rows_per_chip * (len(preamble(self.scheme)) + 2))
         return window + 1 if window % 2 == 0 else window
+
+
+@dataclass(frozen=True)
+class PartTable:
+    """Every fragment read from a frame sequence, one row per part in
+    stream order, with the frame counts and the config of the read;
+    :func:`decode_samples` assembles it into a report with or without
+    fusion.
+
+    A part is a payload prefix (``forward``) or suffix of ``length`` bits,
+    complete when that is the payload's length.  ``bits`` holds it at its
+    place in the payload, zeros elsewhere, so a complete part's row is its
+    payload.
+    """
+
+    frame: np.ndarray  # frame index
+    position: np.ndarray  # where its SF starts among the frame's chips
+    forward: np.ndarray  # bool
+    ab: np.ndarray  # parts x Ab bits, int8
+    length: np.ndarray
+    bits: np.ndarray  # parts x payload_bits, int8
+    n_frames: int
+    n_frames_with_sf: int
+    config: DecoderConfig
 
 
 def detrend(row_luma, window: int) -> np.ndarray:
@@ -294,8 +299,9 @@ def _slice(block, config: DecoderConfig
 
 def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
                 sf_position: np.ndarray, config: DecoderConfig,
-                frame_indices) -> list[DecodedPart]:
-    """Forward and backward fragments of every SF of a block in one array
+                frame_indices) -> tuple[np.ndarray, ...]:
+    """The part table's columns (:class:`PartTable`, frame to bits) of
+    every SF's forward and backward fragment of a block, read in one array
     pass, in order of frame, SF position and direction (backward first).
 
     ``chips`` is frames x chips (row f valid up to ``lengths[f]``), the SF
@@ -361,74 +367,16 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
     disagree = ab_ok[:, 2:] & (ab[:, 2:] != ab[:, :2]).any(axis=-1)
     read = ab_ok[:, :2] & (kept > 0) & ~(complete & disagree)
 
-    bits = codeword_bits(values, scheme)
-    block_bits = payload_bits // n_words
     s, d = np.nonzero(read)
-    cut = (kept[s, d] * block_bits).tolist()
-    directions = (Direction.BACKWARD, Direction.FORWARD)
-    return [DecodedPart(frame_indices[f], directions[k], tuple(state),
-                        bits[i, k, payload_bits - c:] if k == 0
-                        else bits[i, k, :c], whole, p)
-            for i, k, f, p, state, c, whole in zip(
-                s.tolist(), d.tolist(), frame[s].tolist(),
-                position[s].tolist(), ab[s, d].tolist(), cut,
-                complete[s, d].tolist())]
-
-
-def _join(fwd: np.ndarray, bwd: np.ndarray, payload_bits: int
-          ) -> tuple[np.ndarray, bool]:
-    """A payload from a prefix and a suffix that together cover it, and
-    whether they disagree where they overlap; the forward (earlier-row)
-    fragment wins the overlap."""
-    lo = payload_bits - len(bwd)
-    payload = np.empty(payload_bits, dtype=np.int8)
-    payload[lo:] = bwd
-    payload[:len(fwd)] = fwd
-    return payload, len(fwd) > lo and not np.array_equal(
-        fwd[lo:], bwd[:len(fwd) - lo])
-
-
-def fuse(parts: list[DecodedPart], payload_bits: int
-         ) -> tuple[list[np.ndarray], bool]:
-    """Payload samples joined from one group's incomplete prefixes and
-    suffixes, same-frame pairs first; empty when no pair covers a payload.
-    """
-    samples = []
-    prefixes = [p for p in parts
-                if not p.complete and p.direction is Direction.FORWARD]
-    suffixes = [p for p in parts
-                if not p.complete and p.direction is Direction.BACKWARD]
-    flagged = False
-
-    # intra-frame fusion first: both halves seen within one image
-    used_s: set[int] = set()
-    rest_p = []
-    for pre in prefixes:
-        match = None
-        for j, suf in enumerate(suffixes):
-            if j not in used_s and suf.frame_index == pre.frame_index \
-                    and len(pre.fragment) + len(suf.fragment) >= payload_bits:
-                match = j
-                break
-        if match is None:
-            rest_p.append(pre)
-        else:
-            used_s.add(match)
-            payload, flag = _join(pre.fragment, suffixes[match].fragment,
-                                  payload_bits)
-            samples.append(payload)
-            flagged |= flag
-
-    # inter-frame fusion: longest remaining halves joined pairwise
-    rest_s = [s for j, s in enumerate(suffixes) if j not in used_s]
-    rest_p.sort(key=lambda p: len(p.fragment), reverse=True)
-    rest_s.sort(key=lambda p: len(p.fragment), reverse=True)
-    for pre, suf in zip(rest_p, rest_s):
-        if len(pre.fragment) + len(suf.fragment) >= payload_bits:
-            payload, flag = _join(pre.fragment, suf.fragment, payload_bits)
-            samples.append(payload)
-            flagged |= flag
-    return samples, flagged
+    cut = kept[s, d] * (payload_bits // n_words)
+    forward = d == 1
+    # each fragment at its place in the payload, zeros elsewhere
+    column = np.arange(payload_bits)
+    inside = np.where(forward[:, None], column < cut[:, None],
+                      column >= payload_bits - cut[:, None])
+    return (np.asarray(frame_indices, dtype=np.int64)[frame[s]], position[s],
+            forward, ab[s, d].astype(np.int8), cut,
+            codeword_bits(values[s, d], scheme) * inside)
 
 
 def _vote(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -468,14 +416,13 @@ def missed_packets(prev_state, prev_payload, state, payload) -> int:
 def detect_missed(observations) -> list[GapReport]:
     """Missed-packet reports from consecutive two-Ab observations.
 
-    observations: iterable of (ab_state, payload[, frame_index]) in stream
+    observations: iterable of (ab_state, payload, frame_index) in stream
     order; each consecutive pair is counted by :func:`missed_packets`.
     """
     reports = []
     prev = None
-    for obs in observations:
-        state, payload = tuple(obs[0]), np.asarray(obs[1])
-        frame = obs[2] if len(obs) > 2 else -1
+    for state, payload, frame in observations:
+        state, payload = tuple(state), np.asarray(payload)
         if prev is None and state not in _V2_STATE_INDEX:
             raise ValueError(f"unknown Ab state {state!r}")
         if prev is not None:
@@ -487,48 +434,83 @@ def detect_missed(observations) -> list[GapReport]:
     return reports
 
 
-def group_parts(parts: list[DecodedPart]) -> list[list[DecodedPart]]:
-    """Contiguous same-state runs, split when payload evidence conflicts.
+def group_parts(table: PartTable) -> np.ndarray:
+    """Each part's group: contiguous same-state runs, split when payload
+    evidence conflicts.
 
-    A part conflicts with its run when it disagrees with the run's first
-    complete fragment.  The split on conflicting payloads keeps packets
-    four indices apart (same two-bit state) from being merged, which is
-    what lets the gap detector see a skipped full cycle.
+    A part conflicts with its run when its fragment differs from the same
+    bits of the run's first complete row.  The split on conflicting
+    payloads keeps packets four indices apart (same two-bit state) from
+    being merged, which is what lets the gap detector see a skipped full
+    cycle.
     """
-    groups: list[list[DecodedPart]] = []
-    known = None  # the bytes of the current group's first complete fragment
-    for part in parts:
-        same = bool(groups) and part.ab_state == groups[-1][0].ab_state
-        if same and known is not None:
-            # int8 bits: a forward part must be a prefix, a backward one a
-            # suffix of the known fragment's bytes
-            same = (known.startswith if part.direction is Direction.FORWARD
-                    else known.endswith)(part.fragment.tobytes())
-        if not same:
-            groups.append([])
-            known = None
-        groups[-1].append(part)
-        if known is None and part.complete:
-            known = part.fragment.tobytes()
-    return groups
+    n = table.config.payload_bits
+    data = table.bits.tobytes()  # int8: one byte per bit, n per row
+    group, g = [], -1
+    state = known = None  # the run's Ab state and first complete row
+    for i, (ab, forward, length) in enumerate(zip(
+            table.ab.tolist(), table.forward.tolist(), table.length.tolist())):
+        lo = 0 if forward else n - length
+        row = data[i * n:(i + 1) * n]
+        if ab != state or (known is not None and row[lo:lo + length]
+                           != known[lo:lo + length]):
+            state, known, g = ab, None, g + 1
+        group.append(g)
+        if known is None and length == n:
+            known = row
+    return np.array(group, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class PartTable:
-    """Every fragment read from a frame sequence, in stream order, with the
-    frame counts and the config of the read; :func:`decode_samples`
-    assembles it into a report with or without fusion."""
+def fuse(table: PartTable, group: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Payloads joined from each group's incomplete prefixes and suffixes:
+    same-frame pairs first, then the longest remaining halves pairwise,
+    each pair only when together they cover the payload.
 
-    parts: tuple[DecodedPart, ...]
-    n_frames: int
-    n_frames_with_sf: int
-    config: DecoderConfig
+    Returns each join's group, its payload and whether its halves disagree
+    where they overlap; the forward (earlier-row) fragment wins the
+    overlap.
+    """
+    n = table.config.payload_bits
+    frame, forward, length, groups = (
+        c.tolist() for c in (table.frame, table.forward, table.length, group))
+    pairs = []
+    for _, run in itertools.groupby(np.flatnonzero(table.length < n).tolist(),
+                                    key=groups.__getitem__):
+        prefixes, suffixes = [], []
+        for i in run:
+            (prefixes if forward[i] else suffixes).append(i)
+        # intra-frame fusion first: both halves seen within one image
+        rest = []
+        for pre in prefixes:
+            match = next((j for j, suf in enumerate(suffixes)
+                          if suf is not None and frame[suf] == frame[pre]
+                          and length[pre] + length[suf] >= n), None)
+            if match is None:
+                rest.append(pre)
+            else:
+                pairs.append((pre, suffixes[match]))
+                suffixes[match] = None
+        # inter-frame fusion: the longest remaining halves joined pairwise
+        rest_s = [suf for suf in suffixes if suf is not None]
+        pairs += [(pre, suf) for pre, suf in zip(
+                      sorted(rest, key=length.__getitem__, reverse=True),
+                      sorted(rest_s, key=length.__getitem__, reverse=True))
+                  if length[pre] + length[suf] >= n]
+    pre, suf = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    column = np.arange(n)
+    prefix = column < table.length[pre, None]
+    overlap = prefix & (column >= n - table.length[suf, None])
+    halves = table.bits[pre], table.bits[suf]
+    return (group[pre], np.where(prefix, *halves),
+            (overlap & (halves[0] != halves[1])).any(axis=1))
 
 
 def extract_parts(samples: list[FrameSample],
                   config: DecoderConfig) -> PartTable:
     """Slice and read a frame sequence into its part table."""
-    parts: list[DecodedPart] = []
+    # a block of no frames gives each column its dtype and row shape
+    reads = [_read_parts(*_slice(np.empty((0, 0)), config), config, [])]
     frames_with_sf = 0
     # runs of consecutive samples with one covered-row count are sliced and
     # read as frames x rows blocks, in order
@@ -541,52 +523,48 @@ def extract_parts(samples: list[FrameSample],
             hi = min(lo + step, end)
             sliced = _slice(np.stack(slices[lo:hi]), config)
             frames_with_sf += np.unique(sliced[2]).size
-            parts += _read_parts(*sliced, config,
-                                 [sample.index for sample in samples[lo:hi]])
+            reads.append(_read_parts(
+                *sliced, config, [sample.index for sample in samples[lo:hi]]))
         start = end
-    return PartTable(tuple(parts), len(samples), frames_with_sf, config)
+    return PartTable(*map(np.concatenate, zip(*reads)), len(samples),
+                     frames_with_sf, config)
 
 
 def decode_samples(table: PartTable, *, fusion: bool) -> LinkReport:
     """Group, fuse (when ``fusion``) and vote a part table into a link
     report, under the payload length and frame structure of its read."""
     config = table.config
-    parts = table.parts
+    group = group_parts(table)
+    first = np.flatnonzero(np.diff(group, prepend=-1))  # a group's first part
+    complete = table.length == config.payload_bits
+    sample_group, rows = group[complete], table.bits[complete]
+    flagged = np.zeros(len(first), dtype=bool)
+    if fusion:
+        join_group, joined, overlap = fuse(table, group)
+        sample_group = np.concatenate([sample_group, join_group])
+        rows = np.concatenate([rows, joined])
+        flagged[join_group[overlap]] = True
 
-    # every recovered group's samples, stacked in group order, voted at once
-    voted_groups = []
-    rows: list[np.ndarray] = []
-    unrecovered = 0
-    for group in group_parts(parts):
-        group_samples = [p.fragment for p in group if p.complete]
-        flagged = False
-        if fusion:
-            joined, flagged = fuse(group, config.payload_bits)
-            group_samples += joined
-        if not group_samples:
-            unrecovered += 1
-            continue
-        voted_groups.append((group, len(rows), len(group_samples), flagged))
-        rows += group_samples
-
+    # every recovered group's samples, stably in group order (complete
+    # rows, then joins), voted at once
+    order = np.argsort(sample_group, kind="stable")
+    sample_group, rows = sample_group[order], rows[order]
+    starts = np.flatnonzero(np.diff(sample_group, prepend=-1))
+    ids = sample_group[starts]
     recovered: list[RecoveredGroup] = []
-    if rows:
-        voted, ties = _vote(np.stack(rows), [g[1] for g in voted_groups])
-        tie_positions = [[] for _ in voted_groups]
+    if len(rows):
+        voted, ties = _vote(rows, starts)
+        tie_positions = [[] for _ in ids]
         for g, t in zip(*(a.tolist() for a in np.nonzero(ties))):
             tie_positions[g].append(t)
-        for (group, _, n, flagged), payload, tied in zip(
-                voted_groups, voted, tie_positions):
-            frames = [p.frame_index for p in group]
-            recovered.append(RecoveredGroup(
-                ab_state=group[0].ab_state,
-                payload=payload,
-                first_frame=min(frames),
-                last_frame=max(frames),
-                n_samples=n,
-                tie_positions=tuple(tied),
-                overlap_flagged=flagged,
-            ))
+        columns = (table.ab[first[ids]].tolist(), voted,
+                   np.minimum.reduceat(table.frame, first)[ids].tolist(),
+                   np.maximum.reduceat(table.frame, first)[ids].tolist(),
+                   np.diff(np.append(starts, len(rows))).tolist(),
+                   tie_positions, flagged[ids].tolist())
+        recovered = [RecoveredGroup(tuple(ab), payload, lo, hi, n,
+                                    tuple(tied), flag)
+                     for ab, payload, lo, hi, n, tied, flag in zip(*columns)]
 
     gaps: list[GapReport] = []
     if config.version is FrameStructure.V2_TWO_AB:
@@ -597,9 +575,9 @@ def decode_samples(table: PartTable, *, fusion: bool) -> LinkReport:
     return LinkReport(
         n_frames=table.n_frames,
         n_frames_with_sf=table.n_frames_with_sf,
-        n_parts=len(parts),
-        n_complete_parts=sum(p.complete for p in parts),
+        n_parts=len(group),
+        n_complete_parts=int(np.count_nonzero(complete)),
         groups=recovered,
-        n_unrecovered_groups=unrecovered,
+        n_unrecovered_groups=len(first) - len(ids),
         gaps=gaps,
     )

@@ -48,16 +48,21 @@ def random_payloads(count: int, payload_bits: int, seed: int,
     return payloads
 
 
+# the two-Ab cycle counts at most three missed packets between two
+# observations, so frame drops are capped at three in a row
+_MAX_CONSECUTIVE_DROPS = 3
+
+
 def drop_frames(samples: list[FrameSample], keep_probability: float,
-                max_consecutive_drops: int, seed: int) -> list[FrameSample]:
-    """Randomly drop frames, never more than max_consecutive_drops in a row."""
+                seed: int) -> list[FrameSample]:
+    """Randomly drop frames, never more than three in a row."""
     if keep_probability >= 1.0:
         return list(samples)
     rng = np.random.default_rng(seed)
     kept = []
     run = 0
     for sample in samples:
-        if run >= max_consecutive_drops or rng.random() < keep_probability:
+        if run >= _MAX_CONSECUTIVE_DROPS or rng.random() < keep_probability:
             kept.append(sample)
             run = 0
         else:
@@ -80,13 +85,11 @@ class LinkOutcome:
 def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
              version: FrameStructure, camera: CameraConfig,
              rows_per_chip: float, geometry: GeometryConfig | None = None,
-             keep_probability: float = 1.0,
-             max_consecutive_drops: int = 3) -> LinkOutcome:
+             keep_probability: float = 1.0) -> LinkOutcome:
     """Transmit the payload sequence and decode the simulated frames."""
     stream = build_packet_stream(payloads, plan, scheme, version)
     samples = sample_frames(stream, camera, geometry)
-    kept = drop_frames(samples, keep_probability, max_consecutive_drops,
-                       camera.seed + 7919)
+    kept = drop_frames(samples, keep_probability, camera.seed + 7919)
     config = DecoderConfig(scheme=scheme, version=version,
                            payload_bits=len(payloads[0]),
                            rows_per_chip=rows_per_chip)

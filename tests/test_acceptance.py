@@ -214,7 +214,7 @@ def test_criterion_05_detection_completeness():
                           row_exposure_s=1 / 8000,
                           mean_fps=27.5, delta_fps=7.5, seed=21)
     outcome = run_link(payloads, plan, MAN, V2, camera, rows_per_chip=2,
-                       keep_probability=0.45, max_consecutive_drops=3)
+                       keep_probability=0.45)
     accounting = gap_accounting(outcome)
     assert accounting.corrupt_observations == 0
     mismatched = [(t, r) for t, r in accounting.pairs if t != r]

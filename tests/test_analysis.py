@@ -19,7 +19,6 @@ from occsim.analysis import (
     sweep_frequency,
     symbols_per_image,
     throughput_packet,
-    throughput_with_detection,
     wilson_interval,
 )
 from dataclasses import replace
@@ -87,7 +86,7 @@ class TestBitRateLimit:
         # frame-rate-floor form with one sub-packet per frame equals the
         # packet-rate form at a packet rate of 20/s
         for symbols in (40, 63, 125):
-            assert bit_rate_limit(Fraction(1, 2), symbols, 8, 20, 1) == \
+            assert bit_rate_limit(Fraction(1, 2), symbols, 8, 20) == \
                 throughput_packet(Fraction(1, 2), symbols, 8, 20)
 
 
@@ -112,21 +111,20 @@ class TestThroughputPacket:
 
 
 class TestThroughputWithDetection:
-    def test_degenerate_equals_packet_form(self):
-        assert throughput_with_detection(Fraction(1, 2), 63, 8, 10, 0) == \
-            throughput_packet(Fraction(1, 2), 63, 8, 10)
+    """The two-bit structure's throughput: the packet form at the boosted
+    packet rate, with the v2 overhead."""
 
     def test_v2_overhead_lowers_equal_rate_throughput(self):
         v1 = throughput_packet(Fraction(1, 2), 63,
                                scheme_overhead(RllScheme.MANCHESTER, V1), 10)
-        v2 = throughput_with_detection(
+        v2 = throughput_packet(
             Fraction(1, 2), 63, scheme_overhead(RllScheme.MANCHESTER, V2), 10)
         assert v2 < v1
 
     def test_quadruple_rate_gain_for_large_payloads(self):
         for symbols in (16, 32, 63, 125):
             v1 = bit_rate_limit(Fraction(1, 2), symbols, 8, 20)
-            v2 = throughput_with_detection(Fraction(1, 2), symbols, 10, 80)
+            v2 = throughput_packet(Fraction(1, 2), symbols, 10, 80)
             assert v2 > v1
 
 

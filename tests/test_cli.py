@@ -214,6 +214,17 @@ class TestSimulateAndDecode:
                        "--out", out, "--duration", 0) == 0
         assert out.read_text().strip() == ",".join(io.FRAME_CSV_HEADER)
 
+    @pytest.mark.parametrize("duration", ["-1", "nan", "-0.0001"])
+    def test_duration_outside_the_waveform_rejected(self, tmp_path,
+                                                    small_config, capsys,
+                                                    duration):
+        stream = self._encode(tmp_path, small_config)
+        out = tmp_path / "frames.csv"
+        assert run_cli("simulate", "--config", small_config, "--stream",
+                       stream, "--out", out, "--duration", duration) != 0
+        assert capsys.readouterr().err.startswith("error: duration: ")
+        assert not out.exists()
+
     def test_partial_coverage_roundtrip(self, tmp_path):
         # at the reference distance the footprint spans exactly one
         # sub-packet, so recovery leans on prefix+suffix fusion

@@ -1,8 +1,8 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -14,10 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from occsim import decoder
 from occsim.camera import CameraConfig, FrameSample, sample_frames
 from occsim.decoder import (
-    DecodedPart,
     DecoderConfig,
-    Direction,
     LinkReport,
+    PartTable,
     _group_means,
     _sf_match,
     decode_samples,
@@ -33,6 +32,7 @@ from occsim.framing import (
     PacketPlan,
     ab_bit_count,
     ab_chip_count,
+    ab_state_v2,
     build_packet_stream,
     subpacket_chip_length,
 )
@@ -63,11 +63,57 @@ def _subpacket(payload, index, scheme, version):
     return stream.chips[-ds:]
 
 
-def part(direction, ab, fragment, frame=0, complete=None, position=0):
-    fragment = np.asarray(fragment, dtype=np.int8)
-    return DecodedPart(frame, direction, ab, fragment,
-                       bool(complete) if complete is not None else False,
-                       position)
+class Part(NamedTuple):
+    """One fragment as the reference receiver and grouping see it: a
+    payload prefix (forward) or suffix with its Ab state."""
+
+    frame: int
+    forward: bool
+    ab: tuple[int, ...]
+    fragment: tuple[int, ...]  # payload bits
+    complete: bool
+    position: int = 0  # where its SF starts among the frame's chips
+
+
+def part(forward, ab, fragment, frame=0, complete=False, position=0):
+    return Part(frame, forward, ab, tuple(int(b) for b in fragment),
+                complete, position)
+
+
+def _parts(columns, payload_bits):
+    """The Part tuples of a part table's columns (frame to bits), after
+    checking each column's dtype and shape and that every bits row is zero
+    outside its fragment."""
+    frame, position, forward, ab, length, bits = columns
+    assert [c.dtype for c in columns] == [np.int64, np.intp, np.bool_,
+                                          np.int8, np.intp, np.int8]
+    assert bits.shape == (len(frame), payload_bits) and len(ab) == len(frame)
+    column = np.arange(payload_bits)
+    inside = np.where(forward[:, None], column < length[:, None],
+                      column >= payload_bits - length[:, None])
+    assert not bits[~inside].any()
+    return [part(fw, tuple(state), row[:k] if fw else row[payload_bits - k:],
+                 f, k == payload_bits, p)
+            for f, p, fw, state, k, row in zip(
+                *(c.tolist() for c in columns))]
+
+
+def _table(parts, payload_bits, version=V1):
+    """A part table holding the parts, in order."""
+    bits = np.zeros((len(parts), payload_bits), dtype=np.int8)
+    for row, p in zip(bits, parts):
+        lo = 0 if p.forward else payload_bits - len(p.fragment)
+        row[lo:lo + len(p.fragment)] = p.fragment
+    frames = [p.frame for p in parts]
+    return PartTable(
+        frame=np.array(frames, dtype=np.int64),
+        position=np.array([p.position for p in parts], dtype=np.intp),
+        forward=np.array([p.forward for p in parts], dtype=bool),
+        ab=np.array([p.ab for p in parts], dtype=np.int8).reshape(
+            len(parts), ab_bit_count(version)),
+        length=np.array([len(p.fragment) for p in parts], dtype=np.intp),
+        bits=bits, n_frames=len(set(frames)), n_frames_with_sf=len(set(frames)),
+        config=DecoderConfig(MAN, version, payload_bits, rows_per_chip=1))
 
 
 def _ref_detrend(row, window):
@@ -166,9 +212,10 @@ def _decode_frame(chips, scheme, version, payload_bits, frame_index=0):
     chips = np.asarray(chips, dtype=np.int8)
     positions = np.flatnonzero(_sf_match(chips, scheme))
     config = DecoderConfig(scheme, version, payload_bits, rows_per_chip=1)
-    return decoder._read_parts(chips[None], np.array([len(chips)]),
-                               np.zeros(len(positions), dtype=np.intp),
-                               positions, config, [frame_index])
+    return _parts(decoder._read_parts(chips[None], np.array([len(chips)]),
+                                      np.zeros(len(positions), dtype=np.intp),
+                                      positions, config, [frame_index]),
+                  payload_bits)
 
 
 def _frames_to_chips(block, config):
@@ -214,10 +261,9 @@ class TestDecodeFrame:
     def test_full_subpacket_gives_complete_forward(self):
         chips = np.concatenate([self._sub(0), self._sub(0)])
         parts = _decode_frame(chips, MAN, V1, 5)
-        forwards = [p for p in parts if p.direction is Direction.FORWARD
-                    and p.complete]
-        assert forwards and forwards[0].fragment.tolist() == self.PAYLOAD
-        assert forwards[0].ab_state == (0,)
+        forwards = [p for p in parts if p.forward and p.complete]
+        assert forwards and list(forwards[0].fragment) == self.PAYLOAD
+        assert forwards[0].ab == (0,)
 
     def test_partial_coverage_both_sides(self):
         # window holds one SF mid-frame with truncated data on both sides
@@ -225,32 +271,31 @@ class TestDecodeFrame:
         stream = np.tile(sub, 3)
         window = stream[len(sub) - 8:len(sub) + 14]
         parts = _decode_frame(window, MAN, V1, 5)
-        directions = {p.direction for p in parts}
-        assert directions == {Direction.FORWARD, Direction.BACKWARD}
+        assert {p.forward for p in parts} == {True, False}
         for p in parts:
             assert not p.complete
-            assert p.ab_state == (1,)
+            assert p.ab == (1,)
 
     def test_packet_transition_has_differing_ab(self):
         chips = np.concatenate([self._sub(0), self._sub(1, payload=[0, 1, 0, 0, 1])])
         parts = _decode_frame(chips, MAN, V1, 5)
         at_boundary = [p for p in parts if p.position == len(self._sub(0))]
-        backward = [p for p in at_boundary if p.direction is Direction.BACKWARD]
-        forward = [p for p in at_boundary if p.direction is Direction.FORWARD]
-        assert backward[0].ab_state == (0,)
-        assert forward[0].ab_state == (1,)
+        backward = [p for p in at_boundary if not p.forward]
+        forward = [p for p in at_boundary if p.forward]
+        assert backward[0].ab == (0,)
+        assert forward[0].ab == (1,)
 
     def test_backward_fragment_is_suffix(self):
         sub = self._sub(0)
         window = np.concatenate([sub[-8:], self._sub(0)])  # tail then full
         parts = _decode_frame(window, MAN, V1, 5)
-        suffix = [p for p in parts if p.direction is Direction.BACKWARD][0]
-        assert suffix.fragment.tolist() == self.PAYLOAD[-len(suffix.fragment):]
+        suffix = [p for p in parts if not p.forward][0]
+        assert list(suffix.fragment) == self.PAYLOAD[-len(suffix.fragment):]
 
     def test_v2_states_decoded(self):
         chips = np.concatenate([self._sub(2, version=V2), self._sub(2, version=V2)])
         parts = _decode_frame(chips, MAN, V2, 5)
-        assert any(p.ab_state == (0, 1) for p in parts)
+        assert any(p.ab == (0, 1) for p in parts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(list(RllScheme)),
@@ -263,66 +308,91 @@ class TestDecodeFrame:
         payload = [int(c) for c in format(value, "016b")]
         sub = _subpacket(payload, index, scheme, version)
         parts = _decode_frame(np.tile(sub, 2), scheme, version, 16, 0)
-        completes = [p for p in parts
-                     if p.complete and p.direction is Direction.FORWARD]
+        completes = [p for p in parts if p.complete and p.forward]
         assert completes
-        assert completes[0].fragment.tolist() == payload
-        assert completes[0].ab_state == ab_bits(index, version)
+        assert list(completes[0].fragment) == payload
+        assert completes[0].ab == ab_bits(index, version)
+
+
+def _joins(parts, payload_bits):
+    """Each group's joined payloads and overlap flag, from group_parts and
+    fuse on a table of the parts, after checking both against the
+    reference grouping and fusion of the parts."""
+    table = _table(parts, payload_bits)
+    group = group_parts(table)
+    want = _ref_group_parts(parts)
+    assert group.tolist() == [k for k, ref in enumerate(want)
+                              for _ in ref.parts]
+    join_group, joined, flagged = fuse(table, group)
+    assert (joined.dtype, flagged.dtype) == (np.int8, np.bool_)
+    assert joined.shape == (len(join_group), payload_bits)
+    got = [([s.tolist() for s in joined[join_group == k]],
+            bool(flagged[join_group == k].any())) for k in range(len(want))]
+    ref = [([s.tolist() for s in samples], flag) for samples, flag in (
+        _ref_fuse(g.parts, payload_bits) for g in want)]
+    assert got == ref
+    return got
 
 
 class TestFusePair:
     """One same-frame prefix and suffix joined into one payload."""
 
-    PAYLOAD = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1], dtype=np.int8)
+    PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
 
     def test_overlap_fused_exactly(self):
-        prefix = part(Direction.FORWARD, (0,), self.PAYLOAD[:6])
-        suffix = part(Direction.BACKWARD, (0,), self.PAYLOAD[4:])
-        (fused,), flagged = fuse([prefix, suffix], 10)
-        assert fused.tolist() == self.PAYLOAD.tolist()
+        prefix = part(True, (0,), self.PAYLOAD[:6])
+        suffix = part(False, (0,), self.PAYLOAD[4:])
+        [([fused], flagged)] = _joins([prefix, suffix], 10)
+        assert fused == self.PAYLOAD
         assert not flagged
 
     def test_overlap_disagreement_forward_wins_and_flags(self):
-        suffix_bits = self.PAYLOAD[4:].copy()
+        suffix_bits = self.PAYLOAD[4:]
         suffix_bits[0] ^= 1
-        prefix = part(Direction.FORWARD, (0,), self.PAYLOAD[:6])
-        suffix = part(Direction.BACKWARD, (0,), suffix_bits)
-        (fused,), flagged = fuse([prefix, suffix], 10)
+        prefix = part(True, (0,), self.PAYLOAD[:6])
+        suffix = part(False, (0,), suffix_bits)
+        [([fused], flagged)] = _joins([prefix, suffix], 10)
         assert flagged
-        assert fused.tolist() == self.PAYLOAD.tolist()
+        assert fused == self.PAYLOAD
 
 
 class TestFuse:
-    PAYLOAD = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1], dtype=np.int8)
+    PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
 
     def test_complete_part_adds_no_join(self):
         # complete parts are samples already; fuse returns only the joins
-        complete = part(Direction.FORWARD, (1,), self.PAYLOAD, complete=True)
-        prefix = part(Direction.FORWARD, (1,), self.PAYLOAD[:6], frame=2)
-        suffix = part(Direction.BACKWARD, (1,), self.PAYLOAD[4:], frame=2)
-        assert fuse([complete], 10) == ([], False)
-        samples, flagged = fuse([complete, prefix, suffix], 10)
-        assert len(samples) == 1
-        assert samples[0].tolist() == self.PAYLOAD.tolist()
-        assert not flagged
+        complete = part(True, (1,), self.PAYLOAD, complete=True)
+        prefix = part(True, (1,), self.PAYLOAD[:6], frame=2)
+        suffix = part(False, (1,), self.PAYLOAD[4:], frame=2)
+        assert _joins([complete], 10) == [([], False)]
+        assert _joins([complete, prefix, suffix], 10) \
+            == [([self.PAYLOAD], False)]
 
     def test_prefix_suffix_fused(self):
-        parts = [part(Direction.FORWARD, (1,), self.PAYLOAD[:6], frame=0),
-                 part(Direction.BACKWARD, (1,), self.PAYLOAD[4:], frame=1)]
-        samples, _ = fuse(parts, 10)
-        assert samples[0].tolist() == self.PAYLOAD.tolist()
+        parts = [part(True, (1,), self.PAYLOAD[:6], frame=0),
+                 part(False, (1,), self.PAYLOAD[4:], frame=1)]
+        assert _joins(parts, 10) == [([self.PAYLOAD], False)]
 
     def test_unfusable_gives_no_sample(self):
-        parts = [part(Direction.FORWARD, (1,), self.PAYLOAD[:4]),
-                 part(Direction.BACKWARD, (1,), self.PAYLOAD[6:])]
-        assert fuse(parts, 10) == ([], False)
+        parts = [part(True, (1,), self.PAYLOAD[:4]),
+                 part(False, (1,), self.PAYLOAD[6:])]
+        assert _joins(parts, 10) == [([], False)]
 
     def test_intra_frame_pairs_first(self):
-        parts = [part(Direction.FORWARD, (0,), self.PAYLOAD[:6], frame=3),
-                 part(Direction.BACKWARD, (0,), self.PAYLOAD[4:], frame=3),
-                 part(Direction.BACKWARD, (0,), self.PAYLOAD[3:], frame=9)]
-        samples, _ = fuse(parts, 10)
-        assert all(s.tolist() == self.PAYLOAD.tolist() for s in samples)
+        # the prefix joins the same-frame suffix, whose overlap disagrees,
+        # not the longer, agreeing suffix of frame 9
+        same_frame = self.PAYLOAD[4:]
+        same_frame[0] ^= 1
+        parts = [part(True, (0,), self.PAYLOAD[:6], frame=3),
+                 part(False, (0,), same_frame, frame=3),
+                 part(False, (0,), self.PAYLOAD[3:], frame=9)]
+        assert _joins(parts, 10) == [([self.PAYLOAD], True)]
+
+    def test_groups_join_apart(self):
+        # a group change between a prefix and a suffix keeps them apart
+        parts = [part(True, (0,), self.PAYLOAD[:6]),
+                 part(False, (1,), self.PAYLOAD[4:])]
+        assert _joins(parts, 10) == [([], False), ([], False)]
 
 
 class TestMajorityVote:
@@ -357,39 +427,39 @@ class TestDetectMissed:
          for v in (9, 22, 41, 50, 63)]
 
     def test_adjacent_states_no_gap(self):
-        obs = [((0, 0), self.P[0]), ((1, 0), self.P[1])]
+        obs = [((0, 0), self.P[0], 0), ((1, 0), self.P[1], 4)]
         assert detect_missed(obs) == []
 
     def test_two_steps_means_one_missed(self):
-        obs = [((1, 1), self.P[0]), ((1, 0), self.P[1])]
+        obs = [((1, 1), self.P[0], 2), ((1, 0), self.P[1], 9)]
         reports = detect_missed(obs)
         assert len(reports) == 1
         assert reports[0].missed_count == 1
         assert reports[0].after_packet_state == (1, 1)
+        assert reports[0].frame_indices == (2, 9)
 
     def test_three_steps_means_two_missed(self):
-        obs = [((0, 0), self.P[0]), ((1, 1), self.P[1])]
+        obs = [((0, 0), self.P[0], 0), ((1, 1), self.P[1], 5)]
         assert detect_missed(obs)[0].missed_count == 2
 
     def test_same_state_same_payload_is_resample(self):
-        obs = [((0, 1), self.P[0]), ((0, 1), self.P[0])]
+        obs = [((0, 1), self.P[0], 0), ((0, 1), self.P[0], 1)]
         assert detect_missed(obs) == []
 
     def test_same_state_different_payload_is_cycle_skip(self):
-        obs = [((0, 1), self.P[0]), ((0, 1), self.P[1])]
+        obs = [((0, 1), self.P[0], 0), ((0, 1), self.P[1], 6)]
         assert detect_missed(obs)[0].missed_count == 3
 
     @pytest.mark.parametrize("states", [[(2, 0)], [(0, 0), (1,)]])
     def test_unknown_state_rejected(self, states):
         with pytest.raises(ValueError, match="unknown Ab state"):
-            detect_missed([(state, self.P[0]) for state in states])
+            detect_missed([(state, self.P[0], k)
+                           for k, state in enumerate(states)])
 
     def test_simulated_skip_three_scenario(self):
         # packets 2 and 6 share a state; only payload comparison reveals
         # the full-cycle skip
-        from occsim.framing import ab_state_v2
-
-        obs = [(ab_state_v2(2), self.P[0]), (ab_state_v2(6), self.P[1])]
+        obs = [(ab_state_v2(2), self.P[0], 3), (ab_state_v2(6), self.P[1], 8)]
         reports = detect_missed(obs)
         assert [r.missed_count for r in reports] == [3]
 
@@ -667,8 +737,8 @@ def _ref_decode_frame(chips, scheme, version, payload_bits, frame_index=0):
                         if lead is not None and lead != ab:
                             keep = False
                     if keep:
-                        parts.append(DecodedPart(frame_index, Direction.BACKWARD,
-                                                 ab, fragment, complete, p))
+                        parts.append(part(False, ab, fragment, frame_index,
+                                          complete, p))
         ab_lo = p + sf_len
         if ab_lo + ab_chips <= len(chips):
             ab = _ref_decode_ab(chips[ab_lo:ab_lo + ab_chips], n_ab)
@@ -687,17 +757,9 @@ def _ref_decode_frame(chips, scheme, version, payload_bits, frame_index=0):
                         if tail is not None and tail != ab:
                             keep = False
                     if keep:
-                        parts.append(DecodedPart(frame_index, Direction.FORWARD,
-                                                 ab, fragment, complete, p))
+                        parts.append(part(True, ab, fragment, frame_index,
+                                          complete, p))
     return parts
-
-
-def _fields(parts):
-    """Every DecodedPart field, with the types of its scalars."""
-    return [(p.frame_index, p.direction, p.ab_state,
-             tuple(type(b) for b in p.ab_state), p.fragment.dtype,
-             p.fragment.tolist(), p.complete, type(p.complete), p.position,
-             type(p.position)) for p in parts]
 
 
 @st.composite
@@ -816,7 +878,7 @@ class TestAgainstReference:
                             frame_index)
         want = _ref_decode_frame(chips, scheme, version, payload_bits,
                                  frame_index)
-        assert _fields(got) == _fields(want)
+        assert got == want
 
     @settings(max_examples=200, deadline=None)
     @given(_frames())
@@ -1009,8 +1071,9 @@ class TestBlockReaderAgainstReference:
         # a frame is read up to its own run's end, whatever pads the rest
         pad = np.arange(chips.shape[1]) >= lengths[:, None]
         chips[pad] = np.random.default_rng(seed).integers(0, 2, pad.sum())
-        got = decoder._read_parts(chips, lengths, sf_frame, sf_position,
-                                  config, indices)
+        got = _parts(decoder._read_parts(chips, lengths, sf_frame,
+                                         sf_position, config, indices),
+                     config.payload_bits)
         want = []
         for rows, index in zip(block, indices):
             ref_chips = _ref_frame_to_chips(rows, config, _half_removed)
@@ -1018,7 +1081,7 @@ class TestBlockReaderAgainstReference:
                 want += _ref_decode_frame(ref_chips, config.scheme,
                                           config.version,
                                           config.payload_bits, index)
-        assert _fields(got) == _fields(want)
+        assert got == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda bits: st.lists(
@@ -1043,20 +1106,21 @@ class TestBlockReaderAgainstReference:
 
 # --- reference grouping and fusion ------------------------------------------
 # Grouping by a group object and joins through a public pair function that
-# checked coverage itself, as they were before group_parts returned lists
-# of parts; kept as the oracle for the differential test below.
+# checked coverage itself, over one object per part, as they were before
+# the part table became columns; kept as the oracle for the differential
+# tests below.
 
 @dataclass
 class _RefGroup:
     ab_state: tuple[int, ...]
     parts: list = field(default_factory=list)
-    known: np.ndarray | None = None  # reference bits from the first complete part
+    known: tuple | None = None  # reference bits from the first complete part
 
     def conflicts(self, part) -> bool:
         if self.known is None:
             return False
         frag = part.fragment
-        if part.direction is Direction.FORWARD:
+        if part.forward:
             ref = self.known[:len(frag)]
         else:
             ref = self.known[len(self.known) - len(frag):]
@@ -1072,9 +1136,9 @@ def _ref_group_parts(parts):
     groups = []
     current = None
     for part in parts:
-        if current is None or part.ab_state != current.ab_state \
+        if current is None or part.ab != current.ab_state \
                 or current.conflicts(part):
-            current = _RefGroup(part.ab_state)
+            current = _RefGroup(part.ab)
             groups.append(current)
         current.absorb(part)
     return groups
@@ -1100,17 +1164,15 @@ def _ref_fuse_pair(prefix, suffix, payload_bits):
 
 def _ref_fuse(parts, payload_bits):
     samples = []
-    prefixes = [p for p in parts
-                if not p.complete and p.direction is Direction.FORWARD]
-    suffixes = [p for p in parts
-                if not p.complete and p.direction is Direction.BACKWARD]
+    prefixes = [p for p in parts if not p.complete and p.forward]
+    suffixes = [p for p in parts if not p.complete and not p.forward]
     flagged = False
     used_s = set()
     rest_p = []
     for pre in prefixes:
         match = None
         for j, suf in enumerate(suffixes):
-            if j not in used_s and suf.frame_index == pre.frame_index \
+            if j not in used_s and suf.frame == pre.frame \
                     and len(pre.fragment) + len(suf.fragment) >= payload_bits:
                 match = j
                 break
@@ -1132,27 +1194,62 @@ def _ref_fuse(parts, payload_bits):
     return samples, flagged
 
 
+def _ref_assemble(parts, payload_bits, version, fusion):
+    """(recovered groups, unrecovered count, gaps) of the reference:
+    each group's complete fragments and, with fusion, its joins, voted by
+    the reference vote; every scalar a Python one."""
+    groups, unrecovered = [], 0
+    for ref in _ref_group_parts(parts):
+        samples = [p.fragment for p in ref.parts if p.complete]
+        flagged = False
+        if fusion:
+            joined, flagged = _ref_fuse(ref.parts, payload_bits)
+            samples += joined
+        if not samples:
+            unrecovered += 1
+            continue
+        payload, ties = _ref_majority_vote(samples)
+        frames = [p.frame for p in ref.parts]
+        groups.append((ref.ab_state, payload, min(frames), max(frames),
+                       len(samples), tuple(ties.tolist()), flagged))
+    gaps = []
+    if version is V2:
+        gaps = detect_missed([(g[0], g[1], g[2]) for g in groups])
+    return groups, unrecovered, gaps
+
+
+def _typed(value):
+    """The value with the type of every scalar in it, through tuples,
+    lists and arrays (an array's dtype stands for its elements' type)."""
+    if isinstance(value, np.ndarray):
+        return np.ndarray, value.dtype, value.tolist()
+    if isinstance(value, (tuple, list)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
 @st.composite
-def _part_lists(draw):
+def _part_lists(draw, version=V1):
     """(payload_bits, parts): complete fragments, prefixes and suffixes of
     a few payloads, some with a flipped bit, under Ab states from a small
-    set and in a few frames, so that runs split on conflicts and joins
-    overlap, agreeing or not."""
+    set of the structure's and in a few frames, so that runs split on
+    conflicts, joins overlap, agreeing or not, and votes tie."""
     payload_bits = draw(st.integers(1, 8))
     payloads = draw(st.lists(st.lists(st.integers(0, 1), min_size=payload_bits,
                                       max_size=payload_bits),
                              min_size=1, max_size=3))
+    states = ([(0,), (1,)] if version is V1
+              else [ab_state_v2(k) for k in range(draw(st.integers(1, 4)))])
     parts = []
     for _ in range(draw(st.integers(0, 24))):
-        bits = np.array(draw(st.sampled_from(payloads)), dtype=np.int8)
+        bits = draw(st.sampled_from(payloads))
         n = draw(st.integers(1, payload_bits))
-        direction = draw(st.sampled_from(list(Direction)))
-        fragment = (bits[:n] if direction is Direction.FORWARD
-                    else bits[payload_bits - n:]).copy()
+        forward = draw(st.booleans())
+        fragment = bits[:n] if forward else bits[payload_bits - n:]
         if draw(st.integers(0, 4)) == 0:
             fragment[draw(st.integers(0, n - 1))] ^= 1
-        parts.append(part(direction, draw(st.sampled_from([(0,), (1,)])),
-                          fragment, frame=draw(st.integers(0, 3)),
+        parts.append(part(forward, draw(st.sampled_from(states)), fragment,
+                          frame=draw(st.integers(0, 3)),
                           complete=n == payload_bits))
     return payload_bits, parts
 
@@ -1161,33 +1258,35 @@ class TestGroupingAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(_part_lists())
     def test_group_parts_and_fuse(self, case):
+        # _joins compares the groups and each group's joins and flag
         payload_bits, parts = case
-        got, want = group_parts(parts), _ref_group_parts(parts)
-        assert [[id(p) for p in g] for g in got] \
-            == [[id(p) for p in g.parts] for g in want]
-        for group, ref in zip(got, want):
-            samples, flagged = fuse(group, payload_bits)
-            ref_samples, ref_flagged = _ref_fuse(ref.parts, payload_bits)
-            assert [(s.dtype, s.tolist()) for s in samples] \
-                == [(s.dtype, s.tolist()) for s in ref_samples]
-            assert (type(flagged), flagged) == (type(ref_flagged), ref_flagged)
+        _joins(parts, payload_bits)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_part_lists(), st.lists(st.sampled_from(
-        [np.int8, np.int64, np.float64, np.bool_]), min_size=24, max_size=24))
-    def test_group_parts_of_other_dtypes(self, case, dtypes):
-        # a part built from another dtype holds its bits as int8 and
-        # groups as the reference groups the int8 parts
-        _, parts = case
-        cast = [dataclasses.replace(p, fragment=p.fragment.astype(dtype))
-                for p, dtype in zip(parts, dtypes)]
-        assert all(c.fragment.dtype == np.int8
-                   and c.fragment.tolist() == p.fragment.tolist()
-                   for c, p in zip(cast, parts))
-        got = {id(p): i for i, p in enumerate(cast)}
-        want = {id(p): i for i, p in enumerate(parts)}
-        assert [[got[id(p)] for p in g] for g in group_parts(cast)] \
-            == [[want[id(p)] for p in g.parts] for g in _ref_group_parts(parts)]
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([V1, V2]).flatmap(
+               lambda v: st.tuples(st.just(v), _part_lists(v))),
+           st.booleans())
+    def test_decode_samples(self, case, fusion):
+        # the whole assembly of a table: grouping, fusion, the vote and
+        # gap detection, against the references
+        version, (payload_bits, parts) = case
+        table = _table(parts, payload_bits, version)
+        report = decode_samples(table, fusion=fusion)
+        groups, unrecovered, gaps = _ref_assemble(parts, payload_bits,
+                                                  version, fusion)
+        assert _typed([(g.ab_state, g.payload, g.first_frame, g.last_frame,
+                        g.n_samples, g.tie_positions, g.overlap_flagged)
+                       for g in report.groups]) == _typed(groups)
+        assert (report.n_parts, report.n_complete_parts,
+                report.n_unrecovered_groups) \
+            == (len(parts), sum(p.complete for p in parts), unrecovered)
+        assert _typed([(g.after_packet_state, g.missed_count,
+                        g.frame_indices) for g in report.gaps]) \
+            == _typed([(g.after_packet_state, g.missed_count,
+                        g.frame_indices) for g in gaps])
+        assert all(type(v) is int for v in (
+            report.n_parts, report.n_complete_parts,
+            report.n_unrecovered_groups))
 
 
 _POISON = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e300, 7.0])
