@@ -148,15 +148,14 @@ def _prefix_integral(stream: ChipStream) -> np.ndarray:
 
 def _integral_at(prefix: np.ndarray, chips: np.ndarray, clock_hz: float,
                  times: np.ndarray) -> np.ndarray:
-    """On-time integral of the waveform from 0 to each time (0 past the end)."""
-    if len(chips) == 0:
-        return np.zeros_like(np.asarray(times, dtype=np.float64))
+    """On-time integral of the waveform from 0 to each time (0 past the end).
+
+    ``chips`` are the waveform's chips as floats with one trailing 0.0, the
+    level past the end.
+    """
     positions = np.clip(times, 0.0, None) * clock_hz
-    idx = np.minimum(positions.astype(np.int64), len(chips))
-    frac = positions - idx
-    inside = idx < len(chips)
-    partial = np.where(inside, chips[np.minimum(idx, len(chips) - 1)] * frac, 0.0)
-    return prefix[idx] + partial / clock_hz
+    idx = np.minimum(positions.astype(np.int64), len(chips) - 1)
+    return prefix[idx] + chips[idx] * (positions - idx) / clock_hz
 
 
 def sample_frames(waveform: ChipStream, camera: CameraConfig,
@@ -188,7 +187,9 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
     noise_rng = np.random.default_rng((camera.seed, 1))
 
     prefix = _prefix_integral(waveform)
-    chips = waveform.chips.astype(np.float64)
+    # the chips as floats and the 0.0 level past the end, in one array
+    chips = np.zeros(len(waveform.chips) + 1)
+    chips[:-1] = waveform.chips
     exposure = camera.row_exposure_s
     begin = (camera.rows - cov) // 2
     # only the covered rows are integrated; the rest stay dark

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import _BLOCK_ELEMENTS, FrameSample
 from .framing import (
@@ -167,15 +166,54 @@ class PartTable:
     config: DecoderConfig
 
 
+def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
+    """Every ``w``-long window sum along the last axis (at least ``w``
+    long), bit for bit as numpy's ``add.reduce`` sums a contiguous run of
+    ``w`` (pairwise, from its ``+0.0`` identity), in a few whole-array
+    shifted-slice adds.
+
+    numpy adds fewer than 8 elements left to right.  Up to 128 it keeps
+    8 accumulators ``r[j] = x[j] + x[j+8] + ...`` over the first
+    ``w - w % 8`` elements, adds them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one;
+    past 128 it splits at ``w // 2`` rounded down to a multiple of 8.
+    Window i's accumulators are ``y[i:i+8]`` of one array
+    ``y[k] = x[k] + x[k+8] + ...`` that serves every window.
+    """
+    n = x.shape[-1] - w + 1
+    if w < 8:
+        sums = x[..., :n] + 0.0
+        for j in range(1, w):
+            sums += x[..., j:j + n]
+        return sums
+    if w > 128:
+        h = w // 2 - w // 2 % 8
+        return (_window_sums(x[..., :n + h - 1], h)
+                + _window_sums(x[..., h:], w - h))
+    m = w - w % 8
+    # from +0.0, as numpy's identity: no sum comes out -0.0
+    y = x[..., :n + 7] + 0.0
+    for j in range(8, m, 8):
+        y += x[..., j:j + n + 7]
+    pairs = y[..., :-1] + y[..., 1:]
+    quads = pairs[..., :-2] + pairs[..., 2:]
+    sums = quads[..., :n] + quads[..., 4:4 + n]
+    for j in range(m, w):
+        sums += x[..., j:j + n]
+    return sums
+
+
 def detrend(row_luma, window: int) -> np.ndarray:
     """Subtract a centered moving average (odd window) along the last axis.
 
     Near the ends the window is truncated to the available rows and
     normalized by the actual count; replicating edge rows instead would
     bias the baseline exactly where fragments start and end.  A frames x
-    rows block is detrended in one pass, each row exactly as on its own.
+    rows block is detrended in one pass, each row exactly as on its own:
+    the window sums are :func:`_window_sums`, numpy's pairwise order for
+    one window summed alone.
     """
-    # C order, so each row reduces as a contiguous run, as it does alone
+    # C order, so a row's mean reduces as a contiguous run, as it does alone
     signal = np.ascontiguousarray(row_luma, dtype=np.float64)
     n = signal.shape[-1]
     window = min(window, n)
@@ -186,7 +224,7 @@ def detrend(row_luma, window: int) -> np.ndarray:
     half = window // 2
     padded = np.zeros(signal.shape[:-1] + (n + 2 * half,))
     padded[..., half:half + n] = signal
-    sums = sliding_window_view(padded, window, axis=-1).sum(axis=-1)
+    sums = _window_sums(padded, window)
     i = np.arange(n)
     counts = np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
     return signal - sums / counts
@@ -198,9 +236,12 @@ def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
     ``offsets``, side by side along the last axis, and the bounds of each
     offset's run in them.
 
-    Each group sums in the order a one-frame, one-offset slice did (a
-    reshape when the grid is integer, reduceat when fractional), so the
-    means match it bit for bit.
+    Each group sums in the order a one-frame, one-offset slice did, so
+    the means match it bit for bit.  On an integer grid that slice was
+    ``reshape(-1, step).sum(axis=1)``, which sums each contiguous group
+    pairwise, the order of a detrend window: every offset's groups are
+    among the ``step``-long windows of :func:`_window_sums`.  On a
+    fractional grid it was ``np.add.reduceat``, which adds left to right.
     """
     frames, length = block.shape
     counts = [int((length - offset) / rows_per_chip + 1e-9)
@@ -208,10 +249,11 @@ def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
     bounds = np.concatenate([[0], np.cumsum(counts)])
     step = int(round(rows_per_chip))
     if abs(rows_per_chip - step) < 1e-9:
-        rows = np.concatenate([block[:, offset:offset + n * step]
-                               for offset, n in enumerate(counts)], axis=1)
-        return (rows.reshape(-1, step).sum(axis=1) / step
-                ).reshape(frames, -1), bounds
+        # an offset's group g is the window starting at offset + g * step
+        sums = _window_sums(block, step)
+        return np.concatenate([sums[:, offset:offset + n * step:step]
+                               for offset, n in enumerate(counts)],
+                              axis=1) / step, bounds
     edges = [offset + np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
              for offset, n in enumerate(counts)]
     starts = np.concatenate([e[:-1] for e in edges])
@@ -477,22 +519,26 @@ def fuse(table: PartTable, group: np.ndarray
     pairs = []
     for _, run in itertools.groupby(np.flatnonzero(table.length < n).tolist(),
                                     key=groups.__getitem__):
-        prefixes, suffixes = [], []
+        prefixes, suffixes = [], {}  # suffixes by frame, in stream order
         for i in run:
-            (prefixes if forward[i] else suffixes).append(i)
-        # intra-frame fusion first: both halves seen within one image
+            if forward[i]:
+                prefixes.append(i)
+            else:
+                suffixes.setdefault(frame[i], []).append(i)
+        # intra-frame fusion first: both halves seen within one image, each
+        # prefix with its frame's first unused suffix that completes it
         rest = []
         for pre in prefixes:
-            match = next((j for j, suf in enumerate(suffixes)
-                          if suf is not None and frame[suf] == frame[pre]
-                          and length[pre] + length[suf] >= n), None)
+            same = suffixes.get(frame[pre], [])
+            match = next((suf for suf in same
+                          if length[pre] + length[suf] >= n), None)
             if match is None:
                 rest.append(pre)
             else:
-                pairs.append((pre, suffixes[match]))
-                suffixes[match] = None
+                pairs.append((pre, match))
+                same.remove(match)
         # inter-frame fusion: the longest remaining halves joined pairwise
-        rest_s = [suf for suf in suffixes if suf is not None]
+        rest_s = sorted(itertools.chain.from_iterable(suffixes.values()))
         pairs += [(pre, suf) for pre, suf in zip(
                       sorted(rest, key=length.__getitem__, reverse=True),
                       sorted(rest_s, key=length.__getitem__, reverse=True))

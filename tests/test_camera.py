@@ -201,6 +201,18 @@ class TestCoverage:
 # The per-frame loop that the frames x rows blocks replaced, kept as the
 # oracle for the differential test below.
 
+def _ref_integral_at(prefix, chips, clock_hz, times):
+    """On-time integral from 0 to each time, 0 past the last chip."""
+    if len(chips) == 0:
+        return np.zeros_like(np.asarray(times, dtype=np.float64))
+    positions = np.clip(times, 0.0, None) * clock_hz
+    idx = np.minimum(positions.astype(np.int64), len(chips))
+    frac = positions - idx
+    inside = idx < len(chips)
+    partial = np.where(inside, chips[np.minimum(idx, len(chips) - 1)] * frac, 0.0)
+    return prefix[idx] + partial / clock_hz
+
+
 def _ref_sample_frames(waveform, camera, geometry=None, duration_s=None):
     duration = waveform.duration_s if duration_s is None else duration_s
     cov = camera.rows if geometry is None \
@@ -219,8 +231,9 @@ def _ref_sample_frames(waveform, camera, geometry=None, duration_s=None):
         if start + last_row_end > duration + 1e-12:
             break
         begins = start + row_offsets
-        integ = (_integral_at(prefix, chips, waveform.clock_hz, begins + exposure)
-                 - _integral_at(prefix, chips, waveform.clock_hz, begins))
+        integ = (_ref_integral_at(prefix, chips, waveform.clock_hz,
+                                  begins + exposure)
+                 - _ref_integral_at(prefix, chips, waveform.clock_hz, begins))
         luma = integ / exposure
         if cov < camera.rows:
             mask = np.zeros(camera.rows, dtype=bool)
@@ -263,6 +276,23 @@ class TestAgainstReference:
                 (b.index, b.start_time_s, b.covered_rows)
             assert a.row_luma.dtype == b.row_luma.dtype
             assert a.row_luma.tobytes() == b.row_luma.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 50), st.integers(0, 2**32 - 1))
+    def test_integral_at(self, n_chips, seed):
+        # before the start, inside, at chip edges and past the end, where
+        # sampled frames never reach
+        rng = np.random.default_rng(seed)
+        stream = ChipStream(rng.integers(0, 2, n_chips).astype(np.int8),
+                            self.CLOCK)
+        times = np.concatenate([
+            rng.uniform(-1.0, 2.0, 200) * stream.duration_s,
+            np.arange(-1, n_chips + 2) / self.CLOCK])
+        prefix = _prefix_integral(stream)
+        chips = stream.chips.astype(np.float64)
+        got = _integral_at(prefix, np.append(chips, 0.0), self.CLOCK, times)
+        want = _ref_integral_at(prefix, chips, self.CLOCK, times)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("sigma", [0.0, 0.3])

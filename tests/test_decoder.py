@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -19,6 +19,7 @@ from occsim.decoder import (
     PartTable,
     _group_means,
     _sf_match,
+    _window_sums,
     decode_samples,
     detect_missed,
     detrend,
@@ -128,7 +129,48 @@ def _ref_detrend(row, window):
                   / np.convolve(np.ones_like(row), kernel, mode="same"))
 
 
+def _with_zeros(rng, shape, zeros):
+    """Normal values over six decades, a share of them exact zeros and a
+    share of those -0.0: ``zeros`` is the two shares."""
+    zero_share, negative_share = zeros
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    zero = rng.random(shape) < zero_share
+    x[zero] = np.where(rng.random(np.count_nonzero(zero)) < negative_share,
+                       -0.0, 0.0)
+    return x
+
+
+# no zeros, some of either sign, and all +0.0, all -0.0 or mixed: a sum
+# of zeros only is -0.0 when each of them is
+_ZEROS = st.sampled_from([(0.0, 0.0), (0.2, 0.5), (1.0, 0.0), (1.0, 1.0),
+                          (1.0, 0.5)])
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
 class TestDetrend:
+    # every summation branch of numpy's pairwise add: below 8 elements, 8
+    # to 128, and past 128, where it splits
+    @settings(max_examples=300, deadline=None)
+    @example(7, 9, (3,), (0.2, 0.5), 0)
+    @example(8, 9, (3,), (0.2, 0.5), 0)
+    @example(128, 9, (3,), (0.2, 0.5), 0)
+    @example(129, 9, (3,), (0.2, 0.5), 0)
+    @example(9, 9, (3,), (1.0, 1.0), 0)
+    @given(st.integers(1, 300), st.integers(0, 60),
+           st.sampled_from([(), (1,), (3,), (2, 3), (700,)]),
+           _ZEROS, st.integers(0, 2**32 - 1))
+    def test_window_sums_are_numpys(self, window, extra, leading, zeros,
+                                    seed):
+        x = _with_zeros(np.random.default_rng(seed),
+                        leading + (window + extra,), zeros)
+        want = sliding_window_view(x, window, axis=-1).sum(axis=-1)
+        _assert_same_bits(_window_sums(x, window), want)
+
     def test_constant_input_goes_to_zero(self):
         out = detrend(np.full(50, 0.7), 9)
         assert np.abs(out).max() < 1e-12
@@ -199,6 +241,25 @@ class TestBinarize:
         means, bounds = _group_means(sig[None], 1.5, offsets=2)
         assert bounds.tolist() == [0, 5, 9]
         assert means.tolist() == [[0, 0, 0, 0, 9.0, 0, 0, 0, 4.5]]
+
+    # a group of 8 or more rows is where numpy's pairwise order departs
+    # from a left-to-right sum
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 20), st.integers(0, 39),
+           st.sampled_from([0, 1, 3, 50]), _ZEROS, st.integers(0, 2**32 - 1))
+    def test_integer_groups_are_reshape_sums(self, step, groups, extra,
+                                             frames, zeros, seed):
+        length = (2 + groups) * step + extra % step
+        block = _with_zeros(np.random.default_rng(seed), (frames, length),
+                            zeros)
+        means, bounds = _group_means(block, step, offsets=step)
+        counts = [(length - offset) // step for offset in range(step)]
+        assert bounds.tolist() == np.cumsum([0] + counts).tolist()
+        want = np.concatenate([
+            block[:, offset:offset + n * step].reshape(-1, step).sum(axis=1)
+            .reshape(frames, n) / step for offset, n in enumerate(counts)],
+            axis=1)
+        _assert_same_bits(means, want)
 
     def test_rejects_bad_ratio(self):
         # below one row per chip a chip group would hold no whole row
@@ -387,6 +448,16 @@ class TestFuse:
                  part(False, (0,), same_frame, frame=3),
                  part(False, (0,), self.PAYLOAD[3:], frame=9)]
         assert _joins(parts, 10) == [([self.PAYLOAD], True)]
+
+    def test_leftover_suffixes_keep_stream_order(self):
+        # no same-frame pairs: the longer prefix takes the first of two
+        # equally long suffixes in stream order, frames 1 then 2
+        flipped = self.PAYLOAD[:9] + [1 - self.PAYLOAD[9]]
+        parts = [part(True, (1,), self.PAYLOAD[:6], frame=0),
+                 part(False, (1,), self.PAYLOAD[5:], frame=1),
+                 part(False, (1,), flipped[5:], frame=2),
+                 part(True, (1,), self.PAYLOAD[:5], frame=5)]
+        assert _joins(parts, 10) == [([self.PAYLOAD, flipped], False)]
 
     def test_groups_join_apart(self):
         # a group change between a prefix and a suffix keeps them apart
