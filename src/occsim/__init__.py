@@ -15,7 +15,7 @@ from .analysis import (
 )
 from .camera import (
     CameraConfig,
-    FrameSample,
+    FrameBlock,
     GeometryConfig,
     covered_rows,
     frame_intervals,

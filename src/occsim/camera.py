@@ -2,15 +2,21 @@
 
 Each frame exposes its rows sequentially; a row's luminance is the exact
 time average of the piecewise-constant chip waveform over that row's
-exposure window (computed from a prefix integral, so conservation holds to
-float precision).  Frame-to-frame timing follows a varying frame rate:
+exposure window.  Frame-to-frame timing follows a varying frame rate:
 interval_k = 1 / (mean_fps + delta_k * delta_fps) with delta_k drawn i.i.d.
 from a bounded deviation process.
 
 Distance enters through a single ratio: at ``reference_distance`` the LED
 footprint spans exactly the ``subpacket_rows`` rows of one sub-packet, and
 the footprint shrinks proportionally to 1/distance.  Rows outside the
-footprint read background (zero) luminance.
+footprint read background (zero) luminance, plus the sensor noise.
+
+Frames come in blocks (:class:`FrameBlock`): columns of consecutive
+frames and one frames x sensor-rows luma array of bounded size.
+:func:`sample_frames` renders them one block at a time, as they are read,
+each from an exact count of the on-chips over only the chips its rows
+expose, so no run holds a whole waveform's frames or a float copy of the
+waveform.
 """
 
 from __future__ import annotations
@@ -21,9 +27,14 @@ import numpy as np
 
 from .rll import ChipStream
 
-# frames x rows blocks hold at most this many rows (but at least one
-# frame), which bounds the memory their temporaries take
+# frames x rows blocks hold at most this many luma values (but at least
+# one frame), which bounds the memory a block and its temporaries take
 _BLOCK_ELEMENTS = 1 << 15
+# a block's row integrals are computed over at most this many values at a
+# time (but at least one frame): temporaries this small are reused from
+# the heap, where whole-block ones were given back to the system and
+# faulted in again block after block
+_SCRATCH_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -102,22 +113,19 @@ def covered_rows(geometry: GeometryConfig, max_rows: int | None = None) -> int:
     return max(0, rows)
 
 
-@dataclass(frozen=True)
-class FrameSample:
-    """One simulated image: per-row luminance plus capture metadata."""
+@dataclass(frozen=True, eq=False)
+class FrameBlock:
+    """Consecutive frames of one sensor, as columns: each frame's index
+    and start time, and a frames x sensor-rows luma array whose
+    ``covered`` rows the LED footprint spans (the rest are dark)."""
 
-    index: int
-    start_time_s: float
-    row_luma: np.ndarray
-    covered_rows: int
+    index: np.ndarray  # int64
+    start_time_s: np.ndarray  # float64
+    luma: np.ndarray  # frames x sensor rows
+    covered: slice
 
-    @property
-    def covered_start(self) -> int:
-        return (len(self.row_luma) - self.covered_rows) // 2
-
-    def covered_slice(self) -> np.ndarray:
-        start = self.covered_start
-        return self.row_luma[start:start + self.covered_rows]
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 def _draw_deltas(config: CameraConfig, count: int,
@@ -140,32 +148,96 @@ def frame_intervals(config: CameraConfig, count: int) -> np.ndarray:
     return 1.0 / rates
 
 
-def _prefix_integral(stream: ChipStream) -> np.ndarray:
-    # cumulative on-time in seconds at each chip boundary
-    return np.concatenate(([0.0], np.cumsum(stream.chips, dtype=np.float64))) \
-        / stream.clock_hz
+def _chip_span(chips: np.ndarray, lo: int, hi: int, ones_before: int,
+               clock_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chips ``lo`` to ``hi`` as floats (0.0 past the end), and the
+    waveform's on-time integral, in seconds, at the start of each, given
+    the count of on-chips before chip ``lo``.
 
-
-def _integral_at(prefix: np.ndarray, chips: np.ndarray, clock_hz: float,
-                 times: np.ndarray) -> np.ndarray:
-    """On-time integral of the waveform from 0 to each time (0 past the end).
-
-    ``chips`` are the waveform's chips as floats with one trailing 0.0, the
-    level past the end.
+    The integral is that count plus a float sum over only these chips, so
+    it equals, bit for bit, what a float prefix sum of the whole waveform
+    gives: a float sum of 0/1 chips is exact below 2**53.
     """
+    span = np.zeros(hi + 1 - lo)
+    reached = chips[lo:hi + 1]
+    span[:len(reached)] = reached
+    prefix = np.empty(len(span))
+    prefix[0] = ones_before
+    np.cumsum(span[:-1], out=prefix[1:])
+    prefix[1:] += ones_before
+    return span, prefix / clock_hz
+
+
+def _integral_at(prefix: np.ndarray, span: np.ndarray, lo: int,
+                 clock_hz: float, times: np.ndarray) -> np.ndarray:
+    """On-time integral of the waveform from 0 to each time (0 past the
+    end), from a :func:`_chip_span` from chip ``lo`` that reaches every
+    time."""
     positions = np.clip(times, 0.0, None) * clock_hz
-    idx = np.minimum(positions.astype(np.int64), len(chips) - 1)
-    return prefix[idx] + chips[idx] * (positions - idx) / clock_hz
+    idx = np.minimum(positions.astype(np.int64), lo + len(span) - 1)
+    return (prefix[idx - lo]
+            + span[idx - lo] * (positions - idx) / clock_hz)
+
+
+class SampledFrames:
+    """The frames of one :func:`sample_frames` call: their count up front,
+    and their blocks, rendered one at a time on each iteration, the same
+    on every iteration."""
+
+    def __init__(self, waveform: ChipStream, camera: CameraConfig,
+                 covered: int, starts: np.ndarray):
+        self.waveform, self.camera, self.starts = waveform, camera, starts
+        begin = (camera.rows - covered) // 2
+        self.covered = slice(begin, begin + covered)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self):
+        camera, chips = self.camera, self.waveform.chips
+        clock_hz, exposure = self.waveform.clock_hz, camera.row_exposure_s
+        noise_rng = np.random.default_rng((camera.seed, 1))
+        # only the covered rows are integrated; the rest stay dark
+        row_offsets = (np.arange(self.covered.start, self.covered.stop)
+                       * camera.row_period_s)
+        ones, mark = 0, 0  # the on-chips before chip `mark`
+        step = max(1, _BLOCK_ELEMENTS // camera.rows)
+        for lo in range(0, len(self.starts), step):
+            block_starts = self.starts[lo:lo + step]
+            luma = np.zeros((len(block_starts), camera.rows))
+            if len(row_offsets):
+                # the chips of the block's first begin and last end: times
+                # only rise along frames and rows
+                first, last = (min(int(max(t, 0.0) * clock_hz), len(chips))
+                               for t in (block_starts[0] + row_offsets[0],
+                                         block_starts[-1] + row_offsets[-1]
+                                         + exposure))
+                ones += int(np.count_nonzero(chips[mark:first]))
+                mark = first
+                span, prefix = _chip_span(chips, first, last, ones, clock_hz)
+                sub = max(1, _SCRATCH_ELEMENTS // len(row_offsets))
+                for f in range(0, len(block_starts), sub):
+                    begins = block_starts[f:f + sub, None] + row_offsets
+                    luma[f:f + sub, self.covered] = (
+                        _integral_at(prefix, span, first, clock_hz,
+                                     begins + exposure)
+                        - _integral_at(prefix, span, first, clock_hz, begins)
+                    ) / exposure
+            if camera.noise_sigma > 0:
+                luma += noise_rng.normal(0.0, camera.noise_sigma, luma.shape)
+            np.clip(luma, 0.0, 1.0, out=luma)
+            yield FrameBlock(np.arange(lo, lo + len(block_starts)),
+                             block_starts, luma, self.covered)
 
 
 def sample_frames(waveform: ChipStream, camera: CameraConfig,
                   geometry: GeometryConfig | None = None,
-                  duration_s: float | None = None) -> list[FrameSample]:
+                  duration_s: float | None = None) -> SampledFrames:
     """Simulate frames over the waveform; deterministic for a given seed.
 
-    Without geometry the LED fills the whole sensor.  Frames are rendered
-    as frames x rows blocks of at most ``_BLOCK_ELEMENTS`` rows in all;
-    each sample's ``row_luma`` is a row of its block.
+    Without geometry the LED fills the whole sensor.  The frames are
+    counted at once and rendered as they are iterated, as blocks of at
+    most ``_BLOCK_ELEMENTS`` luma values (but at least one frame).
     """
     duration = waveform.duration_s if duration_s is None else duration_s
     if not 0 <= duration <= waveform.duration_s + 1e-12:
@@ -184,29 +256,4 @@ def sample_frames(waveform: ChipStream, camera: CameraConfig,
     # starts only rise, so the frames that fit are a prefix
     starts = starts[:np.count_nonzero(starts + last_row_end
                                       <= duration + 1e-12)]
-    noise_rng = np.random.default_rng((camera.seed, 1))
-
-    prefix = _prefix_integral(waveform)
-    # the chips as floats and the 0.0 level past the end, in one array
-    chips = np.zeros(len(waveform.chips) + 1)
-    chips[:-1] = waveform.chips
-    exposure = camera.row_exposure_s
-    begin = (camera.rows - cov) // 2
-    # only the covered rows are integrated; the rest stay dark
-    row_offsets = np.arange(begin, begin + cov) * camera.row_period_s
-
-    frames = []
-    step = max(1, _BLOCK_ELEMENTS // camera.rows)
-    for lo in range(0, len(starts), step):
-        block_starts = starts[lo:lo + step]
-        begins = block_starts[:, None] + row_offsets
-        integ = (_integral_at(prefix, chips, waveform.clock_hz, begins + exposure)
-                 - _integral_at(prefix, chips, waveform.clock_hz, begins))
-        luma = np.zeros((len(block_starts), camera.rows))
-        luma[:, begin:begin + cov] = integ / exposure
-        if camera.noise_sigma > 0:
-            luma += noise_rng.normal(0.0, camera.noise_sigma, luma.shape)
-        np.clip(luma, 0.0, 1.0, out=luma)
-        frames.extend(FrameSample(k, start, row, cov) for k, (start, row)
-                      in enumerate(zip(block_starts.tolist(), luma), lo))
-    return frames
+    return SampledFrames(waveform, camera, cov, starts)

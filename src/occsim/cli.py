@@ -106,14 +106,14 @@ def cmd_simulate(args) -> int:
         return 2
     stream = io.read_chipstream(args.stream)
     duration = args.duration if args.duration is not None else stream.duration_s
-    samples = sample_frames(stream, config.camera(), config.geometry(),
-                            duration_s=duration)
-    io.write_frames_csv(args.out, samples)
+    frames = sample_frames(stream, config.camera(), config.geometry(),
+                           duration_s=duration)
+    io.write_frames_csv(args.out, frames)
     out = Path(args.out)
     io.write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                      _manifest_payload(config, frame_count=len(samples),
+                      _manifest_payload(config, frame_count=len(frames),
                                         duration_s=duration))
-    print(f"wrote {len(samples)} frames to {args.out}")
+    print(f"wrote {len(frames)} frames to {args.out}")
     return 0
 
 
@@ -124,8 +124,8 @@ def cmd_decode(args) -> int:
     geometry = config.geometry()
     covered = None if geometry is None \
         else covered_rows(geometry, max_rows=config.camera_rows)
-    samples = io.read_frames_csv(args.frames, covered_rows=covered)
-    report = decode_samples(extract_parts(samples, config.decoder()),
+    blocks = io.read_frames_csv(args.frames, covered_rows=covered)
+    report = decode_samples(extract_parts(blocks, config.decoder()),
                             fusion=not args.no_fusion)
     text = report.to_text()
     print(text)

@@ -18,11 +18,11 @@ suffix of the sub-packet ending there.  Each fragment is its window's
 payload row, zeroed outside the fragment, and that row is the one form a
 fragment takes from the reader to the vote.
 
-A decode is two calls.  :func:`extract_parts` slices and reads a frame
-sequence into a :class:`PartTable`, one column per part field and one
-parts x payload-bits matrix; :func:`decode_samples` assembles a table into
-a report, with or without fusion, so one table serves both arms of a
-fusion comparison.  Fragments are grouped by asynchronous-bit state along
+A decode is two calls.  :func:`extract_parts` slices and reads frame
+blocks, as they come, into a :class:`PartTable`, one column per part
+field and one parts x payload-bits matrix; :func:`decode_samples`
+assembles a table into a report, with or without fusion, so one table
+serves both arms of a fusion comparison.  Fragments are grouped by asynchronous-bit state along
 the stream; a group's complete rows and, with fusion, its prefix + suffix
 joins (one ``np.where`` over the paired rows) are its samples, and every
 group's samples are majority voted in one pass.  Under the two-bit
@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import _BLOCK_ELEMENTS, FrameSample
+from .camera import _BLOCK_ELEMENTS, FrameBlock
 from .framing import (
     FrameStructure,
     ab_chip_count,
@@ -47,6 +48,7 @@ from .framing import (
 )
 from .rll import (
     RllScheme,
+    chips_to_ascii,
     codeword_bits,
     codeword_chips,
     codeword_values,
@@ -118,11 +120,12 @@ class LinkReport:
 
 
 def bits_to_hex(bits) -> str:
-    bits = np.asarray(bits, dtype=np.int8)
-    if bits.size == 0:
+    """A bit vector, MSB first, as hex digits, one per 4 bits (rounded
+    up); any value but 0 and 1 raises ValueError."""
+    text = chips_to_ascii(bits)
+    if not text:
         return ""
-    value = int("".join(str(int(b)) for b in bits), 2)
-    return format(value, f"0{math.ceil(len(bits) / 4)}x")
+    return format(int(text, 2), f"0{math.ceil(len(text) / 4)}x")
 
 
 @dataclass(frozen=True)
@@ -552,27 +555,24 @@ def fuse(table: PartTable, group: np.ndarray
             (overlap & (halves[0] != halves[1])).any(axis=1))
 
 
-def extract_parts(samples: list[FrameSample],
+def extract_parts(blocks: Iterable[FrameBlock],
                   config: DecoderConfig) -> PartTable:
-    """Slice and read a frame sequence into its part table."""
+    """Slice and read frame blocks, in order, into their part table; each
+    block is read as it comes, its covered rows in frames x rows runs of
+    at most ``_BLOCK_ELEMENTS`` values."""
     # a block of no frames gives each column its dtype and row shape
     reads = [_read_parts(*_slice(np.empty((0, 0)), config), config, [])]
-    frames_with_sf = 0
-    # runs of consecutive samples with one covered-row count are sliced and
-    # read as frames x rows blocks, in order
-    slices = [sample.covered_slice() for sample in samples]
-    start = 0
-    for width, run in itertools.groupby(len(rows) for rows in slices):
-        end = start + sum(1 for _ in run)
-        step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-        for lo in range(start, end, step):
-            hi = min(lo + step, end)
-            sliced = _slice(np.stack(slices[lo:hi]), config)
+    frames = frames_with_sf = 0
+    for block in blocks:
+        covered = block.luma[:, block.covered]
+        step = max(1, _BLOCK_ELEMENTS // max(covered.shape[1], 1))
+        for lo in range(0, len(covered), step):
+            sliced = _slice(covered[lo:lo + step], config)
             frames_with_sf += np.unique(sliced[2]).size
-            reads.append(_read_parts(
-                *sliced, config, [sample.index for sample in samples[lo:hi]]))
-        start = end
-    return PartTable(*map(np.concatenate, zip(*reads)), len(samples),
+            reads.append(_read_parts(*sliced, config,
+                                     block.index[lo:lo + step]))
+        frames += len(covered)
+    return PartTable(*map(np.concatenate, zip(*reads)), frames,
                      frames_with_sf, config)
 
 

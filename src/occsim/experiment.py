@@ -7,11 +7,12 @@ configured seeds.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraConfig, FrameSample, GeometryConfig, sample_frames
+from .camera import CameraConfig, FrameBlock, GeometryConfig, sample_frames
 from .decoder import (
     DecoderConfig,
     LinkReport,
@@ -53,21 +54,26 @@ def random_payloads(count: int, payload_bits: int, seed: int,
 _MAX_CONSECUTIVE_DROPS = 3
 
 
-def drop_frames(samples: list[FrameSample], keep_probability: float,
-                seed: int) -> list[FrameSample]:
-    """Randomly drop frames, never more than three in a row."""
+def drop_frames(blocks: Iterable[FrameBlock], keep_probability: float,
+                seed: int) -> Iterator[FrameBlock]:
+    """Randomly drop frames, never more than three in a row: each block's
+    kept frames, as the blocks are read.  A frame takes one draw, unless
+    the three frames before it were dropped: it is kept without one."""
     if keep_probability >= 1.0:
-        return list(samples)
+        yield from blocks
+        return
     rng = np.random.default_rng(seed)
-    kept = []
     run = 0
-    for sample in samples:
-        if run >= _MAX_CONSECUTIVE_DROPS or rng.random() < keep_probability:
-            kept.append(sample)
-            run = 0
-        else:
-            run += 1
-    return kept
+    for block in blocks:
+        keep = np.zeros(len(block), dtype=bool)
+        for k in range(len(block)):
+            if run >= _MAX_CONSECUTIVE_DROPS or rng.random() < keep_probability:
+                keep[k] = True
+                run = 0
+            else:
+                run += 1
+        yield FrameBlock(block.index[keep], block.start_time_s[keep],
+                         block.luma[keep], block.covered)
 
 
 @dataclass
@@ -88,17 +94,17 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
              keep_probability: float = 1.0) -> LinkOutcome:
     """Transmit the payload sequence and decode the simulated frames."""
     stream = build_packet_stream(payloads, plan, scheme, version)
-    samples = sample_frames(stream, camera, geometry)
-    kept = drop_frames(samples, keep_probability, camera.seed + 7919)
+    frames = sample_frames(stream, camera, geometry)
     config = DecoderConfig(scheme=scheme, version=version,
                            payload_bits=len(payloads[0]),
                            rows_per_chip=rows_per_chip)
-    report = decode_samples(extract_parts(kept, config), fusion=True)
+    table = extract_parts(
+        drop_frames(frames, keep_probability, camera.seed + 7919), config)
     return LinkOutcome(
         transmitted=[np.asarray(p, dtype=np.int8) for p in payloads],
-        report=report,
-        n_frames_sampled=len(samples),
-        n_frames_decoded=len(kept),
+        report=decode_samples(table, fusion=True),
+        n_frames_sampled=len(frames),
+        n_frames_decoded=table.n_frames,
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import FrameSample
+from .camera import FrameBlock
 from .rll import ChipStream, ascii_to_chips, chips_to_ascii
 
 PACKED_MAGIC = b"OCHP"
@@ -78,7 +78,7 @@ def read_chipstream(path) -> ChipStream:
 
     clock_hz = None
     count = None
-    lines: list[np.ndarray] = []
+    lines: list[tuple[int, str]] = []
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -90,26 +90,27 @@ def read_chipstream(path) -> ChipStream:
             continue
         if "=" in line:
             key, _, value = line.partition("=")
-            if key == "clock_hz":
-                clock_hz = _clock_hz(value, f"line {lineno}")
-            elif key == "chips":
-                try:
-                    count = int(value)
-                except ValueError:
-                    raise FileFormatError(
-                        f"line {lineno}: chips must be an integer, "
-                        f"got {value!r}") from None
-            else:
-                raise FileFormatError(f"line {lineno}: unknown header {key!r}")
-        else:
             try:
-                lines.append(ascii_to_chips(line))
-            except ValueError:
-                raise FileFormatError(
-                    f"line {lineno}: expected 0/1 chips") from None
+                if key == "clock_hz":
+                    clock_hz = _clock_hz(value, f"line {lineno}")
+                elif key == "chips":
+                    try:
+                        count = int(value)
+                    except ValueError:
+                        raise FileFormatError(
+                            f"line {lineno}: chips must be an integer, "
+                            f"got {value!r}") from None
+                else:
+                    raise FileFormatError(
+                        f"line {lineno}: unknown header {key!r}")
+            except FileFormatError:
+                _chip_lines(lines)  # a faulty chip line above is named first
+                raise
+        else:
+            lines.append((lineno, line))
+    chips = _chip_lines(lines)
     if clock_hz is None or count is None:
         raise FileFormatError("missing clock_hz/chips header")
-    chips = np.concatenate([np.empty(0, dtype=np.int8), *lines])
     if len(chips) != count:
         raise FileFormatError(
             f"chip count mismatch: header says {count}, file has {len(chips)}"
@@ -117,24 +118,43 @@ def read_chipstream(path) -> ChipStream:
     return ChipStream(chips, clock_hz)
 
 
+def _chip_lines(lines: list[tuple[int, str]]) -> np.ndarray:
+    """The chips of (line number, text) body lines, read in one pass; the
+    lines are read one by one only to name the first at fault."""
+    try:
+        return ascii_to_chips("".join(text for _, text in lines))
+    except ValueError:
+        for lineno, text in lines:
+            try:
+                ascii_to_chips(text)
+            except ValueError:
+                raise FileFormatError(
+                    f"line {lineno}: expected 0/1 chips") from None
+        raise
+
+
 FRAME_CSV_HEADER = ["frame_index", "start_time_s", "row", "luma"]
 
 
-def write_frames_csv(path, samples: list[FrameSample]) -> None:
-    """One CSV line per sensor row, floats as their repr, CRLF line ends
-    (what the csv module's default dialect writes for these fields)."""
+def write_frames_csv(path, blocks) -> None:
+    """One CSV line per sensor row, a block at a time, floats as their
+    repr, CRLF line ends (what the csv module's default dialect writes for
+    these fields)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FRAME_CSV_HEADER) + "\r\n")
-        for sample in samples:
-            head = f"{sample.index},{float(sample.start_time_s)!r},"
-            luma = np.asarray(sample.row_luma, dtype=np.float64).tolist()
-            fh.write("".join([f"{head}{row},{value!r}\r\n"
-                              for row, value in enumerate(luma)]))
+        for block in blocks:
+            for index, start, luma in zip(
+                    np.asarray(block.index).tolist(),
+                    np.asarray(block.start_time_s, dtype=np.float64).tolist(),
+                    np.asarray(block.luma, dtype=np.float64).tolist()):
+                head = f"{index},{start!r},"
+                fh.write("".join([f"{head}{row},{value!r}\r\n"
+                                  for row, value in enumerate(luma)]))
 
 
-def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
-    """Rebuild frame samples, by frame index, from CSV; coverage defaults
-    to the full sensor.
+def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
+    """Rebuild frames, by frame index, from CSV, as one block per run of
+    frames with one row count; coverage defaults to the full sensor.
 
     The grammar: the header line exactly, then one row per non-empty
     line as ``np.loadtxt`` reads it with delimiter ``,`` and no comments
@@ -150,11 +170,19 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameSample]:
     frames = _parse_frames(path)
     if frames is None:
         raise _diagnose(path)
-    samples = []
-    for index, start, luma in frames:
-        cov = len(luma) if covered_rows is None else min(covered_rows, len(luma))
-        samples.append(FrameSample(index, start, luma, cov))
-    return samples
+    index, start, sizes, luma = frames
+    blocks = []
+    first = np.flatnonzero(np.diff(sizes, prepend=-1))  # a run's first frame
+    offsets = (np.cumsum(sizes) - sizes).tolist()  # a frame's first luma
+    for lo, hi in zip(first.tolist(), [*first[1:].tolist(), len(sizes)]):
+        rows = int(sizes[lo])
+        cov = rows if covered_rows is None else min(covered_rows, rows)
+        begin = (rows - cov) // 2
+        run = luma[offsets[lo]:offsets[lo] + (hi - lo) * rows]
+        blocks.append(FrameBlock(index[lo:hi], start[lo:hi],
+                                 run.reshape(hi - lo, rows),
+                                 slice(begin, begin + cov)))
+    return blocks
 
 
 _FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
@@ -176,10 +204,10 @@ def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
                           ndmin=1)
 
 
-def _parse_frames(path) -> list[tuple[int, float, np.ndarray]] | None:
-    """(index, start time, luma) per frame, by index, from one
-    :func:`_load_rows` pass streamed from the file; None for a file it
-    does not accept."""
+def _parse_frames(path) -> tuple[np.ndarray, ...] | None:
+    """Each frame's index and start time and row count, by index, and
+    every luma by frame, then row, from one :func:`_load_rows` pass
+    streamed from the file; None for a file it does not accept."""
     with open(path, "rb") as raw:
         for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
             if chunk.translate(None, _PLAIN_BYTES):
@@ -194,23 +222,25 @@ def _parse_frames(path) -> list[tuple[int, float, np.ndarray]] | None:
             # only empty lines: a header-only file, as a zero-length
             # simulation writes it
             fh.seek(body)
-            return [] if all(line == "\n" for line in fh) else None
+            if any(line != "\n" for line in fh):
+                return None
+            table = np.empty(0, dtype=_FRAME_CSV_DTYPE)
     start, luma = table["start"], table["luma"]
     if not (np.isfinite(start).all() and np.isfinite(luma).all()):
         return None
     # by index, then row
     order = np.lexsort((table["row"], table["index"]))
     index = table["index"][order]
-    cuts = np.flatnonzero(index[1:] != index[:-1]) + 1
-    first = np.concatenate([[0], cuts])
+    new = np.ones(len(index), dtype=bool)
+    new[1:] = index[1:] != index[:-1]
+    first = np.flatnonzero(new)  # each frame's first row
     sizes = np.diff(np.append(first, len(order)))
     # rows 0..n-1 per frame: no gap, no duplicate
     if not np.array_equal(table["row"][order],
                           np.arange(len(order)) - np.repeat(first, sizes)):
         return None
     first_line = np.minimum.reduceat(order, first)
-    return list(zip(index[first].tolist(), start[first_line].tolist(),
-                    np.split(luma[order], cuts)))
+    return index[first], start[first_line], sizes, luma[order]
 
 
 def _diagnose(path) -> FileFormatError:

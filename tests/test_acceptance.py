@@ -312,7 +312,8 @@ def test_criterion_10_conservation_and_determinism(tmp_path):
                               delta_fps=0.0, seed=1)
         frames = sample_frames(stream, camera)
         assert len(frames) == 1
-        assert abs(frames[0].row_luma.mean() - chips.mean()) < 1e-9
+        (block,) = frames
+        assert abs(block.luma[0].mean() - chips.mean()) < 1e-9
 
     config = PRESETS["table8_manchester_1k"]
     import dataclasses

@@ -1,24 +1,49 @@
 """Rolling-shutter sampling: timing, exposure integration, and coverage."""
 
+import dataclasses
 import math
+import tracemalloc
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occsim import camera as camera_module
 from occsim.camera import (
     _BLOCK_ELEMENTS,
     CameraConfig,
-    FrameSample,
     GeometryConfig,
+    _chip_span,
     _integral_at,
-    _prefix_integral,
     covered_rows,
     frame_intervals,
     sample_frames,
 )
+from occsim.configs import PRESETS, ExperimentConfig
+from occsim.decoder import extract_parts
+from occsim.experiment import drop_frames, random_payloads
+from occsim.framing import build_packet_stream
 from occsim.rll import ChipStream
+
+
+class Frame(NamedTuple):
+    """One frame of a block: its index, start time, every sensor row's
+    luma, and the rows the footprint covers."""
+
+    index: int
+    start_time_s: float
+    row_luma: np.ndarray
+    covered: slice
+
+
+def _frames(blocks) -> list[Frame]:
+    return [Frame(index, start, luma, block.covered) for block in blocks
+            for index, start, luma in zip(block.index.tolist(),
+                                          block.start_time_s.tolist(),
+                                          block.luma)]
 
 
 def camera(rows=50, row_period=0.0005, exposure=None, mean_fps=20.0,
@@ -88,7 +113,7 @@ class TestSampleFrames:
         stream = ChipStream(np.ones(2000, dtype=np.int8), 1000.0)
         frames = sample_frames(stream, camera())
         assert len(frames) > 0
-        for frame in frames:
+        for frame in _frames(frames):
             assert np.allclose(frame.row_luma, 1.0)
 
     def test_square_wave_full_period_exposure_is_half(self):
@@ -98,7 +123,7 @@ class TestSampleFrames:
         config = camera(rows=20, row_period=0.002, exposure=0.002,
                         mean_fps=10.0)
         frames = sample_frames(stream, config)
-        for frame in frames:
+        for frame in _frames(frames):
             assert np.allclose(frame.row_luma, 0.5)
 
     def test_rows_reproduce_chips_exactly(self):
@@ -108,7 +133,8 @@ class TestSampleFrames:
         # one row per chip, exposure much shorter than the chip period
         config = camera(rows=64, row_period=0.001, exposure=0.00001,
                         mean_fps=10.0, delta_fps=0.0)
-        frames = sample_frames(stream, config, duration_s=stream.duration_s)
+        frames = _frames(sample_frames(stream, config,
+                                      duration_s=stream.duration_s))
         assert len(frames) >= 1
         assert np.abs(frames[0].row_luma - chips).max() < 1e-9
 
@@ -119,7 +145,9 @@ class TestSampleFrames:
 
     def test_zero_duration_yields_no_frames(self):
         stream = ChipStream(np.ones(100, dtype=np.int8), 1000.0)
-        assert sample_frames(stream, camera(), duration_s=0.0) == []
+        frames = sample_frames(stream, camera(), duration_s=0.0)
+        assert len(frames) == 0
+        assert list(frames) == []
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
@@ -130,14 +158,16 @@ class TestSampleFrames:
         a = sample_frames(stream, config)
         b = sample_frames(stream, config)
         assert len(a) == len(b)
-        for fa, fb in zip(a, b):
+        # and a second reading of one sampling renders the same frames
+        for fa, fb in [*zip(_frames(a), _frames(b)),
+                       *zip(_frames(a), _frames(a))]:
             assert fa.start_time_s == fb.start_time_s
             assert np.array_equal(fa.row_luma, fb.row_luma)
 
     def test_noise_is_clamped(self):
         stream = ChipStream(np.ones(2000, dtype=np.int8), 1000.0)
         frames = sample_frames(stream, camera(sigma=0.5, seed=1))
-        for frame in frames:
+        for frame in _frames(frames):
             assert frame.row_luma.max() <= 1.0
             assert frame.row_luma.min() >= 0.0
 
@@ -146,11 +176,11 @@ class TestSampleFrames:
         geometry = GeometryConfig(distance=2.0, reference_distance=1.0,
                                   subpacket_rows=40)
         frames = sample_frames(stream, camera(rows=40), geometry)
-        frame = frames[0]
-        assert frame.covered_rows == 20
-        covered = frame.covered_slice()
+        frame = _frames(frames)[0]
+        assert frame.covered == slice(10, 30)
+        covered = frame.row_luma[frame.covered]
         assert np.allclose(covered, 1.0)
-        assert frame.row_luma[:frame.covered_start].max(initial=0.0) == 0.0
+        assert frame.row_luma[:frame.covered.start].max(initial=0.0) == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -162,7 +192,7 @@ class TestSampleFrames:
         stream = ChipStream(chips, 1000.0)
         config = camera(rows=50, row_period=0.002, exposure=0.002,
                         mean_fps=5.0, delta_fps=0.0)
-        frames = sample_frames(stream, config)
+        frames = _frames(sample_frames(stream, config))
         assert len(frames) == 1
         duty = chips.mean()
         assert abs(frames[0].row_luma.mean() - duty) < 1e-9
@@ -198,8 +228,15 @@ class TestCoverage:
 
 
 # --- reference camera --------------------------------------------------------
-# The per-frame loop that the frames x rows blocks replaced, kept as the
-# oracle for the differential test below.
+# The per-frame loop over a float prefix sum of the whole waveform that
+# the frames x rows blocks replaced, kept as the oracle for the
+# differential test below.
+
+def _prefix_integral(stream):
+    # cumulative on-time in seconds at each chip boundary
+    return np.concatenate(([0.0], np.cumsum(stream.chips, dtype=np.float64))) \
+        / stream.clock_hz
+
 
 def _ref_integral_at(prefix, chips, clock_hz, times):
     """On-time integral from 0 to each time, 0 past the last chip."""
@@ -243,7 +280,8 @@ def _ref_sample_frames(waveform, camera, geometry=None, duration_s=None):
         if camera.noise_sigma > 0:
             luma = luma + noise_rng.normal(0.0, camera.noise_sigma, camera.rows)
         luma = np.clip(luma, 0.0, 1.0)
-        frames.append(FrameSample(k, start, luma, cov))
+        begin = (camera.rows - cov) // 2
+        frames.append(Frame(k, start, luma, slice(begin, begin + cov)))
         start += intervals[k]
     return frames
 
@@ -269,11 +307,12 @@ class TestAgainstReference:
         return ChipStream(chips.astype(np.int8), self.CLOCK)
 
     @staticmethod
-    def assert_same(got, want):
-        assert len(got) == len(want)
+    def assert_same(sampled, want):
+        got = _frames(sampled)
+        assert len(sampled) == len(got) == len(want)
         for a, b in zip(got, want):
-            assert (a.index, a.start_time_s, a.covered_rows) == \
-                (b.index, b.start_time_s, b.covered_rows)
+            assert (a.index, a.start_time_s, a.covered) == \
+                (b.index, b.start_time_s, b.covered)
             assert a.row_luma.dtype == b.row_luma.dtype
             assert a.row_luma.tobytes() == b.row_luma.tobytes()
 
@@ -288,11 +327,17 @@ class TestAgainstReference:
         times = np.concatenate([
             rng.uniform(-1.0, 2.0, 200) * stream.duration_s,
             np.arange(-1, n_chips + 2) / self.CLOCK])
-        prefix = _prefix_integral(stream)
-        chips = stream.chips.astype(np.float64)
-        got = _integral_at(prefix, np.append(chips, 0.0), self.CLOCK, times)
-        want = _ref_integral_at(prefix, chips, self.CLOCK, times)
-        assert got.tobytes() == want.tobytes()
+        want = _ref_integral_at(_prefix_integral(stream),
+                                stream.chips.astype(np.float64), self.CLOCK,
+                                times)
+        # over the whole waveform, and over only the chips the times reach
+        first, last = (int(min(max(t, 0.0) * self.CLOCK, n_chips))
+                       for t in (times.min(), times.max()))
+        for lo, hi in ((0, n_chips), (first, last)):
+            span, prefix = _chip_span(stream.chips, lo, hi,
+                                      int(stream.chips[:lo].sum()), self.CLOCK)
+            got = _integral_at(prefix, span, lo, self.CLOCK, times)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
@@ -334,3 +379,106 @@ class TestAgainstReference:
         duration = None if cut is None else cut * stream.duration_s
         self.assert_same(sample_frames(stream, camera, geometry, duration),
                          _ref_sample_frames(stream, camera, geometry, duration))
+
+
+def _table_columns(table):
+    return ([c.tobytes() for c in (table.frame, table.position, table.forward,
+                                   table.ab, table.length, table.bits)],
+            table.n_frames, table.n_frames_with_sf)
+
+
+class TestBlockPartition:
+    """How frames are cut into blocks changes no luma and no part."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(PRESETS)), st.sampled_from([0.0, 0.3]),
+           st.sampled_from([None, 1.0, 1.6, 2.5]), st.integers(0, 1000),
+           st.sampled_from(["_BLOCK_ELEMENTS", "_SCRATCH_ELEMENTS"]))
+    def test_one_frame_blocks(self, name, sigma, distance, seed, size):
+        # one frame per block, or per step of a block's row integrals
+        cell = dataclasses.replace(
+            PRESETS[name], noise_sigma=sigma, distance=distance,
+            reference_distance=1.0, seed=seed, trials=12)
+        stream = build_packet_stream(
+            random_payloads(cell.trials, cell.payload_bits, seed),
+            cell.plan(), cell.rll_scheme, cell.frame_structure)
+        frames = sample_frames(stream, cell.camera(), cell.geometry())
+        with mock.patch.object(camera_module, size, 1):
+            single = list(frames)
+            table = extract_parts(frames, cell.decoder())
+        if size == "_BLOCK_ELEMENTS":
+            assert {len(block) for block in single} <= {1}
+        want, got = _frames(frames), _frames(single)
+        assert len(got) == len(want) == len(frames)
+        for a, b in zip(got, want):
+            assert (a.index, a.start_time_s, a.covered) == \
+                (b.index, b.start_time_s, b.covered)
+            assert a.row_luma.tobytes() == b.row_luma.tobytes()
+        assert _table_columns(table) == \
+            _table_columns(extract_parts(frames, cell.decoder()))
+
+
+def _ref_drop_frames(samples, keep_probability, seed):
+    """The per-frame rule the block version keeps: one draw per frame,
+    except that a frame after three dropped ones is kept without one."""
+    if keep_probability >= 1.0:
+        return list(samples)
+    rng = np.random.default_rng(seed)
+    kept = []
+    run = 0
+    for sample in samples:
+        if run >= 3 or rng.random() < keep_probability:
+            kept.append(sample)
+            run = 0
+        else:
+            run += 1
+    return kept
+
+
+class TestDropFrames:
+    @pytest.mark.parametrize("keep", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("block_elements", [1, 7 * 30, _BLOCK_ELEMENTS])
+    def test_against_per_frame_rule(self, keep, block_elements):
+        rng = np.random.default_rng(5)
+        stream = ChipStream(rng.integers(0, 2, 20_000).astype(np.int8),
+                            1000.0)
+        frames = sample_frames(stream, camera(rows=30, delta_fps=5.0,
+                                              sigma=0.2, seed=3))
+        with mock.patch.object(camera_module, "_BLOCK_ELEMENTS",
+                               block_elements):
+            kept = list(drop_frames(frames, keep, 17))
+        want = _ref_drop_frames(_frames(frames), keep, 17)
+        got = _frames(kept)
+        assert [f.index for f in got] == [f.index for f in want]
+        assert [f.start_time_s for f in got] == [f.start_time_s for f in want]
+        assert all(a.row_luma.tobytes() == b.row_luma.tobytes()
+                   for a, b in zip(got, want))
+        if keep == 0.0:
+            # every fourth frame, kept without a draw
+            assert [f.index for f in got] == list(range(3, len(frames), 4))
+
+
+class TestStreamedMemory:
+    def test_far_field_peak(self):
+        # 20 packets of the far-field fusion cell: 2 680 frames of 490
+        # rows over an 864 000-chip waveform.  Holding every frame's rows
+        # and a float prefix sum of the waveform peaked at 26.6 MB here;
+        # blocks read as they are rendered peak at 4.6 MB.
+        cell = ExperimentConfig(
+            scheme="manchester", version="v1", optical_clock_hz=8640.0,
+            packet_rate=0.2, payload_bits=175, rows_per_chip=2,
+            camera_rows=490, mean_fps=27.5, delta_fps=7.5, distance=1.8,
+            reference_distance=1.0, seed=12, trials=20)
+        stream = build_packet_stream(
+            random_payloads(cell.trials, cell.payload_bits, 11, distinct=True),
+            cell.plan(), cell.rll_scheme, cell.frame_structure)
+        tracemalloc.start()
+        try:
+            table = extract_parts(
+                sample_frames(stream, cell.camera(), cell.geometry()),
+                cell.decoder())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_frames == 2680
+        assert peak < 10e6

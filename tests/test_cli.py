@@ -9,6 +9,7 @@ import struct
 import tempfile
 import typing
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,8 +22,35 @@ from occsim.analysis import FusionStudyConfig, monte_carlo_der
 from occsim.cli import main
 from occsim.configs import PRESETS, ExperimentConfig, load_config
 from occsim.experiment import random_payloads, run_link
-from occsim.camera import FrameSample
+from occsim.camera import FrameBlock
 from occsim.rll import ChipStream
+
+
+class Frame(NamedTuple):
+    """One frame of a block: its index, start time, every sensor row's
+    luma and the number of rows the footprint covers."""
+
+    index: int
+    start_time_s: float
+    row_luma: np.ndarray
+    covered_rows: int
+
+
+def _frames(blocks) -> list[Frame]:
+    return [Frame(index, start, luma, luma[block.covered].size)
+            for block in blocks
+            for index, start, luma in zip(block.index.tolist(),
+                                          block.start_time_s.tolist(),
+                                          block.luma)]
+
+
+def _block(indices, starts, luma, covered):
+    """A block of frames, each with every row covered unless ``covered``
+    rows are, centred."""
+    luma = np.asarray(luma)
+    begin = (luma.shape[1] - covered) // 2
+    return FrameBlock(np.asarray(indices), np.asarray(starts), luma,
+                      slice(begin, begin + covered))
 
 
 def run_cli(*argv):
@@ -194,7 +222,7 @@ class TestSimulateAndDecode:
         frames = tmp_path / "frames.csv"
         run_cli("simulate", "--config", small_config, "--stream", stream,
                 "--out", frames)
-        samples = io.read_frames_csv(frames)
+        samples = _frames(io.read_frames_csv(frames))
         duration = 20 / 10.0  # packets over packet rate
         assert 20 * duration <= len(samples) <= 35 * duration
 
@@ -326,6 +354,22 @@ class TestReadChipstream:
         with pytest.raises(io.FileFormatError, match=message):
             io.read_chipstream(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"clock_hz=1000.0\n0101\n01x1\nfoo=1\nchips=8\n",
+         "^line 3: expected 0/1 chips$"),
+        (b"clock_hz=1000.0\n0101\nchips=x\n01x1\n",
+         "^line 3: chips must be an integer, got 'x'$"),
+        (b"0101\n01x1\nclock_hz=0\n", "^line 2: expected 0/1 chips$"),
+    ], ids=["chip_line_before_header", "header_before_chip_line",
+            "chip_line_before_clock"])
+    def test_first_fault_is_named(self, tmp_path, raw, message):
+        # the chip lines are read in one pass, and still the first faulty
+        # line of the file is the one named
+        path = tmp_path / "stream.chips"
+        path.write_bytes(raw)
+        with pytest.raises(io.FileFormatError, match=message):
+            io.read_chipstream(path)
+
     def test_comments_blank_lines_and_wrap(self, tmp_path):
         chips = np.tile(np.array([0, 1, 1], dtype=np.int8), 60)
         path = tmp_path / "stream.chips"
@@ -386,7 +430,7 @@ class TestReadFramesCsv:
         path.write_bytes(b"frame_index,start_time_s,row,luma\r\n"
                          b"7,0.5,1,0.25\r\n2,0.125,0,1e-3\r\n"
                          b"7,9.0,0,-0.0\r\n7,0.5,2,3\r\n")
-        samples = io.read_frames_csv(path, covered_rows=2)
+        samples = _frames(io.read_frames_csv(path, covered_rows=2))
         assert [(s.index, s.start_time_s, s.row_luma.tolist(), s.covered_rows)
                 for s in samples] == [(2, 0.125, [1e-3], 1),
                                       (7, 0.5, [-0.0, 0.25, 3.0], 2)]
@@ -403,22 +447,24 @@ class TestReadFramesCsv:
         assert io.read_frames_csv(path) == []
 
     def test_written_frames_read_back(self, tmp_path):
-        samples = [FrameSample(k, 0.1 * k, np.random.default_rng(k).random(7),
-                               7) for k in range(3)]
+        blocks = [_block([k], [0.1 * k],
+                         np.random.default_rng(k).random((1, 7)), 7)
+                  for k in range(3)]
+        samples = _frames(blocks)
         path = tmp_path / "frames.csv"
-        io.write_frames_csv(path, samples)
-        got = io.read_frames_csv(path)
+        io.write_frames_csv(path, blocks)
+        got = _frames(io.read_frames_csv(path))
         assert [(s.index, s.start_time_s, s.row_luma.tobytes())
                 for s in got] == [(s.index, s.start_time_s, s.row_luma.tobytes())
                                   for s in samples]
 
 
-def _csv_writer_frames(path, samples):
+def _csv_writer_frames(path, blocks):
     """The frame CSV as the csv module writes it: the writer's reference."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(io.FRAME_CSV_HEADER)
-        for sample in samples:
+        for sample in _frames(blocks):
             for row, luma in enumerate(sample.row_luma):
                 writer.writerow([sample.index, repr(float(sample.start_time_s)),
                                  row, repr(float(luma))])
@@ -431,11 +477,13 @@ _AWKWARD = [-0.0, 5e-324, 1e-17, 0.1 + 0.2, float("nan"), float("inf"),
 class TestWriteFramesCsv:
     @pytest.mark.parametrize("samples", [
         [],
-        [FrameSample(0, 0.0, np.array(_AWKWARD), len(_AWKWARD))],
-        [FrameSample(k, start, np.roll(_AWKWARD, k), 4)
-         for k, start in enumerate([0.0, 0.1 + 0.2, 1e-17, 5e-324, 12.5])],
-        [FrameSample(3, np.float64(0.7), np.empty(0), 0),
-         FrameSample(np.int64(4), 0.75, np.float32([0.1, 0.9]), 2)],
+        [_block([0], [0.0], [_AWKWARD], len(_AWKWARD))],
+        # one block of five frames
+        [_block(range(5), [0.0, 0.1 + 0.2, 1e-17, 5e-324, 12.5],
+                [np.roll(_AWKWARD, k) for k in range(5)], 4)],
+        # a frame of no rows, and float32 luma
+        [_block(np.int64([3]), np.float64([0.7]), np.empty((1, 0)), 0),
+         _block(np.int64([4]), [0.75], np.float32([[0.1, 0.9]]), 2)],
     ], ids=["no_frames", "one_frame", "five_frames", "numpy_scalars"])
     def test_matches_csv_writer(self, tmp_path, samples):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -448,8 +496,8 @@ def _valid_files() -> dict[str, bytes]:
     """Small well-formed files of each kind the readers accept."""
     stream = ChipStream(np.tile(np.array([0, 1, 1], dtype=np.int8), 30),
                         1000.0)
-    samples = [FrameSample(k, 0.05 * k, np.linspace(0.0, 1.0, 6), 6)
-               for k in range(2)]
+    samples = [_block(range(2), [0.0, 0.05],
+                      [np.linspace(0.0, 1.0, 6)] * 2, 6)]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         io.write_chipstream_ascii(root / "ascii", stream)
@@ -616,7 +664,7 @@ def _read_fields(path):
     floats as bits."""
     return [(type(s.index), s.index, type(s.start_time_s),
              s.start_time_s.hex(), s.row_luma.dtype, s.row_luma.tobytes())
-            for s in io.read_frames_csv(path)]
+            for s in _frames(io.read_frames_csv(path))]
 
 
 def _fields(frames):

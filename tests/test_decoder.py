@@ -1,5 +1,6 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from occsim import decoder
-from occsim.camera import CameraConfig, FrameSample, sample_frames
+from occsim.camera import CameraConfig, FrameBlock, sample_frames
 from occsim.decoder import (
     DecoderConfig,
     LinkReport,
@@ -1392,7 +1393,7 @@ def _sample_lists(draw):
     stream = np.concatenate(subs)
     need = int(height / rows_per_chip) + 2
     stream = np.tile(stream, need // len(stream) + 2)
-    samples = []
+    frames = []
     for index, cov in enumerate(covered):
         lo = draw(st.integers(0, len(stream) - need))
         luma = _render(stream[lo:lo + need], height, rows_per_chip,
@@ -1400,10 +1401,21 @@ def _sample_lists(draw):
         for row, value in draw(st.lists(st.tuples(st.integers(0, height - 1),
                                                   _POISON), max_size=3)):
             luma[row] = value
-        samples.append(FrameSample(index, index / 30.0, luma,
-                                   min(cov, height)))
+        frames.append((index, luma, min(cov, height)))
     config = DecoderConfig(scheme, version, payload_bits, rows_per_chip)
-    return config, samples
+    return config, _as_blocks(frames)
+
+
+def _as_blocks(frames):
+    """One block per run of (index, luma, covered rows) frames with one
+    covered-row count, the footprint centred."""
+    blocks = []
+    for cov, run in itertools.groupby(frames, key=lambda frame: frame[2]):
+        index, luma, _ = zip(*run)
+        begin = (len(luma[0]) - cov) // 2
+        blocks.append(FrameBlock(np.array(index), np.array(index) / 30.0,
+                                 np.stack(luma), slice(begin, begin + cov)))
+    return blocks
 
 
 def _decode(samples, config, fusion):
@@ -1425,7 +1437,7 @@ class TestDecodeSamplesFuzz:
             with mock.patch.object(decoder, "_BLOCK_ELEMENTS", 1):
                 single = _decode(samples, config, fusion)
         assert isinstance(report, LinkReport)
-        assert report.n_frames == len(samples)
+        assert report.n_frames == sum(len(block) for block in samples)
         assert report.to_text() == single.to_text()
 
     @settings(max_examples=150, deadline=None)
@@ -1440,3 +1452,34 @@ class TestDecodeSamplesFuzz:
             for fusion in (True, False):
                 assert _outputs(decode_samples(table, fusion=fusion)) \
                     == _outputs(_decode(samples, config, fusion))
+
+
+def _ref_bits_to_hex(bits):
+    """The per-bit string join that the one-pass encoder replaced."""
+    bits = np.asarray(bits, dtype=np.int8)
+    if bits.size == 0:
+        return ""
+    value = int("".join(str(int(b)) for b in bits), 2)
+    return format(value, f"0{math.ceil(len(bits) / 4)}x")
+
+
+class TestBitsToHex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=300))
+    @example([])
+    @example([1, 0, 1])
+    @example([0] * 7)
+    def test_against_reference(self, bits):
+        assert decoder.bits_to_hex(bits) == _ref_bits_to_hex(bits)
+        assert decoder.bits_to_hex(np.array(bits, dtype=np.int8)) \
+            == _ref_bits_to_hex(bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 40),
+           st.sampled_from([-1, 2, 7, 100]))
+    def test_non_binary_raises(self, bits, at, value):
+        # the string join raised too, except that it read a leading -1 as
+        # a minus sign
+        bits.insert(min(at, len(bits)), value)
+        with pytest.raises(ValueError):
+            decoder.bits_to_hex(bits)

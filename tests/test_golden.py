@@ -8,6 +8,7 @@ that wrote it.  A rewrite that claims unchanged behaviour passes these
 unchanged; only an intended behaviour change re-pins them.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 
 from occsim import cli, configs, decoder, experiment
 from occsim.analysis import FusionStudyConfig, fusion_gain_experiment
+from occsim.camera import covered_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,3 +102,25 @@ def test_sweep_csvs_regenerate(tmp_path):
     assert cli.main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
     _assert_regenerated(tmp_path / "sweep.csv")
     _assert_regenerated(tmp_path / "sweep_reference.csv")
+
+
+# sha256 of the frame CSV `occsim simulate` writes for a noisy far cell:
+# the noise on the dark rows outside the footprint is written too
+NOISY_FRAMES_CSV = (
+    "af1dd7594d297fe164ebf06db3bbde47b623419afab3b5a9ffe6a39b6f47aabc")
+
+
+def test_noisy_frames_csv(tmp_path):
+    config = dataclasses.replace(
+        configs.load_config("table8_manchester_2k"), noise_sigma=0.3,
+        distance=2.0, reference_distance=1.0, trials=20)
+    camera_rows = config.camera().rows
+    assert 0 < covered_rows(config.geometry(), camera_rows) < camera_rows
+    path = tmp_path / "config.json"
+    path.write_text(config.to_json())
+    stream, frames = tmp_path / "stream.chips", tmp_path / "frames.csv"
+    assert cli.main(["encode", "--config", str(path),
+                     "--out", str(stream)]) == 0
+    assert cli.main(["simulate", "--config", str(path), "--stream",
+                     str(stream), "--out", str(frames)]) == 0
+    assert hashlib.sha256(frames.read_bytes()).hexdigest() == NOISY_FRAMES_CSV
