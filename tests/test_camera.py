@@ -462,8 +462,8 @@ class TestStreamedMemory:
     def test_far_field_peak(self):
         # 20 packets of the far-field fusion cell: 2 680 frames of 490
         # rows over an 864 000-chip waveform.  Holding every frame's rows
-        # and a float prefix sum of the waveform peaked at 26.6 MB here;
-        # blocks read as they are rendered peak at 4.6 MB.
+        # and a float prefix sum of the waveform peaked at 26.6 MB under
+        # tracemalloc; blocks read as they are rendered peak at 3.8 MB.
         cell = ExperimentConfig(
             scheme="manchester", version="v1", optical_clock_hz=8640.0,
             packet_rate=0.2, payload_bits=175, rows_per_chip=2,
