@@ -11,7 +11,10 @@ each run's record line and metrics line are kept as run.py printed them.
 
 The runs are appended as one round to ``BENCH_<number>.json`` at the
 repository root.  Each end-to-end metric of ``BENCHMARK.json`` is
-summarized per side (median and quartiles) with the pairs the change won.
+summarized per side (median and quartiles) with the pairs the change won,
+and so is ``raw_wall_s``, each run's median raw pass time: the end-to-end
+times are scaled by a host-speed reference, and the raw medians show
+whether scaling moved a result.
 Run from the repository root, with nothing else busy on the machine:
 
     python3 scripts/bench_pairs.py 9 --parent HEAD~1 --pairs 10 --seed 0
@@ -61,13 +64,18 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
-    pairs in which the change read better (ties count for neither)."""
+    """Per end-to-end metric, and for ``raw_wall_s`` (each run's median
+    raw pass time, not scaled by host speed): each side's median and
+    quartiles, and the pairs in which the change read better (ties count
+    for neither)."""
     summary = {}
-    for metric in BENCHMARK["end_to_end"]:
+    raw = {"name": "raw_wall_s", "better": "lower"}
+    for metric in [*BENCHMARK["end_to_end"], raw]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        sides = {side: [r["metrics"][name]["value"] for r in runs
-                        if r["side"] == side] for side in ("parent", "change")}
+        sides = {side: [statistics.median(r["record"]["pass_s"])
+                        if metric is raw else r["metrics"][name]["value"]
+                        for r in runs if r["side"] == side]
+                 for side in ("parent", "change")}
         summary[name] = {
             side: dict(zip(("q1", "median", "q3"),
                            statistics.quantiles(values, n=4)

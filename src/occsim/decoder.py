@@ -22,17 +22,24 @@ A decode is two calls.  :func:`extract_parts` slices and reads frame
 blocks, as they come, into a :class:`PartTable`, one column per part
 field and one parts x payload-bits matrix; :func:`decode_samples`
 assembles a table into a report, with or without fusion, so one table
-serves both arms of a fusion comparison.  Fragments are grouped by asynchronous-bit state along
-the stream; a group's complete rows and, with fusion, its prefix + suffix
-joins (one ``np.where`` over the paired rows) are its samples, and every
-group's samples are majority voted in one pass.  Under the two-bit
+serves both arms of a fusion comparison.  Assembly is a few whole-table
+array passes.  Grouping finds the same-Ab runs with one diff of the Ab
+column and splits them, round by round, at each group's first part
+whose fragment conflicts with the group's first complete row; a round
+compares all its parts at once, as packed bits.  Fusion sorts the
+incomplete halves into (group, frame) buckets: a bucket of one prefix
+and one suffix pairs them outright, and only a bucket with more halves
+of one direction takes a loop.  The halves left pair by their rank in
+the group, from one more sort, and every pair is joined by one
+``np.where``.  A group's complete rows and joins are its samples, and
+every group's samples are majority voted in one pass.  Under the two-bit
 structure, consecutive group states also reveal how many packets were
-skipped (up to three).
+skipped (up to three): a diff of the state index around the four-state
+cycle, with a payload-equality column for a skipped full cycle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -440,113 +447,107 @@ def _vote(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
 _V2_STATE_INDEX = {ab_state_v2(i): i for i in range(4)}
 
 
-def missed_packets(prev_state, prev_payload, state, payload) -> int:
-    """Packets missed between two consecutive two-Ab observations.
+def missed_counts(states, payloads) -> np.ndarray:
+    """Packets missed between each two consecutive two-Ab observations,
+    given their states and their payloads (one row each) in stream order.
 
-    The state distance around the four-state cycle gives the gap;
-    identical states with identical payloads are a resample of the same
-    packet, identical states with different payloads mean a full cycle
-    (three packets) was skipped.
+    The state distance around the four-state cycle, one ``np.diff`` of the
+    state index mod 4, gives the gap; identical states with identical
+    payloads are a resample of the same packet, identical states with
+    different payloads mean a full cycle (three packets) was skipped.
     """
-    try:
-        step = (_V2_STATE_INDEX[tuple(state)]
-                - _V2_STATE_INDEX[tuple(prev_state)]) % 4
-    except KeyError as exc:
-        raise ValueError(f"unknown Ab state {exc.args[0]!r}") from None
-    if step == 0:
-        return 0 if np.array_equal(payload, prev_payload) else 3
-    return step - 1
+    index = [_V2_STATE_INDEX.get(tuple(state)) for state in states]
+    if None in index:
+        state = tuple(states[index.index(None)])
+        raise ValueError(f"unknown Ab state {state!r}")
+    step = np.diff(np.array(index, dtype=np.intp)) % 4
+    payloads = np.asarray(payloads)
+    same = (payloads[1:] == payloads[:-1]).all(axis=-1)
+    return np.where(step == 0, np.where(same, 0, 3), step - 1)
 
 
 def detect_missed(observations) -> list[GapReport]:
     """Missed-packet reports from consecutive two-Ab observations.
 
     observations: iterable of (ab_state, payload, frame_index) in stream
-    order; each consecutive pair is counted by :func:`missed_packets`.
+    order; each consecutive pair is counted by :func:`missed_counts`.
     """
-    reports = []
-    prev = None
-    for state, payload, frame in observations:
-        state, payload = tuple(state), np.asarray(payload)
-        if prev is None and state not in _V2_STATE_INDEX:
-            raise ValueError(f"unknown Ab state {state!r}")
-        if prev is not None:
-            p_state, p_payload, p_frame = prev
-            missed = missed_packets(p_state, p_payload, state, payload)
-            if missed:
-                reports.append(GapReport(p_state, missed, (p_frame, frame)))
-        prev = (state, payload, frame)
-    return reports
+    states, payloads, frames = list(zip(*observations)) or ((), (), ())
+    missed = missed_counts(states, payloads)
+    counts = missed.tolist()
+    return [GapReport(tuple(states[i]), counts[i], (frames[i], frames[i + 1]))
+            for i in np.flatnonzero(missed).tolist()]
 
 
 def group_parts(table: PartTable) -> np.ndarray:
-    """Each part's group: contiguous same-state runs, split when payload
-    evidence conflicts.
-
-    A part conflicts with its run when its fragment differs from the same
-    bits of the run's first complete row.  The split on conflicting
-    payloads keeps packets four indices apart (same two-bit state) from
-    being merged, which is what lets the gap detector see a skipped full
-    cycle.
-    """
-    n = table.config.payload_bits
-    data = table.bits.tobytes()  # int8: one byte per bit, n per row
-    group, g = [], -1
-    state = known = None  # the run's Ab state and first complete row
-    for i, (ab, forward, length) in enumerate(zip(
-            table.ab.tolist(), table.forward.tolist(), table.length.tolist())):
-        lo = 0 if forward else n - length
-        row = data[i * n:(i + 1) * n]
-        if ab != state or (known is not None and row[lo:lo + length]
-                           != known[lo:lo + length]):
-            state, known, g = ab, None, g + 1
-        group.append(g)
-        if known is None and length == n:
-            known = row
-    return np.array(group, dtype=np.intp)
+    """Each part's group: contiguous same-state runs, split at each part
+    whose fragment differs from the same bits of its group's first
+    complete row, so packets four indices apart (same two-bit state) are
+    not merged.  Each round compares the parts of the groups split last
+    with their known rows, packed, under packed fragment masks."""
+    n, count = table.config.payload_bits, len(table.length)
+    packed = np.packbits(table.bits, axis=1)
+    col, cut = np.arange(n), np.arange(n + 1)[:, None]
+    masks = np.packbits([col >= n - cut, col < cut], axis=-1)  # [fw][length]
+    complete = np.append(np.flatnonzero(table.length == n), count)
+    split = np.flatnonzero(np.diff(table.ab, axis=0, prepend=-1).any(axis=1))
+    start = np.zeros(count, dtype=bool)
+    while len(split):
+        fresh = np.zeros(count, dtype=bool)
+        fresh[split] = start[split] = True
+        first = np.flatnonzero(start)[np.cumsum(start) - 1]  # group start
+        known = complete[np.searchsorted(complete, first)]
+        at = np.flatnonzero((known < np.arange(count)) & fresh[first])
+        diff = packed[at] ^ packed[known[at]]
+        diff &= masks[table.forward[at].astype(np.intp), table.length[at]]
+        hit = at[diff.any(axis=1)]
+        split = hit[np.flatnonzero(np.diff(first[hit], prepend=-1))]
+    return np.cumsum(start, dtype=np.intp) - 1
 
 
 def fuse(table: PartTable, group: np.ndarray
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Payloads joined from each group's incomplete prefixes and suffixes:
-    same-frame pairs first, then the longest remaining halves pairwise,
-    each pair only when together they cover the payload.
-
-    Returns each join's group, its payload and whether its halves disagree
-    where they overlap; the forward (earlier-row) fragment wins the
-    overlap.
-    """
+    """Payloads joined from each group's incomplete prefixes and suffixes
+    that together cover the payload: first same-frame pairs, each prefix
+    in stream order with its frame's first unused suffix that completes
+    it, then the rest by rank, longest first, ties in stream order.
+    Returns, in that order, each join's group, its payload (the forward
+    fragment wins the overlap) and whether its halves disagree there."""
     n = table.config.payload_bits
-    frame, forward, length, groups = (
-        c.tolist() for c in (table.frame, table.forward, table.length, group))
-    pairs = []
-    for _, run in itertools.groupby(np.flatnonzero(table.length < n).tolist(),
-                                    key=groups.__getitem__):
-        prefixes, suffixes = [], {}  # suffixes by frame, in stream order
-        for i in run:
-            if forward[i]:
-                prefixes.append(i)
-            else:
-                suffixes.setdefault(frame[i], []).append(i)
-        # intra-frame fusion first: both halves seen within one image, each
-        # prefix with its frame's first unused suffix that completes it
-        rest = []
-        for pre in prefixes:
-            same = suffixes.get(frame[pre], [])
-            match = next((suf for suf in same
-                          if length[pre] + length[suf] >= n), None)
-            if match is None:
-                rest.append(pre)
-            else:
-                pairs.append((pre, match))
-                same.remove(match)
-        # inter-frame fusion: the longest remaining halves joined pairwise
-        rest_s = sorted(itertools.chain.from_iterable(suffixes.values()))
-        pairs += [(pre, suf) for pre, suf in zip(
-                      sorted(rest, key=length.__getitem__, reverse=True),
-                      sorted(rest_s, key=length.__getitem__, reverse=True))
-                  if length[pre] + length[suf] >= n]
-    pre, suf = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    half = np.flatnonzero(table.length < n)
+    half = half[np.lexsort((table.frame[half], group[half]))]  # by bucket
+    g, fw, ln = group[half], table.forward[half], table.length[half]
+    lo = np.flatnonzero(np.diff(g, prepend=-1)
+                        | np.diff(table.frame[half], prepend=-1))
+    size = np.diff(lo, append=len(half))
+    prefixes = np.add.reduceat(fw, lo, dtype=np.intp)
+    one = lo[(prefixes == 1) & (size == 2)]  # one prefix, one suffix
+    pairs = [np.stack([one + ~fw[one], one + fw[one]])[
+        :, ln[one] + ln[one + 1] >= n]]
+    fwl, lnl = fw.tolist(), ln.tolist()
+    many = (prefixes > 0) & (prefixes < size) & (size > 2)
+    for a, b in zip(lo[many].tolist(), (lo + size)[many].tolist()):
+        left = [j for j in range(a, b) if not fwl[j]]
+        for i in filter(fwl.__getitem__, range(a, b)):
+            j = next((j for j in left if lnl[i] + lnl[j] >= n), None)
+            if j is not None:
+                left.remove(j)
+                pairs.append([[i], [j]])
+    sp, ss = np.concatenate(pairs, axis=1)
+    rest = np.flatnonzero(np.bincount(np.concatenate([sp, ss]),
+                                      minlength=len(half)) == 0)  # unpaired
+    rest = rest[np.lexsort((half[rest], -ln[rest], fw[rest], g[rest]))]
+    block = 2 * g[rest] + fw[rest]  # a group's suffixes, then its prefixes
+    first = np.searchsorted(block, block)
+    rp = np.flatnonzero(fw[rest])
+    rs = np.minimum(np.searchsorted(block, block[rp] - 1) + rp - first[rp],
+                    first[rp])  # the suffix of the same rank, if any
+    keep = (rs < first[rp]) & (ln[rest[rp]] + ln[rest[rs]] >= n)
+    rp, rs = rp[keep], rs[keep]
+    pre, suf = np.concatenate([sp, rest[rp]]), np.concatenate([ss, rest[rs]])
+    # same-frame pairs by prefix stream index, then the rest by rank
+    order = np.lexsort((np.concatenate([half[sp], len(group) + rp]), g[pre]))
+    pre, suf = half[pre[order]], half[suf[order]]
     column = np.arange(n)
     prefix = column < table.length[pre, None]
     overlap = prefix & (column >= n - table.length[suf, None])
@@ -598,25 +599,21 @@ def decode_samples(table: PartTable, *, fusion: bool) -> LinkReport:
     starts = np.flatnonzero(np.diff(sample_group, prepend=-1))
     ids = sample_group[starts]
     recovered: list[RecoveredGroup] = []
+    gaps: list[GapReport] = []
     if len(rows):
         voted, ties = _vote(rows, starts)
-        tie_positions = [[] for _ in ids]
+        tie_positions = [()] * len(ids)
         for g, t in zip(*(a.tolist() for a in np.nonzero(ties))):
-            tie_positions[g].append(t)
-        columns = (table.ab[first[ids]].tolist(), voted,
-                   np.minimum.reduceat(table.frame, first)[ids].tolist(),
-                   np.maximum.reduceat(table.frame, first)[ids].tolist(),
-                   np.diff(np.append(starts, len(rows))).tolist(),
-                   tie_positions, flagged[ids].tolist())
-        recovered = [RecoveredGroup(tuple(ab), payload, lo, hi, n,
-                                    tuple(tied), flag)
-                     for ab, payload, lo, hi, n, tied, flag in zip(*columns)]
-
-    gaps: list[GapReport] = []
-    if config.version is FrameStructure.V2_TWO_AB:
-        observations = [(g.ab_state, g.payload, g.first_frame)
-                        for g in recovered]
-        gaps = detect_missed(observations)
+            tie_positions[g] += (t,)
+        states = list(map(tuple, table.ab[first[ids]].tolist()))
+        frames = np.minimum.reduceat(table.frame, first)[ids].tolist()
+        recovered = list(map(
+            RecoveredGroup, states, voted, frames,
+            np.maximum.reduceat(table.frame, first)[ids].tolist(),
+            np.diff(np.append(starts, len(rows))).tolist(), tie_positions,
+            flagged[ids].tolist()))
+        if config.version is FrameStructure.V2_TWO_AB:
+            gaps = detect_missed(zip(states, voted, frames))
 
     return LinkReport(
         n_frames=table.n_frames,

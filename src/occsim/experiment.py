@@ -18,7 +18,7 @@ from .decoder import (
     LinkReport,
     decode_samples,
     extract_parts,
-    missed_packets,
+    missed_counts,
 )
 from .framing import FrameStructure, PacketPlan, build_packet_stream
 from .rll import RllScheme
@@ -136,20 +136,20 @@ def gap_accounting(outcome: LinkOutcome, strict: bool = True) -> GapAccounting:
     are dropped from the pairing and counted.
     """
     index_of_payload = outcome.payload_index()
-    observations = []
-    corrupt = 0
+    observations, indices = [], []
     for group in outcome.report.groups:
-        key = group.payload.tobytes()
-        if key not in index_of_payload:
+        index = index_of_payload.get(group.payload.tobytes())
+        if index is None:
             if strict:
                 raise ValueError(
                     "observation payload not among transmitted packets")
-            corrupt += 1
             continue
-        observations.append((index_of_payload[key], group.ab_state, group.payload))
+        observations.append(group)
+        indices.append(index)
 
-    pairs = []
-    for (i1, s1, p1), (i2, s2, p2) in zip(observations, observations[1:]):
-        truth = i2 - i1 - 1 if i2 != i1 else 0
-        pairs.append((truth, missed_packets(s1, p1, s2, p2)))
-    return GapAccounting(pairs, corrupt)
+    step = np.diff(np.array(indices, dtype=np.int64))
+    truth = np.where(step == 0, 0, step - 1)
+    reported = missed_counts([g.ab_state for g in observations],
+                             [g.payload for g in observations])
+    return GapAccounting(list(zip(truth.tolist(), reported.tolist())),
+                         len(outcome.report.groups) - len(observations))

@@ -23,7 +23,7 @@ from occsim.camera import (
     sample_frames,
 )
 from occsim.configs import PRESETS, ExperimentConfig
-from occsim.decoder import extract_parts
+from occsim.decoder import decode_samples, extract_parts
 from occsim.experiment import drop_frames, random_payloads
 from occsim.framing import build_packet_stream
 from occsim.rll import ChipStream
@@ -459,19 +459,25 @@ class TestDropFrames:
 
 
 class TestStreamedMemory:
-    def test_far_field_peak(self):
-        # 20 packets of the far-field fusion cell: 2 680 frames of 490
-        # rows over an 864 000-chip waveform.  Holding every frame's rows
-        # and a float prefix sum of the waveform peaked at 26.6 MB under
-        # tracemalloc; blocks read as they are rendered peak at 3.8 MB.
-        cell = ExperimentConfig(
-            scheme="manchester", version="v1", optical_clock_hz=8640.0,
-            packet_rate=0.2, payload_bits=175, rows_per_chip=2,
-            camera_rows=490, mean_fps=27.5, delta_fps=7.5, distance=1.8,
-            reference_distance=1.0, seed=12, trials=20)
-        stream = build_packet_stream(
+    # 20 packets of the far-field fusion cell: 2 680 frames of 490 rows
+    # over an 864 000-chip waveform
+    CELL = ExperimentConfig(
+        scheme="manchester", version="v1", optical_clock_hz=8640.0,
+        packet_rate=0.2, payload_bits=175, rows_per_chip=2,
+        camera_rows=490, mean_fps=27.5, delta_fps=7.5, distance=1.8,
+        reference_distance=1.0, seed=12, trials=20)
+
+    def stream(self):
+        cell = self.CELL
+        return build_packet_stream(
             random_payloads(cell.trials, cell.payload_bits, 11, distinct=True),
             cell.plan(), cell.rll_scheme, cell.frame_structure)
+
+    def test_far_field_peak(self):
+        # Holding every frame's rows and a float prefix sum of the waveform
+        # peaked at 26.6 MB under tracemalloc; blocks read as they are
+        # rendered peak at 3.8 MB.
+        cell, stream = self.CELL, self.stream()
         tracemalloc.start()
         try:
             table = extract_parts(
@@ -482,3 +488,20 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert table.n_frames == 2680
         assert peak < 10e6
+
+    def test_far_field_assembly_peak(self):
+        # assembly's temporaries, the report included, stay within twice
+        # the parts x payload-bits matrix: a few whole-matrix boolean
+        # temporaries would not
+        cell = self.CELL
+        table = extract_parts(
+            sample_frames(self.stream(), cell.camera(), cell.geometry()),
+            cell.decoder())
+        tracemalloc.start()
+        try:
+            report = decode_samples(table, fusion=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.groups
+        assert peak < 2 * table.bits.nbytes

@@ -16,6 +16,7 @@ from occsim import decoder
 from occsim.camera import CameraConfig, FrameBlock, sample_frames
 from occsim.decoder import (
     DecoderConfig,
+    GapReport,
     LinkReport,
     PartTable,
     _group_means,
@@ -376,11 +377,11 @@ class TestDecodeFrame:
         assert completes[0].ab == ab_bits(index, version)
 
 
-def _joins(parts, payload_bits):
+def _joins(parts, payload_bits, version=V1):
     """Each group's joined payloads and overlap flag, from group_parts and
     fuse on a table of the parts, after checking both against the
     reference grouping and fusion of the parts."""
-    table = _table(parts, payload_bits)
+    table = _table(parts, payload_bits, version)
     group = group_parts(table)
     want = _ref_group_parts(parts)
     assert group.tolist() == [k for k, ref in enumerate(want)
@@ -1286,8 +1287,30 @@ def _ref_assemble(parts, payload_bits, version, fusion):
                        len(samples), tuple(ties.tolist()), flagged))
     gaps = []
     if version is V2:
-        gaps = detect_missed([(g[0], g[1], g[2]) for g in groups])
+        gaps = _ref_detect_missed([(g[0], g[1], g[2]) for g in groups])
     return groups, unrecovered, gaps
+
+
+def _ref_missed_packets(prev_state, prev_payload, state, payload):
+    """Packets missed between two two-Ab observations, pair by pair: the
+    state distance around the four-state cycle, and a payload compare
+    telling a resample from a skipped full cycle."""
+    index = {ab_state_v2(k): k for k in range(4)}
+    step = (index[tuple(state)] - index[tuple(prev_state)]) % 4
+    if step == 0:
+        return 0 if np.array_equal(payload, prev_payload) else 3
+    return step - 1
+
+
+def _ref_detect_missed(observations):
+    """Gap reports of consecutive (state, payload, frame) observations,
+    one :func:`_ref_missed_packets` per pair."""
+    reports = []
+    for (s1, p1, f1), (s2, p2, f2) in zip(observations, observations[1:]):
+        missed = _ref_missed_packets(s1, p1, s2, p2)
+        if missed:
+            reports.append(GapReport(tuple(s1), missed, (f1, f2)))
+    return reports
 
 
 def _typed(value):
@@ -1326,6 +1349,65 @@ def _part_lists(draw, version=V1):
     return payload_bits, parts
 
 
+def _many_parts(seed, payload_bits, version):
+    """Hundreds of parts in same-Ab runs, in nondecreasing frames with
+    several parts to a frame: mostly fragments of each run's own payload,
+    some of another payload of a pool of three (a conflict), some with a
+    flipped bit, half lengths drawn mostly from a few values (so that
+    equally long halves meet), and now and then a burst of complete parts
+    that each conflict with the one before."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2, size=(3, payload_bits)).tolist()
+    states = ([(0,), (1,)] if version is V1
+              else [ab_state_v2(k) for k in range(4)])
+    common = [payload_bits // 2, payload_bits - payload_bits // 2,
+              payload_bits - 1, 1]
+    parts, frame = [], 0
+    for _ in range(rng.integers(10, 30)):
+        state, own = states[rng.integers(len(states))], rng.integers(3)
+        if rng.random() < 0.3:
+            for k in range(int(rng.integers(2, 5))):
+                frame += int(rng.random() < 0.5)
+                parts.append(part(True, state, pool[(own + k) % 3], frame,
+                                  complete=True))
+        for _ in range(rng.integers(1, 40)):
+            frame += int(rng.random() < 0.3)
+            bits = list(pool[own if rng.random() < 0.8 else rng.integers(3)])
+            n = payload_bits
+            if rng.random() < 0.75:
+                n = int(rng.choice(common) if rng.random() < 0.6
+                        else rng.integers(1, payload_bits))
+            if rng.random() < 0.1:
+                bits[rng.integers(payload_bits)] ^= 1
+            forward = n == payload_bits or rng.random() < 0.5
+            parts.append(part(forward, state, bits[:n] if forward
+                              else bits[payload_bits - n:], frame,
+                              complete=n == payload_bits))
+    return parts
+
+
+def _assert_assembles_as_reference(parts, payload_bits, version, fusion):
+    """decode_samples on a table of the parts gives the reference's
+    groups, counters and gaps, with the reference's scalar types."""
+    table = _table(parts, payload_bits, version)
+    report = decode_samples(table, fusion=fusion)
+    groups, unrecovered, gaps = _ref_assemble(parts, payload_bits,
+                                              version, fusion)
+    assert _typed([(g.ab_state, g.payload, g.first_frame, g.last_frame,
+                    g.n_samples, g.tie_positions, g.overlap_flagged)
+                   for g in report.groups]) == _typed(groups)
+    assert (report.n_parts, report.n_complete_parts,
+            report.n_unrecovered_groups) \
+        == (len(parts), sum(p.complete for p in parts), unrecovered)
+    assert _typed([(g.after_packet_state, g.missed_count,
+                    g.frame_indices) for g in report.gaps]) \
+        == _typed([(g.after_packet_state, g.missed_count,
+                    g.frame_indices) for g in gaps])
+    assert all(type(v) is int for v in (
+        report.n_parts, report.n_complete_parts,
+        report.n_unrecovered_groups))
+
+
 class TestGroupingAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(_part_lists())
@@ -1342,23 +1424,22 @@ class TestGroupingAgainstReference:
         # the whole assembly of a table: grouping, fusion, the vote and
         # gap detection, against the references
         version, (payload_bits, parts) = case
-        table = _table(parts, payload_bits, version)
-        report = decode_samples(table, fusion=fusion)
-        groups, unrecovered, gaps = _ref_assemble(parts, payload_bits,
-                                                  version, fusion)
-        assert _typed([(g.ab_state, g.payload, g.first_frame, g.last_frame,
-                        g.n_samples, g.tie_positions, g.overlap_flagged)
-                       for g in report.groups]) == _typed(groups)
-        assert (report.n_parts, report.n_complete_parts,
-                report.n_unrecovered_groups) \
-            == (len(parts), sum(p.complete for p in parts), unrecovered)
-        assert _typed([(g.after_packet_state, g.missed_count,
-                        g.frame_indices) for g in report.gaps]) \
-            == _typed([(g.after_packet_state, g.missed_count,
-                        g.frame_indices) for g in gaps])
-        assert all(type(v) is int for v in (
-            report.n_parts, report.n_complete_parts,
-            report.n_unrecovered_groups))
+        _assert_assembles_as_reference(parts, payload_bits, version, fusion)
+
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, payload_bits=8, version=V1)
+    @example(seed=1, payload_bits=24, version=V2)
+    @example(seed=2, payload_bits=5, version=V2)
+    @given(seed=st.integers(0, 2**32 - 1), payload_bits=st.integers(4, 24),
+           version=st.sampled_from([V1, V2]))
+    def test_many_parts(self, seed, payload_bits, version):
+        # hundreds of parts: back-to-back conflicts in one run, crowded
+        # (group, frame) buckets and equally long halves
+        parts = _many_parts(seed, payload_bits, version)
+        _joins(parts, payload_bits, version)
+        for fusion in (False, True):
+            _assert_assembles_as_reference(parts, payload_bits, version,
+                                           fusion)
 
 
 _POISON = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e300, 7.0])
