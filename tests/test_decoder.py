@@ -1,5 +1,6 @@
 """Receiver chain: detrend, slicing, SF search, fragments, fusion, voting."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -643,6 +644,39 @@ class TestEndToEnd:
         outcome = run_link(payloads, plan, MAN, V1, camera, rows_per_chip=2)
         got = [g.payload.tolist() for g in outcome.report.groups]
         assert got == [p.tolist() for p in outcome.transmitted]
+
+
+class TestGapAccounting:
+    @staticmethod
+    def _outcome(version=V2):
+        # 30 distinct packets, each recovered once, in order
+        return small_link(payload_bits=15, packets=30, version=version,
+                          distinct=True, clock=2000.0, rows=112)
+
+    def test_every_packet_observed(self):
+        accounting = gap_accounting(self._outcome())
+        assert accounting.pairs == [(0, 0)] * 29
+        assert accounting.corrupt_observations == 0
+
+    def test_unsent_payload(self):
+        # packet 10's payload replaced in the record of what was sent: its
+        # observation maps to no packet
+        outcome = self._outcome()
+        sent = list(outcome.transmitted)
+        sent[10] = 1 - sent[10]
+        assert sent[10].tobytes() not in outcome.payload_index()
+        outcome = dataclasses.replace(outcome, transmitted=sent)
+        with pytest.raises(ValueError, match="not among transmitted"):
+            gap_accounting(outcome)
+        # dropped, its neighbours pair across it: one packet missed, and
+        # the two-step state change reports it
+        accounting = gap_accounting(outcome, strict=False)
+        assert accounting.corrupt_observations == 1
+        assert accounting.pairs == [(0, 0)] * 9 + [(1, 1)] + [(0, 0)] * 18
+
+    def test_one_ab_outcome_rejected(self):
+        with pytest.raises(ValueError, match="unknown Ab state"):
+            gap_accounting(self._outcome(V1))
 
 
 # a frame whose two chip phases see one SF each at the same slicing margin

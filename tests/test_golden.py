@@ -1,7 +1,8 @@
 """Golden outputs: the decoded results of every preset and the checked-in
 study CSVs.
 
-Each preset runs end to end at its own seed, and the sha256 of its
+Each preset, and one noisy cell whose report shows the tie and overlap
+flags, runs end to end at its own seed, and the sha256 of its
 ``LinkReport.to_text()`` and of its recovered payload hex list are pinned.
 Every CSV in ``results/`` must regenerate byte for byte from the script
 that wrote it.  A rewrite that claims unchanged behaviour passes these
@@ -49,9 +50,8 @@ def test_every_preset_is_pinned():
     assert sorted(GOLDEN) == sorted(configs.PRESETS)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_preset_outputs(name):
-    config = configs.load_config(name)
+def _outputs(config) -> tuple[str, str]:
+    """The report text and the payload hex lines of one config's run."""
     # the payload draw of `occsim encode`
     distinct = (config.payload_bits >= 16
                 and config.trials <= 1 << config.payload_bits)
@@ -61,7 +61,28 @@ def test_preset_outputs(name):
         payloads, config.plan(), config.rll_scheme, config.frame_structure,
         config.camera(), config.rows_per_chip, config.geometry()).report
     hex_lines = "\n".join(decoder.bits_to_hex(p) for p in report.payloads())
-    assert (_sha256(report.to_text()), _sha256(hex_lines)) == GOLDEN[name]
+    return report.to_text(), hex_lines
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_preset_outputs(name):
+    text, hex_lines = _outputs(configs.load_config(name))
+    assert (_sha256(text), _sha256(hex_lines)) == GOLDEN[name]
+
+
+# the noisy Manchester cell at its preset seed: the one pinned report whose
+# groups show the tie and overlap flags (the five presets show neither)
+NOISY_CELL = (
+    "b645a040808a9f7b292117f9e5c59bac049549fa41ebaadd7c4e42c722743e8f",
+    "8e3b4acca94fcf535888cb4f762b812379f567e8f709a41994d729705de61e84")
+
+
+def test_noisy_cell_outputs():
+    config = dataclasses.replace(configs.load_config("table8_manchester_2k"),
+                                 noise_sigma=0.3)
+    text, hex_lines = _outputs(config)
+    assert " tie" in text and " overlap" in text
+    assert (_sha256(text), _sha256(hex_lines)) == NOISY_CELL
 
 
 def _script(name: str):
