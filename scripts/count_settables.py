@@ -10,9 +10,10 @@ Three counts, printed with their total:
   subcommand's counted on its own, ``--help`` left out.
 
 A public name is one without a leading underscore that its module
-defines (re-exports are counted where they are defined).  Run as
+defines (re-exports are counted where they are defined).  Run, from any
+directory, as
 
-    PYTHONPATH=src python3 scripts/count_settables.py
+    python3 scripts/count_settables.py
 """
 
 import argparse
@@ -20,9 +21,13 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
-import occsim
-from occsim.cli import build_parser
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import occsim  # noqa: E402
+from occsim.cli import build_parser  # noqa: E402
 
 
 def _public(namespace: dict, module: str):

@@ -255,7 +255,7 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
                 cell.decoder())
             for fusion in (True, False):
                 report = decode_samples(table, fusion=fusion)
-                got = {g.payload.tobytes() for g in report.groups}
+                got = {p.tobytes() for p in report.payload}
                 rows.append(FusionStudyRow(
                     distance_ratio=ratio,
                     ds_length_s=cell.ds_length_s,

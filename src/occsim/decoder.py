@@ -32,10 +32,12 @@ and one suffix pairs them outright, and only a bucket with more halves
 of one direction takes a loop.  The halves left pair by their rank in
 the group, from one more sort, and every pair is joined by one
 ``np.where``.  A group's complete rows and joins are its samples, and
-every group's samples are majority voted in one pass.  Under the two-bit
-structure, consecutive group states also reveal how many packets were
-skipped (up to three): a diff of the state index around the four-state
-cycle, with a payload-equality column for a skipped full cycle.
+every group's samples are majority voted in one pass.  The report holds
+the recovered groups as columns, one row per group in stream order, as
+the vote gives them.  Under the two-bit structure, consecutive group
+states also reveal how many packets were skipped (up to three): a diff of
+the state index around the four-state cycle, with a payload-equality
+column for a skipped full cycle.
 """
 
 from __future__ import annotations
@@ -47,12 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import _BLOCK_ELEMENTS, FrameBlock
-from .framing import (
-    FrameStructure,
-    ab_chip_count,
-    ab_state_v2,
-    subpacket_chip_length,
-)
+from .framing import FrameStructure, ab_chip_count, subpacket_chip_length
 from .rll import (
     RllScheme,
     chips_to_ascii,
@@ -72,50 +69,45 @@ class GapReport:
 
 
 @dataclass
-class RecoveredGroup:
-    ab_state: tuple[int, ...]
-    payload: np.ndarray
-    first_frame: int
-    last_frame: int
-    n_samples: int
-    tie_positions: tuple[int, ...] = ()
-    overlap_flagged: bool = False
-
-
-@dataclass
 class LinkReport:
-    """Per-experiment decode statistics and recovered payloads."""
+    """Per-experiment decode statistics and the recovered groups, one row
+    per group in stream order."""
 
     n_frames: int
     n_frames_with_sf: int
     n_parts: int
     n_complete_parts: int
-    groups: list[RecoveredGroup]
+    ab: np.ndarray  # groups x Ab bits, int8
+    payload: np.ndarray  # groups x payload bits, int8: the voted payloads
+    first_frame: np.ndarray
+    last_frame: np.ndarray
+    n_samples: np.ndarray  # rows voted: complete parts and joins
+    ties: np.ndarray  # groups x payload bits, bool: where the vote tied
+    overlap: np.ndarray  # bool: a join's halves disagreed where they overlap
     n_unrecovered_groups: int
     gaps: list[GapReport]
 
     def payloads(self) -> list[np.ndarray]:
-        return [g.payload for g in self.groups]
+        return list(self.payload)
 
     def to_text(self) -> str:
         lines = [
             f"frames: {self.n_frames} ({self.n_frames_with_sf} with SF)",
             f"parts: {self.n_parts} ({self.n_complete_parts} complete)",
-            f"recovered payloads: {len(self.groups)} "
+            f"recovered payloads: {len(self.payload)} "
             f"(unrecovered groups: {self.n_unrecovered_groups})",
             f"detected gaps: {len(self.gaps)} "
             f"({sum(g.missed_count for g in self.gaps)} payloads missed)",
         ]
-        for i, g in enumerate(self.groups):
-            flags = ""
-            if g.tie_positions:
-                flags += " tie"
-            if g.overlap_flagged:
-                flags += " overlap"
+        columns = (self.ab.tolist(), self.payload, self.first_frame.tolist(),
+                   self.last_frame.tolist(), self.n_samples.tolist(),
+                   self.ties.any(axis=1).tolist(), self.overlap.tolist())
+        for i, (ab, payload, first, last, samples, tie, overlap) in enumerate(
+                zip(*columns)):
+            flags = " tie" * tie + " overlap" * overlap
             lines.append(
-                f"  {i:5d} ab={g.ab_state} {bits_to_hex(g.payload)} "
-                f"frames {g.first_frame}..{g.last_frame} "
-                f"samples={g.n_samples}{flags}"
+                f"  {i:5d} ab={tuple(ab)} {bits_to_hex(payload)} "
+                f"frames {first}..{last} samples={samples}{flags}"
             )
         for gap in self.gaps:
             lines.append(
@@ -444,39 +436,39 @@ def _vote(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     return voted, ties
 
 
-_V2_STATE_INDEX = {ab_state_v2(i): i for i in range(4)}
-
-
 def missed_counts(states, payloads) -> np.ndarray:
     """Packets missed between each two consecutive two-Ab observations,
-    given their states and their payloads (one row each) in stream order.
+    given their states (one ``(Ab1, Ab2)`` row each) and their payloads
+    (one row each) in stream order.
 
     The state distance around the four-state cycle, one ``np.diff`` of the
-    state index mod 4, gives the gap; identical states with identical
-    payloads are a resample of the same packet, identical states with
-    different payloads mean a full cycle (three packets) was skipped.
+    state index ``Ab1 + 2 Ab2`` mod 4, gives the gap; identical states with
+    identical payloads are a resample of the same packet, identical states
+    with different payloads mean a full cycle (three packets) was skipped.
     """
-    index = [_V2_STATE_INDEX.get(tuple(state)) for state in states]
-    if None in index:
-        state = tuple(states[index.index(None)])
+    states = np.asarray(states)
+    known = np.zeros(len(states), dtype=bool)
+    if states.shape[1:] == (2,):  # two Ab bits, each 0 or 1
+        known = np.isin(states, (0, 1)).all(axis=1)
+    if not known.all():
+        state = tuple(np.ravel(states[np.argmin(known)]).tolist())
         raise ValueError(f"unknown Ab state {state!r}")
-    step = np.diff(np.array(index, dtype=np.intp)) % 4
+    step = np.diff(states[:, 0] + 2 * states[:, 1]) % 4
     payloads = np.asarray(payloads)
     same = (payloads[1:] == payloads[:-1]).all(axis=-1)
     return np.where(step == 0, np.where(same, 0, 3), step - 1)
 
 
-def detect_missed(observations) -> list[GapReport]:
-    """Missed-packet reports from consecutive two-Ab observations.
-
-    observations: iterable of (ab_state, payload, frame_index) in stream
-    order; each consecutive pair is counted by :func:`missed_counts`.
-    """
-    states, payloads, frames = list(zip(*observations)) or ((), (), ())
+def detect_missed(states, payloads, frames) -> list[GapReport]:
+    """Missed-packet reports from consecutive two-Ab observations, given
+    their state, payload and frame index columns in stream order; each
+    consecutive pair is counted by :func:`missed_counts`."""
     missed = missed_counts(states, payloads)
-    counts = missed.tolist()
-    return [GapReport(tuple(states[i]), counts[i], (frames[i], frames[i + 1]))
-            for i in np.flatnonzero(missed).tolist()]
+    at = np.flatnonzero(missed)
+    after, counts = np.asarray(states)[at].tolist(), missed[at].tolist()
+    frames = np.asarray(frames).tolist()
+    return [GapReport(tuple(state), count, (frames[i], frames[i + 1]))
+            for state, count, i in zip(after, counts, at.tolist())]
 
 
 def group_parts(table: PartTable) -> np.ndarray:
@@ -598,29 +590,25 @@ def decode_samples(table: PartTable, *, fusion: bool) -> LinkReport:
     sample_group, rows = sample_group[order], rows[order]
     starts = np.flatnonzero(np.diff(sample_group, prepend=-1))
     ids = sample_group[starts]
-    recovered: list[RecoveredGroup] = []
+    voted, ties = _vote(rows, starts)
+    ab = table.ab[first[ids]]
+    first_frame = np.minimum.reduceat(table.frame, first)[ids]
     gaps: list[GapReport] = []
-    if len(rows):
-        voted, ties = _vote(rows, starts)
-        tie_positions = [()] * len(ids)
-        for g, t in zip(*(a.tolist() for a in np.nonzero(ties))):
-            tie_positions[g] += (t,)
-        states = list(map(tuple, table.ab[first[ids]].tolist()))
-        frames = np.minimum.reduceat(table.frame, first)[ids].tolist()
-        recovered = list(map(
-            RecoveredGroup, states, voted, frames,
-            np.maximum.reduceat(table.frame, first)[ids].tolist(),
-            np.diff(np.append(starts, len(rows))).tolist(), tie_positions,
-            flagged[ids].tolist()))
-        if config.version is FrameStructure.V2_TWO_AB:
-            gaps = detect_missed(zip(states, voted, frames))
+    if config.version is FrameStructure.V2_TWO_AB:
+        gaps = detect_missed(ab, voted, first_frame)
 
     return LinkReport(
         n_frames=table.n_frames,
         n_frames_with_sf=table.n_frames_with_sf,
         n_parts=len(group),
         n_complete_parts=int(np.count_nonzero(complete)),
-        groups=recovered,
+        ab=ab,
+        payload=voted,
+        first_frame=first_frame,
+        last_frame=np.maximum.reduceat(table.frame, first)[ids],
+        n_samples=np.diff(np.append(starts, len(rows))),
+        ties=ties,
+        overlap=flagged[ids],
         n_unrecovered_groups=len(first) - len(ids),
         gaps=gaps,
     )

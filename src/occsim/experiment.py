@@ -81,7 +81,6 @@ class LinkOutcome:
     transmitted: list[np.ndarray]
     report: LinkReport
     n_frames_sampled: int
-    n_frames_decoded: int
 
     def payload_index(self) -> dict[bytes, int]:
         """Packet index by payload, keyed by the int8 payload's bytes."""
@@ -104,7 +103,6 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
         transmitted=[np.asarray(p, dtype=np.int8) for p in payloads],
         report=decode_samples(table, fusion=True),
         n_frames_sampled=len(frames),
-        n_frames_decoded=table.n_frames,
     )
 
 
@@ -135,21 +133,15 @@ def gap_accounting(outcome: LinkOutcome, strict: bool = True) -> GapAccounting:
     packets four apart can fuse) raise under ``strict``; otherwise they
     are dropped from the pairing and counted.
     """
-    index_of_payload = outcome.payload_index()
-    observations, indices = [], []
-    for group in outcome.report.groups:
-        index = index_of_payload.get(group.payload.tobytes())
-        if index is None:
-            if strict:
-                raise ValueError(
-                    "observation payload not among transmitted packets")
-            continue
-        observations.append(group)
-        indices.append(index)
+    report, index_of_payload = outcome.report, outcome.payload_index()
+    indices = np.array([index_of_payload.get(p.tobytes(), -1)
+                        for p in report.payload], dtype=np.int64)
+    known = indices >= 0
+    if strict and not known.all():
+        raise ValueError("observation payload not among transmitted packets")
 
-    step = np.diff(np.array(indices, dtype=np.int64))
+    step = np.diff(indices[known])
     truth = np.where(step == 0, 0, step - 1)
-    reported = missed_counts([g.ab_state for g in observations],
-                             [g.payload for g in observations])
+    reported = missed_counts(report.ab[known], report.payload[known])
     return GapAccounting(list(zip(truth.tolist(), reported.tolist())),
-                         len(outcome.report.groups) - len(observations))
+                         int(np.count_nonzero(~known)))

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import FrameBlock
+from .decoder import bits_to_hex
 from .rll import ChipStream, ascii_to_chips, chips_to_ascii
 
 PACKED_MAGIC = b"OCHP"
@@ -304,8 +305,6 @@ def write_manifest(path, payload: dict) -> None:
 
 def write_payload_bits(path, payloads: list[np.ndarray]) -> None:
     """Recovered payloads as one hex string per line."""
-    from .decoder import bits_to_hex
-
     with open(path, "w", encoding="utf-8") as fh:
         for payload in payloads:
             fh.write(bits_to_hex(payload) + "\n")

@@ -144,7 +144,7 @@ def _oversampling_run(clock, payload_bits, rows, packets, distinct, seed):
                           mean_fps=27.5, delta_fps=7.5, seed=seed + 1)
     outcome = run_link(payloads, plan, MAN, V1, camera, rows_per_chip=2)
     sent = [p.tolist() for p in outcome.transmitted]
-    got = [g.payload.tolist() for g in outcome.report.groups]
+    got = outcome.report.payload.tolist()
     return sent, got
 
 

@@ -234,7 +234,7 @@ def _ref_fusion_rows(config: FusionStudyConfig) -> list[FusionStudyRow]:
             for fusion in (True, False):
                 report = decode_samples(extract_parts(samples, cell.decoder()),
                                         fusion=fusion)
-                got = {g.payload.tobytes() for g in report.groups}
+                got = {p.tobytes() for p in report.payload}
                 rows.append(FusionStudyRow(ratio, cell.ds_length_s, fusion,
                                            len(sent & got) / len(sent)))
     return rows

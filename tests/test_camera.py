@@ -503,5 +503,5 @@ class TestStreamedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.groups
+        assert len(report.payload)
         assert peak < 2 * table.bits.nbytes

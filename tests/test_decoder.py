@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 from unittest import mock
@@ -497,46 +498,46 @@ class TestMajorityVote:
 
 
 class TestDetectMissed:
-    P = [np.array([int(c) for c in format(v, "06b")], dtype=np.int8)
-         for v in (9, 22, 41, 50, 63)]
+    P = np.array([[int(c) for c in format(v, "06b")]
+                  for v in (9, 22, 41, 50, 63)], dtype=np.int8)
 
     def test_adjacent_states_no_gap(self):
-        obs = [((0, 0), self.P[0], 0), ((1, 0), self.P[1], 4)]
-        assert detect_missed(obs) == []
+        assert detect_missed([(0, 0), (1, 0)], self.P[:2], [0, 4]) == []
 
     def test_two_steps_means_one_missed(self):
-        obs = [((1, 1), self.P[0], 2), ((1, 0), self.P[1], 9)]
-        reports = detect_missed(obs)
+        reports = detect_missed([(1, 1), (1, 0)], self.P[:2], [2, 9])
         assert len(reports) == 1
         assert reports[0].missed_count == 1
         assert reports[0].after_packet_state == (1, 1)
         assert reports[0].frame_indices == (2, 9)
 
     def test_three_steps_means_two_missed(self):
-        obs = [((0, 0), self.P[0], 0), ((1, 1), self.P[1], 5)]
-        assert detect_missed(obs)[0].missed_count == 2
+        reports = detect_missed([(0, 0), (1, 1)], self.P[:2], [0, 5])
+        assert reports[0].missed_count == 2
 
     def test_same_state_same_payload_is_resample(self):
-        obs = [((0, 1), self.P[0], 0), ((0, 1), self.P[0], 1)]
-        assert detect_missed(obs) == []
+        assert detect_missed([(0, 1), (0, 1)], self.P[[0, 0]], [0, 1]) == []
 
     def test_same_state_different_payload_is_cycle_skip(self):
-        obs = [((0, 1), self.P[0], 0), ((0, 1), self.P[1], 6)]
-        assert detect_missed(obs)[0].missed_count == 3
+        reports = detect_missed([(0, 1), (0, 1)], self.P[:2], [0, 6])
+        assert reports[0].missed_count == 3
 
-    @pytest.mark.parametrize("states", [[(2, 0)], [(0, 0), (1,)]])
+    @pytest.mark.parametrize("states", [[(2, 0)], [(0, 0), (1, 2)],
+                                        [(0,), (1,)]])
     def test_unknown_state_rejected(self, states):
-        with pytest.raises(ValueError, match="unknown Ab state"):
-            detect_missed([(state, self.P[0], k)
-                           for k, state in enumerate(states)])
+        # a first or a later state out of the cycle, or one-Ab states
+        bad = next(s for s in states if len(s) != 2 or set(s) - {0, 1})
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown Ab state {bad!r}")):
+            detect_missed(states, self.P[[0] * len(states)],
+                          range(len(states)))
 
     def test_simulated_skip_three_scenario(self):
         # packets 2 and 6 share a state; only payload comparison reveals
         # the full-cycle skip
-        obs = [(ab_state_v2(2), self.P[0], 3), (ab_state_v2(6), self.P[1], 8)]
-        reports = detect_missed(obs)
+        reports = detect_missed([ab_state_v2(2), ab_state_v2(6)],
+                                self.P[:2], [3, 8])
         assert [r.missed_count for r in reports] == [3]
-
 
 
 def small_link_inputs(payload_bits=5, packets=40, cam_seed=40,
@@ -564,7 +565,7 @@ class TestEndToEnd:
     def test_zero_error_oversampling(self):
         outcome = small_link()
         sent = [p.tolist() for p in outcome.transmitted]
-        got = [g.payload.tolist() for g in outcome.report.groups]
+        got = outcome.report.payload.tolist()
         assert got == sent
 
     @settings(max_examples=8, deadline=None)
@@ -572,7 +573,7 @@ class TestEndToEnd:
     def test_zero_error_many_seeds(self, seed):
         outcome = small_link(packets=15, cam_seed=seed, payload_seed=seed + 1)
         sent = [p.tolist() for p in outcome.transmitted]
-        got = [g.payload.tolist() for g in outcome.report.groups]
+        got = outcome.report.payload.tolist()
         assert got == sent
 
     def test_grouping_matches_ground_truth(self):
@@ -581,8 +582,7 @@ class TestEndToEnd:
         outcome = small_link(payload_bits=15, packets=30, distinct=True,
                              clock=2000.0, rows=112)
         index_of = outcome.payload_index()
-        indices = [index_of[g.payload.tobytes()]
-                   for g in outcome.report.groups]
+        indices = [index_of[p.tobytes()] for p in outcome.report.payload]
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
 
@@ -613,7 +613,7 @@ class TestEndToEnd:
         table = extract_parts(samples, DecoderConfig(MAN, V1, 5, 2))
         with_fusion, without = (decode_samples(table, fusion=f)
                                 for f in (True, False))
-        assert len(without.groups) <= len(with_fusion.groups)
+        assert len(without.payload) <= len(with_fusion.payload)
 
     @pytest.mark.parametrize("scheme,bits,clock", [
         (RllScheme.FOUR_B_SIX_B, 24, 4000.0),
@@ -630,7 +630,7 @@ class TestEndToEnd:
                               row_exposure_s=1 / (2 * clock), mean_fps=27.5,
                               delta_fps=7.5, seed=53)
         outcome = run_link(payloads, plan, scheme, V1, camera, rows_per_chip=2)
-        got = [g.payload.tolist() for g in outcome.report.groups]
+        got = outcome.report.payload.tolist()
         assert got == [p.tolist() for p in outcome.transmitted]
 
     def test_noise_robustness_through_voting(self):
@@ -642,7 +642,7 @@ class TestEndToEnd:
                               row_exposure_s=1 / 4000, mean_fps=27.5,
                               delta_fps=7.5, noise_sigma=0.1, seed=42)
         outcome = run_link(payloads, plan, MAN, V1, camera, rows_per_chip=2)
-        got = [g.payload.tolist() for g in outcome.report.groups]
+        got = outcome.report.payload.tolist()
         assert got == [p.tolist() for p in outcome.transmitted]
 
 
@@ -1422,14 +1422,26 @@ def _many_parts(seed, payload_bits, version):
 
 def _assert_assembles_as_reference(parts, payload_bits, version, fusion):
     """decode_samples on a table of the parts gives the reference's
-    groups, counters and gaps, with the reference's scalar types."""
+    groups, counters and gaps: the group columns with the report's shapes
+    and dtypes, the rest with the reference's scalar types."""
     table = _table(parts, payload_bits, version)
     report = decode_samples(table, fusion=fusion)
     groups, unrecovered, gaps = _ref_assemble(parts, payload_bits,
                                               version, fusion)
-    assert _typed([(g.ab_state, g.payload, g.first_frame, g.last_frame,
-                    g.n_samples, g.tie_positions, g.overlap_flagged)
-                   for g in report.groups]) == _typed(groups)
+    n = len(groups)
+    assert report.ab.shape == (n, ab_bit_count(version))
+    assert report.payload.shape == report.ties.shape == (n, payload_bits)
+    assert report.first_frame.shape == report.last_frame.shape \
+        == report.n_samples.shape == report.overlap.shape == (n,)
+    assert (report.ab.dtype, report.ties.dtype, report.overlap.dtype) \
+        == (np.int8, bool, bool)
+    # each group's row, read back as the reference's tuple
+    ties = [tuple(np.flatnonzero(t).tolist()) for t in report.ties]
+    assert _typed(list(zip(
+        map(tuple, report.ab.tolist()), report.payload,
+        report.first_frame.tolist(), report.last_frame.tolist(),
+        report.n_samples.tolist(), ties,
+        report.overlap.tolist()))) == _typed(groups)
     assert (report.n_parts, report.n_complete_parts,
             report.n_unrecovered_groups) \
         == (len(parts), sum(p.complete for p in parts), unrecovered)
@@ -1538,7 +1550,7 @@ def _decode(samples, config, fusion):
 
 
 def _outputs(report):
-    return report.to_text(), [g.payload.tobytes() for g in report.groups]
+    return report.to_text(), [p.tobytes() for p in report.payload]
 
 
 class TestDecodeSamplesFuzz:
