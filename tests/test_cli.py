@@ -470,8 +470,43 @@ def _csv_writer_frames(path, blocks):
                                  row, repr(float(luma))])
 
 
+def _per_row_writer_frames(path, blocks):
+    """The writer that formatted every row with its own f-string: the
+    reference for the writer that formats each distinct value once."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(io.FRAME_CSV_HEADER) + "\r\n")
+        for block in blocks:
+            for index, start, luma in zip(
+                    np.asarray(block.index).tolist(),
+                    np.asarray(block.start_time_s, dtype=np.float64).tolist(),
+                    np.asarray(block.luma, dtype=np.float64).tolist()):
+                head = f"{index},{start!r},"
+                fh.write("".join([f"{head}{row},{value!r}\r\n"
+                                  for row, value in enumerate(luma)]))
+
+
 _AWKWARD = [-0.0, 5e-324, 1e-17, 0.1 + 0.2, float("nan"), float("inf"),
             -float("inf"), 1.0, 0.0, 1 / 3]
+
+
+@st.composite
+def _frame_blocks(draw):
+    """Blocks of 0-3 frames whose luma repeat values across frames and
+    blocks from one small pool: both zeros, subnormals and any float."""
+    pool = [0.0, -0.0, 5e-324, -2.5e-310,
+            *draw(st.lists(st.floats(), max_size=6))]
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        frames, rows = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+        luma = draw(st.lists(st.sampled_from(pool), min_size=frames * rows,
+                             max_size=frames * rows))
+        index = draw(st.lists(st.integers(0, 1 << 40), min_size=frames,
+                              max_size=frames))
+        starts = draw(st.lists(st.floats(allow_nan=False), min_size=frames,
+                               max_size=frames))
+        blocks.append(_block(np.int64(index), np.float64(starts),
+                             np.float64(luma).reshape(frames, rows), rows))
+    return blocks
 
 
 class TestWriteFramesCsv:
@@ -489,6 +524,20 @@ class TestWriteFramesCsv:
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         io.write_frames_csv(got, samples)
         _csv_writer_frames(want, samples)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_frame_blocks())
+    # one block with both zeros and a subnormal, a one-frame block and a
+    # zero-frame block
+    @example([_block([2, 5], [0.5, 1e-17], [[0.0, -0.0, 5e-324]] * 2, 3),
+              _block([6], [2.0], [[-0.0, 0.0, 0.0]], 3),
+              _block(np.int64([]), np.float64([]), np.empty((0, 4)), 4)])
+    def test_matches_per_row_writer(self, tmp_path, blocks):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        io.write_frames_csv(got, blocks)
+        _per_row_writer_frames(want, blocks)
         assert got.read_bytes() == want.read_bytes()
 
 

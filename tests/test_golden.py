@@ -145,3 +145,18 @@ def test_noisy_frames_csv(tmp_path):
     assert cli.main(["simulate", "--config", str(path), "--stream",
                      str(stream), "--out", str(frames)]) == 0
     assert hashlib.sha256(frames.read_bytes()).hexdigest() == NOISY_FRAMES_CSV
+
+
+# sha256 of the zero-noise table5_v2 frame CSV `occsim simulate` writes at
+# the preset's seed: the file the benchmark's file pipeline writes
+CLEAN_FRAMES_CSV = (
+    "7eb959e498e8a10b633d3c3d13c516cd6cecf8ac691fc83d5c51096de9c57227")
+
+
+def test_clean_frames_csv(tmp_path):
+    stream, frames = tmp_path / "stream.chips", tmp_path / "frames.csv"
+    assert cli.main(["encode", "--config", "table5_v2",
+                     "--out", str(stream)]) == 0
+    assert cli.main(["simulate", "--config", "table5_v2", "--stream",
+                     str(stream), "--out", str(frames)]) == 0
+    assert hashlib.sha256(frames.read_bytes()).hexdigest() == CLEAN_FRAMES_CSV
