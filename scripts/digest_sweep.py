@@ -4,9 +4,12 @@
 For each seed, every preset cell of the benchmark runs through
 ``experiment.run_link`` (with gap accounting on the two-Ab cells, as the
 benchmark does) and the far-field fusion study runs in full; each
-``LinkReport`` is summarized by the benchmark's ``report_digest``, and the
-seed's line is one hash over all of them.  Nothing under ``perfbench/`` is
-changed.  Run from a tree's root and diff the outputs of two trees:
+``LinkReport`` is summarized by the benchmark's ``report_digest``.  The
+frame CSVs of the file pipeline's cell and of the noisy Manchester cell
+are written to a temporary directory and hashed too, and the seed's line
+is one hash over all of them.  Nothing under ``perfbench/`` is changed.
+Run this script from each tree's root, the same copy of it in both, and
+diff the outputs:
 
     python3 scripts/digest_sweep.py --seeds 0-20
 """
@@ -16,16 +19,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from occsim import analysis, experiment  # noqa: E402
+from occsim import analysis, camera, experiment, framing, io  # noqa: E402
 from workloads import (  # noqa: E402
     _payloads,
     fusion_config,
+    pipeline_cell,
     preset_cells,
     report_digest,
 )
@@ -67,13 +72,32 @@ def fusion_digests(seed: int) -> list[str]:
             for row, report in zip(rows, reports)]
 
 
+def frames_csv_digests(seed: int) -> list[str]:
+    """sha256 of the frame CSVs of the file pipeline's cell and of the
+    noisy Manchester cell, sampled and written as `occsim simulate` does."""
+    noisy, = [cell for cell in preset_cells(seed)
+              if cell.name == "table8_manchester_2k_noisy"]
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.csv"
+        for cell in (pipeline_cell(seed), noisy):
+            stream = framing.build_packet_stream(
+                _payloads(cell), cell.plan(), cell.rll_scheme,
+                cell.frame_structure)
+            io.write_frames_csv(path, camera.sample_frames(
+                stream, cell.camera(), cell.geometry()))
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    return digests
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="inclusive seed range, e.g. 0-20")
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        digests = preset_digests(seed) + fusion_digests(seed)
+        digests = (preset_digests(seed) + fusion_digests(seed)
+                   + frames_csv_digests(seed))
         combined = hashlib.sha256(" ".join(digests).encode()).hexdigest()
         print(f"seed {seed} {combined[:16]}", flush=True)
 

@@ -132,7 +132,7 @@ def cmd_decode(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     if args.payload_out:
-        io.write_payload_bits(args.payload_out, report.payloads())
+        io.write_payload_bits(args.payload_out, report.payload)
     return 0
 
 

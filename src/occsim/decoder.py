@@ -52,7 +52,7 @@ from .camera import _BLOCK_ELEMENTS, FrameBlock
 from .framing import FrameStructure, ab_chip_count, subpacket_chip_length
 from .rll import (
     RllScheme,
-    chips_to_ascii,
+    _is_binary,
     codeword_bits,
     codeword_chips,
     codeword_values,
@@ -99,14 +99,15 @@ class LinkReport:
             f"detected gaps: {len(self.gaps)} "
             f"({sum(g.missed_count for g in self.gaps)} payloads missed)",
         ]
-        columns = (self.ab.tolist(), self.payload, self.first_frame.tolist(),
+        columns = (self.ab.tolist(), hex_rows(self.payload),
+                   self.first_frame.tolist(),
                    self.last_frame.tolist(), self.n_samples.tolist(),
                    self.ties.any(axis=1).tolist(), self.overlap.tolist())
-        for i, (ab, payload, first, last, samples, tie, overlap) in enumerate(
-                zip(*columns)):
+        for i, (ab, payload_hex, first, last, samples, tie, overlap) in \
+                enumerate(zip(*columns)):
             flags = " tie" * tie + " overlap" * overlap
             lines.append(
-                f"  {i:5d} ab={tuple(ab)} {bits_to_hex(payload)} "
+                f"  {i:5d} ab={tuple(ab)} {payload_hex} "
                 f"frames {first}..{last} samples={samples}{flags}"
             )
         for gap in self.gaps:
@@ -118,13 +119,26 @@ class LinkReport:
         return "\n".join(lines)
 
 
+def hex_rows(bits: np.ndarray) -> list[str]:
+    """Each row of a bit matrix, MSB first, as hex digits, one per 4 bits
+    (rounded up: the row is padded with zeros on the left); any value but
+    0 and 1 raises ValueError."""
+    bits = np.asarray(bits, dtype=np.int8)
+    if not _is_binary(bits):
+        raise ValueError("bits must be 0/1 valued")
+    rows, width = bits.shape
+    pad = -width % 8
+    padded = np.zeros((rows, width + pad), dtype=np.uint8)
+    padded[:, pad:] = bits
+    text = np.packbits(padded, axis=1).tobytes().hex()
+    # a row's bytes give 2 digits each, the first a padding 0 if pad >= 4
+    step, skip = (width + pad) // 4, pad // 4
+    return [text[i * step + skip:(i + 1) * step] for i in range(rows)]
+
+
 def bits_to_hex(bits) -> str:
-    """A bit vector, MSB first, as hex digits, one per 4 bits (rounded
-    up); any value but 0 and 1 raises ValueError."""
-    text = chips_to_ascii(bits)
-    if not text:
-        return ""
-    return format(int(text, 2), f"0{math.ceil(len(text) / 4)}x")
+    """A bit vector as :func:`hex_rows` writes a one-row matrix."""
+    return hex_rows(np.asarray(bits, dtype=np.int8).reshape(1, -1))[0]
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,12 @@ def gap_accounting(outcome: LinkOutcome, strict: bool = True) -> GapAccounting:
 
     Requires pairwise-distinct payloads so each observation maps back to
     its transmitted packet index.  Observations whose payload matches no
-    transmitted packet (possible only when the frame-rate floor drops
-    below a quarter of the packet rate, where same-state fragments of
-    packets four apart can fuse) raise under ``strict``; otherwise they
-    are dropped from the pairing and counted.
+    transmitted packet raise under ``strict``; otherwise they are dropped
+    from the pairing and counted.  Without noise they occur only when the
+    frame-rate floor drops below a quarter of the packet rate, where
+    same-state fragments of packets four apart can fuse.  Noisy luma
+    (``noise_sigma > 0``) makes them at the floor too: ``table5_v2`` with
+    ``noise_sigma=0.3`` gives 16 of 566 observations at its preset seed.
     """
     report, index_of_payload = outcome.report, outcome.payload_index()
     indices = np.array([index_of_payload.get(p.tobytes(), -1)

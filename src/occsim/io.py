@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import FrameBlock
-from .decoder import bits_to_hex
+from .decoder import hex_rows
 from .rll import ChipStream, ascii_to_chips, chips_to_ascii
 
 PACKED_MAGIC = b"OCHP"
@@ -140,17 +140,32 @@ FRAME_CSV_HEADER = ["frame_index", "start_time_s", "row", "luma"]
 def write_frames_csv(path, blocks) -> None:
     """One CSV line per sensor row, a block at a time, floats as their
     repr, CRLF line ends (what the csv module's default dialect writes for
-    these fields)."""
+    these fields).
+
+    Each distinct luma value of a block is formatted once, keyed by its
+    bit pattern (so ``-0.0`` stays apart from ``0.0``), and the block's
+    text is one join over its frame heads, row tokens and value texts.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FRAME_CSV_HEADER) + "\r\n")
         for block in blocks:
-            for index, start, luma in zip(
-                    np.asarray(block.index).tolist(),
-                    np.asarray(block.start_time_s, dtype=np.float64).tolist(),
-                    np.asarray(block.luma, dtype=np.float64).tolist()):
-                head = f"{index},{start!r},"
-                fh.write("".join([f"{head}{row},{value!r}\r\n"
-                                  for row, value in enumerate(luma)]))
+            luma = np.ascontiguousarray(block.luma, dtype=np.float64)
+            frames, rows = luma.shape
+            bits, which = np.unique(luma.view(np.int64).ravel(),
+                                    return_inverse=True)
+            values = np.array([f"{v!r}\r\n"
+                               for v in bits.view(np.float64).tolist()],
+                              dtype=object)
+            heads = np.array([f"{index},{start!r}," for index, start in zip(
+                np.asarray(block.index).tolist(),
+                np.asarray(block.start_time_s, dtype=np.float64).tolist())],
+                dtype=object)
+            line = np.empty((frames, rows, 3), dtype=object)
+            line[..., 0] = heads[:, None]
+            line[..., 1] = np.array([f"{row}," for row in range(rows)],
+                                    dtype=object)
+            line[..., 2] = values[which.reshape(frames, rows)]
+            fh.write("".join(line.ravel().tolist()))
 
 
 def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
@@ -303,11 +318,10 @@ def write_manifest(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_payload_bits(path, payloads: list[np.ndarray]) -> None:
-    """Recovered payloads as one hex string per line."""
+def write_payload_bits(path, payload: np.ndarray) -> None:
+    """Recovered payloads, one row each, as one hex string per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for payload in payloads:
-            fh.write(bits_to_hex(payload) + "\n")
+        fh.write("".join(f"{text}\n" for text in hex_rows(payload)))
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:

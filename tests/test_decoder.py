@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from occsim import decoder
 from occsim.camera import CameraConfig, FrameBlock, sample_frames
+from occsim.configs import load_config
 from occsim.decoder import (
     DecoderConfig,
     GapReport,
@@ -677,6 +679,26 @@ class TestGapAccounting:
     def test_one_ab_outcome_rejected(self):
         with pytest.raises(ValueError, match="unknown Ab state"):
             gap_accounting(self._outcome(V1))
+
+    def test_noisy_luma_at_the_floor(self):
+        # table5_v2's frame-rate floor is exactly a quarter of its packet
+        # rate, so fragments of packets four apart cannot fuse; noisy luma
+        # still votes payloads that were never sent
+        config = dataclasses.replace(load_config("table5_v2"),
+                                     noise_sigma=0.3)
+        assert config.mean_fps - config.delta_fps == config.packet_rate / 4
+        payloads = random_payloads(config.trials, config.payload_bits,
+                                   config.seed, distinct=True)
+        outcome = run_link(payloads, config.plan(), config.rll_scheme,
+                           config.frame_structure, config.camera(),
+                           config.rows_per_chip, config.geometry())
+        with pytest.raises(ValueError, match="not among transmitted"):
+            gap_accounting(outcome)
+        accounting = gap_accounting(outcome, strict=False)
+        assert (accounting.corrupt_observations,
+                len(outcome.report.payload)) == (16, 566)
+        assert (accounting.undetected(), accounting.true_missed()) \
+            == (784, 1447)
 
 
 # a frame whose two chip phases see one SF each at the same slicing margin
@@ -1601,6 +1623,17 @@ class TestBitsToHex:
         assert decoder.bits_to_hex(np.array(bits, dtype=np.int8)) \
             == _ref_bits_to_hex(bits)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                min_side=0, max_side=41),
+                      elements=st.integers(0, 1)))
+    @example(np.zeros((0, 7), dtype=np.int8))
+    @example(np.zeros((3, 0), dtype=np.int8))
+    @example(np.ones((2, 5), dtype=np.int8))
+    def test_rows_against_reference(self, matrix):
+        assert decoder.hex_rows(matrix) == [_ref_bits_to_hex(row)
+                                            for row in matrix]
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 40),
            st.sampled_from([-1, 2, 7, 100]))
@@ -1610,3 +1643,5 @@ class TestBitsToHex:
         bits.insert(min(at, len(bits)), value)
         with pytest.raises(ValueError):
             decoder.bits_to_hex(bits)
+        with pytest.raises(ValueError):
+            decoder.hex_rows(np.array([bits, bits], dtype=np.int8))
