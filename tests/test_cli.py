@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from occsim import cli, io
-from occsim.analysis import FusionStudyConfig, monte_carlo_der
+from occsim.analysis import (FusionStudyConfig, monte_carlo_der,
+                             wilson_interval)
 from occsim.cli import main
 from occsim.configs import PRESETS, ExperimentConfig, load_config
 from occsim.experiment import random_payloads, run_link
@@ -822,6 +823,34 @@ class TestStudies:
         assert estimates[0].undetected == 0
         with open(out) as fh:
             assert float(list(csv.DictReader(fh))[0]["der_empirical"]) == 0.0
+
+    def test_der_links_are_summed(self, tmp_path):
+        # 2 600 packets below the floor run as two links, 2 500 packets at
+        # the config's seed s and 100 at s + 101, each drawing its payloads
+        # one seed higher; the row sums them under one Wilson interval
+        config = dataclasses.replace(PRESETS["table5_v2"], mean_fps=4.5,
+                                     delta_fps=1.0, trials=2600)
+        path = tmp_path / "under.json"
+        path.write_text(config.to_json())
+        out = tmp_path / "der.csv"
+        assert run_cli("der", "--config", path, "--out", out) == 0
+
+        s = config.seed
+        links = [monte_carlo_der(dataclasses.replace(config, seed=seed,
+                                                     trials=trials), seed + 1)
+                 for seed, trials in ((s, 2500), (s + 101, 100))]
+        transmitted = sum(e.transmitted for e in links)
+        undetected = sum(e.undetected for e in links)
+        assert undetected > 0
+        want = tmp_path / "want.csv"
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["fps_floor", "packet_rate", "der_formula",
+                             "der_empirical", "ci_low", "ci_high"])
+            writer.writerow([3.5, 20.0, float(links[0].der_formula),
+                             undetected / transmitted,
+                             *wilson_interval(undetected, transmitted)])
+        assert out.read_bytes() == want.read_bytes()
 
     def test_der_requires_v2(self, tmp_path, capsys):
         out = tmp_path / "der.csv"
