@@ -6,8 +6,10 @@ For each seed, every preset cell of the benchmark runs through
 benchmark does) and the far-field fusion study runs in full; each
 ``LinkReport`` is summarized by the benchmark's ``report_digest``.  The
 frame CSVs of the file pipeline's cell and of the noisy Manchester cell
-are written to a temporary directory and hashed too, and the seed's line
-is one hash over all of them.  Nothing under ``perfbench/`` is changed.
+are written to a temporary directory and hashed too, as is the CSV of
+``occsim der`` on ``table5_v2`` below its detection floor (4.5 +- 1.0 fps,
+2 600 packets: two links) at the seed; the seed's line is one hash over
+all of them.  Nothing under ``perfbench/`` is changed.
 Run this script from each tree's root, the same copy of it in both, and
 diff the outputs:
 
@@ -17,6 +19,8 @@ diff the outputs:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import sys
 import tempfile
@@ -26,7 +30,15 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from occsim import analysis, camera, experiment, framing, io  # noqa: E402
+from occsim import (  # noqa: E402
+    analysis,
+    camera,
+    cli,
+    configs,
+    experiment,
+    framing,
+    io,
+)
 from workloads import (  # noqa: E402
     _payloads,
     fusion_config,
@@ -90,6 +102,22 @@ def frames_csv_digests(seed: int) -> list[str]:
     return digests
 
 
+def der_digest(seed: int) -> str:
+    """sha256 of the CSV `occsim der` writes for ``table5_v2`` at 4.5 +- 1.0
+    fps, 2 600 packets and the seed; its printed line is discarded."""
+    config = dataclasses.replace(configs.PRESETS["table5_v2"], mean_fps=4.5,
+                                 delta_fps=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "der.csv"
+        path.write_text(config.to_json())
+        with contextlib.redirect_stdout(None):
+            code = cli.main(["der", "--config", str(path), "--seed", str(seed),
+                             "--trials", "2600", "--out", str(out)])
+        if code:
+            raise SystemExit(f"occsim der exited {code} at seed {seed}")
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seed_range, required=True,
@@ -97,7 +125,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     for seed in args.seeds:
         digests = (preset_digests(seed) + fusion_digests(seed)
-                   + frames_csv_digests(seed))
+                   + frames_csv_digests(seed) + [der_digest(seed)])
         combined = hashlib.sha256(" ".join(digests).encode()).hexdigest()
         print(f"seed {seed} {combined[:16]}", flush=True)
 

@@ -6,11 +6,11 @@ detection guarantee boundary (a quarter of the packet rate) and reports
 the closed-form DER next to the Monte-Carlo estimate for each point.
 """
 
-import csv
 from dataclasses import replace
 from pathlib import Path
 
 from occsim.analysis import monte_carlo_der
+from occsim.cli import write_der_csv
 from occsim.configs import PRESETS
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -23,21 +23,17 @@ SEED = 101
 def main() -> int:
     RESULTS.mkdir(exist_ok=True)
     out = RESULTS / "der_study.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fps_floor", "packet_rate", "der_formula",
-                         "der_empirical", "ci_low", "ci_high"])
-        for mean_fps, delta_fps in FPS_POINTS:
-            config = replace(PRESETS["table5_v2"], mean_fps=mean_fps,
-                             delta_fps=delta_fps, seed=SEED, trials=TRIALS)
-            est = monte_carlo_der(config, SEED)
-            writer.writerow([est.fps_floor, est.packet_rate,
-                             float(est.der_formula), est.der_empirical,
-                             est.ci_low, est.ci_high])
-            print(f"floor {est.fps_floor:5.1f} fps: formula "
-                  f"{float(est.der_formula):.3e}  empirical "
-                  f"{est.der_empirical:.3e} "
-                  f"[{est.ci_low:.3e}, {est.ci_high:.3e}]")
+    estimates = []
+    for mean_fps, delta_fps in FPS_POINTS:
+        config = replace(PRESETS["table5_v2"], mean_fps=mean_fps,
+                         delta_fps=delta_fps, seed=SEED, trials=TRIALS)
+        est = monte_carlo_der(config, SEED)
+        estimates.append(est)
+        print(f"floor {est.fps_floor:5.1f} fps: formula "
+              f"{float(est.der_formula):.3e}  empirical "
+              f"{est.der_empirical:.3e} "
+              f"[{est.ci_low:.3e}, {est.ci_high:.3e}]")
+    write_der_csv(out, estimates)
     print(f"wrote {out}")
     return 0
 

@@ -6,10 +6,10 @@ the sensor; fusion_deep.csv probes 1.8x the reference distance with a long
 sub-packet, where only prefix+suffix fusion can recover payloads.
 """
 
-import csv
 from pathlib import Path
 
 from occsim.analysis import FusionStudyConfig, fusion_gain_experiment
+from occsim.cli import write_fusion_csv
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -27,13 +27,7 @@ DEEP = FusionStudyConfig(
 
 
 def write_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["distance_ratio", "ds_length", "fusion",
-                         "recovered_fraction"])
-        for row in rows:
-            writer.writerow([row.distance_ratio, row.ds_length_s,
-                             int(row.fusion), row.recovered_fraction])
+    write_fusion_csv(path, rows)
     print(f"wrote {path}")
 
 

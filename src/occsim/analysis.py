@@ -9,13 +9,18 @@ report empirical rates beside the formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .camera import sample_frames
 from .configs import ExperimentConfig
 from .decoder import decode_samples, extract_parts
-from .experiment import gap_accounting, random_payloads, run_link
+from .experiment import (
+    GapAccounting,
+    gap_accounting,
+    random_payloads,
+    run_link,
+)
 from .framing import FrameStructure, ab_chip_count, build_packet_stream
 from .rll import RllScheme, efficiency, preamble
 
@@ -120,23 +125,36 @@ class DerEstimate:
     ci_high: float
 
 
+# packets per simulated link of a detection-error study
+_DER_CHUNK = 2500
+
+
 def monte_carlo_der(config: ExperimentConfig, seed: int) -> DerEstimate:
-    """Empirical detection error rate over the config's simulated link.
+    """Empirical detection error rate over the config's simulated links.
 
     The config supplies the packet count (``trials``), the plan, the
-    camera (at ``config.seed``), the line code, the row grid, the footprint
-    and the payload width; ``seed`` draws the payloads, pairwise distinct so
-    every observation maps to its packet, making the undetected-miss count
-    exact.  The config must use the two-Ab (v2) structure.
+    camera, the line code, the row grid, the footprint and the payload
+    width.  The packets run as links of at most 2 500 each: link i is the
+    config with ``seed=config.seed + 101 i`` (its camera) and its share of
+    the trials, and draws its payloads at ``seed + 101 i``, pairwise
+    distinct so every observation maps to its packet, making the
+    undetected-miss count exact.  The links' gap counts are summed under
+    one Wilson interval.  The config must use the two-Ab (v2) structure.
     """
     if config.frame_structure is not FrameStructure.V2_TWO_AB:
         raise ValueError("detection-error studies require a v2 (two-Ab) config")
-    payloads = random_payloads(config.trials, config.payload_bits, seed,
-                               distinct=True)
-    outcome = run_link(payloads, config.plan(), config.rll_scheme,
-                       config.frame_structure, config.camera(),
-                       config.rows_per_chip, config.geometry())
-    accounting = gap_accounting(outcome, strict=False)
+    accounting = GapAccounting([], 0)
+    for index, start in enumerate(range(0, config.trials, _DER_CHUNK)):
+        link = replace(config, seed=config.seed + 101 * index,
+                       trials=min(_DER_CHUNK, config.trials - start))
+        payloads = random_payloads(link.trials, link.payload_bits,
+                                   seed + 101 * index, distinct=True)
+        outcome = run_link(payloads, link.plan(), link.rll_scheme,
+                           link.frame_structure, link.camera(),
+                           link.rows_per_chip, link.geometry())
+        part = gap_accounting(outcome, strict=False)
+        accounting.pairs += part.pairs
+        accounting.corrupt_observations += part.corrupt_observations
 
     undetected = accounting.undetected()
     ci_low, ci_high = wilson_interval(undetected, config.trials)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .analysis import (
     monte_carlo_der,
     scheme_overhead,
     symbols_per_image,
-    wilson_interval,
 )
 from .camera import covered_rows, sample_frames
 from .configs import PRESETS, ExperimentConfig, load_config
@@ -32,8 +32,6 @@ from .decoder import decode_samples, extract_parts
 from .experiment import random_payloads
 from .framing import build_packet_stream
 from .rll import efficiency
-
-_DER_CHUNK = 2500
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -181,34 +179,39 @@ def _reference_rows(fps_min: float) -> list[list]:
     return rows
 
 
+def write_der_csv(path, estimates) -> None:
+    """One detection-error study row per estimate."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fps_floor", "packet_rate", "der_formula",
+                         "der_empirical", "ci_low", "ci_high"])
+        for est in estimates:
+            writer.writerow([est.fps_floor, est.packet_rate,
+                             float(est.der_formula), est.der_empirical,
+                             est.ci_low, est.ci_high])
+
+
+def write_fusion_csv(path, rows) -> None:
+    """One fusion study row per (sub-packet length, distance, fusion) cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["distance_ratio", "ds_length", "fusion",
+                         "recovered_fraction"])
+        for row in rows:
+            writer.writerow([row.distance_ratio, row.ds_length_s,
+                             int(row.fusion), row.recovered_fraction])
+
+
 def cmd_der(args) -> int:
     config = _load_validated(args)
     if config is None:
         return 2
     if config.version != "v2":
         return _fail("detection-error studies require a v2 (two-Ab) config", 2)
-    # at most _DER_CHUNK packets per simulated link; chunk i is seeded
-    # seed + 101 i (payloads one more)
-    estimates = []
-    for index, start in enumerate(range(0, config.trials, _DER_CHUNK)):
-        seed = config.seed + 101 * index
-        chunk = dataclasses.replace(
-            config, seed=seed, trials=min(_DER_CHUNK, config.trials - start))
-        estimates.append(monte_carlo_der(chunk, seed + 1))
-
-    transmitted = sum(e.transmitted for e in estimates)
-    undetected = sum(e.undetected for e in estimates)
-    ci_low, ci_high = wilson_interval(undetected, transmitted)
-    formula = estimates[0].der_formula
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fps_floor", "packet_rate", "der_formula",
-                         "der_empirical", "ci_low", "ci_high"])
-        writer.writerow([config.mean_fps - config.delta_fps,
-                         config.packet_rate, float(formula),
-                         undetected / transmitted, ci_low, ci_high])
-    print(f"{undetected}/{transmitted} undetected missed payloads "
-          f"(formula {float(formula):.3e}); wrote {args.out}")
+    est = monte_carlo_der(config, config.seed + 1)
+    write_der_csv(args.out, [est])
+    print(f"{est.undetected}/{est.transmitted} undetected missed payloads "
+          f"(formula {float(est.der_formula):.3e}); wrote {args.out}")
     return 0
 
 
@@ -220,13 +223,7 @@ def cmd_fusion(args) -> int:
         payload_bits_grid=args.payload_bits,
         **{name: value for name, value in given.items() if value is not None})
     rows = fusion_gain_experiment(study)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["distance_ratio", "ds_length", "fusion",
-                         "recovered_fraction"])
-        for row in rows:
-            writer.writerow([row.distance_ratio, row.ds_length_s,
-                             int(row.fusion), row.recovered_fraction])
+    write_fusion_csv(args.out, rows)
     print(f"wrote {len(rows)} fusion study rows to {args.out}")
     return 0
 
@@ -252,6 +249,18 @@ def _list_of(convert):
                 f"expected comma-separated {convert.__name__} values, "
                 f"got {text!r}") from None
     return parse
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,10 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bit-rate ceiling vs optical clock CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--frequencies", type=_list_of(float),
+    p.add_argument("--frequencies", type=_list_of(_finite),
                    default=DEFAULT_SWEEP_GRID,
                    help="comma-separated clock grid in Hz")
-    p.add_argument("--fps-min", type=float, default=20.0)
+    p.add_argument("--fps-min", type=_finite, default=20.0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("der", help="Monte-Carlo detection error study CSV")

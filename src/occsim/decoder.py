@@ -461,6 +461,8 @@ def missed_counts(states, payloads) -> np.ndarray:
     with different payloads mean a full cycle (three packets) was skipped.
     """
     states = np.asarray(states)
+    if not len(states):  # no observations, no gaps
+        return np.zeros(0, dtype=np.intp)
     known = np.zeros(len(states), dtype=bool)
     if states.shape[1:] == (2,):  # two Ab bits, each 0 or 1
         known = np.isin(states, (0, 1)).all(axis=1)

@@ -48,24 +48,12 @@ def ab_chip_count(version: FrameStructure) -> int:
     return 2 * ab_bit_count(version)
 
 
-def ab_state_v1(packet_index: int) -> int:
-    """Clock-state bit: 1 for odd packet indices, 0 for even."""
-    if packet_index < 0:
-        raise ValueError("packet index must be non-negative")
-    return packet_index % 2
-
-
-def ab_state_v2(packet_index: int) -> tuple[int, int]:
-    """(Ab1, Ab2): Ab1 alternates per packet, Ab2 at half the rate."""
-    if packet_index < 0:
-        raise ValueError("packet index must be non-negative")
-    return packet_index % 2, (packet_index // 2) % 2
-
-
 def ab_bits(packet_index: int, version: FrameStructure) -> tuple[int, ...]:
-    if version is FrameStructure.V1_ONE_AB:
-        return (ab_state_v1(packet_index),)
-    return ab_state_v2(packet_index)
+    """Clock-state bits of a packet: Ab1 alternates per packet (1 for odd
+    indices); V2 adds Ab2, alternating at half the rate."""
+    if packet_index < 0:
+        raise ValueError("packet index must be non-negative")
+    return (packet_index % 2, (packet_index // 2) % 2)[:ab_bit_count(version)]
 
 
 def repetition_count(t_cam_max_s: float, ds_length_s: float) -> int:

@@ -891,6 +891,13 @@ class TestStudies:
         (["fusion", "--ratios", "1,abc"], "--ratios"),
         (["fusion", "--payload-bits", "40,x"], "--payload-bits"),
         (["sweep", "--frequencies", "100,zz"], "--frequencies"),
+        # non-finite values, which the ceiling arithmetic cannot take
+        (["sweep", "--frequencies", "inf"], "--frequencies"),
+        (["sweep", "--frequencies", "100,1e400"], "--frequencies"),
+        (["sweep", "--frequencies", "nan"], "--frequencies"),
+        (["sweep", "--fps-min", "inf"], "--fps-min"),
+        (["sweep", "--fps-min", "1e400"], "--fps-min"),
+        (["sweep", "--fps-min", "nan"], "--fps-min"),
     ])
     def test_malformed_list_flag_named(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "study.csv"

@@ -32,14 +32,15 @@ from occsim.decoder import (
     extract_parts,
     fuse,
     group_parts,
+    missed_counts,
 )
 from occsim.experiment import gap_accounting, random_payloads, run_link
 from occsim.framing import (
     FrameStructure,
     PacketPlan,
     ab_bit_count,
+    ab_bits,
     ab_chip_count,
-    ab_state_v2,
     build_packet_stream,
     subpacket_chip_length,
 )
@@ -370,8 +371,6 @@ class TestDecodeFrame:
            st.integers(0, 11),
            st.integers(0, 2**16 - 1))
     def test_exact_chips_roundtrip_property(self, scheme, version, index, value):
-        from occsim.framing import ab_bits
-
         payload = [int(c) for c in format(value, "016b")]
         sub = _subpacket(payload, index, scheme, version)
         parts = _decode_frame(np.tile(sub, 2), scheme, version, 16, 0)
@@ -534,10 +533,14 @@ class TestDetectMissed:
             detect_missed(states, self.P[[0] * len(states)],
                           range(len(states)))
 
+    def test_no_observations_no_gaps(self):
+        assert missed_counts([], []).tolist() == []
+        assert detect_missed([], [], []) == []
+
     def test_simulated_skip_three_scenario(self):
         # packets 2 and 6 share a state; only payload comparison reveals
         # the full-cycle skip
-        reports = detect_missed([ab_state_v2(2), ab_state_v2(6)],
+        reports = detect_missed([ab_bits(2, V2), ab_bits(6, V2)],
                                 self.P[:2], [3, 8])
         assert [r.missed_count for r in reports] == [3]
 
@@ -1351,7 +1354,7 @@ def _ref_missed_packets(prev_state, prev_payload, state, payload):
     """Packets missed between two two-Ab observations, pair by pair: the
     state distance around the four-state cycle, and a payload compare
     telling a resample from a skipped full cycle."""
-    index = {ab_state_v2(k): k for k in range(4)}
+    index = {ab_bits(k, V2): k for k in range(4)}
     step = (index[tuple(state)] - index[tuple(prev_state)]) % 4
     if step == 0:
         return 0 if np.array_equal(payload, prev_payload) else 3
@@ -1390,7 +1393,7 @@ def _part_lists(draw, version=V1):
                                       max_size=payload_bits),
                              min_size=1, max_size=3))
     states = ([(0,), (1,)] if version is V1
-              else [ab_state_v2(k) for k in range(draw(st.integers(1, 4)))])
+              else [ab_bits(k, V2) for k in range(draw(st.integers(1, 4)))])
     parts = []
     for _ in range(draw(st.integers(0, 24))):
         bits = draw(st.sampled_from(payloads))
@@ -1415,7 +1418,7 @@ def _many_parts(seed, payload_bits, version):
     rng = np.random.default_rng(seed)
     pool = rng.integers(0, 2, size=(3, payload_bits)).tolist()
     states = ([(0,), (1,)] if version is V1
-              else [ab_state_v2(k) for k in range(4)])
+              else [ab_bits(k, V2) for k in range(4)])
     common = [payload_bits // 2, payload_bits - payload_bits // 2,
               payload_bits - 1, 1]
     parts, frame = [], 0

@@ -10,8 +10,6 @@ from occsim.framing import (
     PacketPlan,
     PlanInfeasible,
     ab_bits,
-    ab_state_v1,
-    ab_state_v2,
     build_packet_stream,
     repetition_count,
     subpacket_chip_length,
@@ -49,34 +47,34 @@ def _ref_packet_stream(payloads, plan, scheme, version):
 
 class TestAbStates:
     def test_v1_parity(self):
-        assert ab_state_v1(3) == 1
-        assert ab_state_v1(0) == 0
+        assert ab_bits(3, V1) == (1,)
+        assert ab_bits(0, V1) == (0,)
 
     @given(st.integers(0, 10_000))
     def test_v1_alternation(self, i):
-        assert ab_state_v1(i) != ab_state_v1(i + 1)
+        assert ab_bits(i, V1) != ab_bits(i + 1, V1)
 
     def test_v2_first_cycle(self):
-        assert [ab_state_v2(i) for i in range(4)] == \
+        assert [ab_bits(i, V2) for i in range(4)] == \
             [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     @given(st.integers(0, 10_000))
     def test_v2_period_four(self, i):
-        assert ab_state_v2(i) == ab_state_v2(i + 4)
-        assert ab_state_v2(i) != ab_state_v2(i + 1)
+        assert ab_bits(i, V2) == ab_bits(i + 4, V2)
+        assert ab_bits(i, V2) != ab_bits(i + 1, V2)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            ab_state_v1(-1)
+            ab_bits(-1, V1)
 
     def test_v2_state_distance_identifies_gap(self):
         # the cyclic state distance pins down k - j for gaps of up to
         # three packets; a gap of four reproduces the state
-        cycle = [ab_state_v2(i) for i in range(4)]
+        cycle = [ab_bits(i, V2) for i in range(4)]
         for j in range(8):
             for k in range(j + 1, j + 5):
-                distance = (cycle.index(ab_state_v2(k))
-                            - cycle.index(ab_state_v2(j))) % 4
+                distance = (cycle.index(ab_bits(k, V2))
+                            - cycle.index(ab_bits(j, V2))) % 4
                 assert distance == (k - j) % 4
 
 
