@@ -3,13 +3,17 @@
 
 For each seed, every preset cell of the benchmark runs through
 ``experiment.run_link`` (with gap accounting on the two-Ab cells, as the
-benchmark does) and the far-field fusion study runs in full; each
-``LinkReport`` is summarized by the benchmark's ``report_digest``.  The
-frame CSVs of the file pipeline's cell and of the noisy Manchester cell
-are written to a temporary directory and hashed too, as is the CSV of
-``occsim der`` on ``table5_v2`` below its detection floor (4.5 +- 1.0 fps,
-2 600 packets: two links) at the seed; the seed's line is one hash over
-all of them.  Nothing under ``perfbench/`` is changed.
+benchmark does), as does acceptance criterion 5's frame-dropping run
+(10 000 packets, ``keep_probability=0.45``, gap accounting), whose
+blocks are of uneven length; the far-field fusion study runs in full;
+each ``LinkReport`` is summarized by the benchmark's ``report_digest``.
+The frame CSVs of the file pipeline's cell and of the noisy Manchester
+cell are written to a temporary directory and hashed too, and the first
+is read back with ``io.read_frames_csv`` and decoded, as ``occsim
+decode`` does, into full-sensor blocks of another shape; so is the CSV
+of ``occsim der`` on ``table5_v2`` below its detection floor (4.5 +- 1.0
+fps, 2 600 packets: two links) at the seed.  The seed's line is one hash
+over all of them.  Nothing under ``perfbench/`` is changed.
 Run this script from each tree's root, the same copy of it in both, and
 diff the outputs:
 
@@ -35,9 +39,11 @@ from occsim import (  # noqa: E402
     camera,
     cli,
     configs,
+    decoder,
     experiment,
     framing,
     io,
+    rll,
 )
 from workloads import (  # noqa: E402
     _payloads,
@@ -68,6 +74,25 @@ def preset_digests(seed: int) -> list[str]:
     return digests
 
 
+def dropping_digest(seed: int) -> str:
+    """Digest of acceptance criterion 5's run (frames kept with probability
+    0.45, never three dropped in a row) with its gap accounting, its
+    payload and camera seeds shifted by the seed."""
+    payloads = experiment.random_payloads(10_000, 18, seed=9 + seed,
+                                          distinct=True)
+    plan = framing.PacketPlan.fill_slot(20.0, 50 / 4000, 4000.0)
+    cam = camera.CameraConfig(rows=200, row_period_s=1 / 8000,
+                              row_exposure_s=1 / 8000, mean_fps=27.5,
+                              delta_fps=7.5, seed=21 + seed)
+    outcome = experiment.run_link(
+        payloads, plan, rll.RllScheme.MANCHESTER,
+        framing.FrameStructure.V2_TWO_AB, cam, rows_per_chip=2,
+        keep_probability=0.45)
+    accounting = experiment.gap_accounting(outcome, strict=False)
+    return report_digest(outcome.report, [accounting.pairs,
+                                          accounting.corrupt_observations])
+
+
 def fusion_digests(seed: int) -> list[str]:
     """Digests of every report the fusion study decodes, with its row."""
     reports = []
@@ -86,19 +111,30 @@ def fusion_digests(seed: int) -> list[str]:
 
 def frames_csv_digests(seed: int) -> list[str]:
     """sha256 of the frame CSVs of the file pipeline's cell and of the
-    noisy Manchester cell, sampled and written as `occsim simulate` does."""
+    noisy Manchester cell, sampled and written as `occsim simulate` does,
+    and the digest of the first read back and decoded as `occsim decode`
+    does."""
+    pipeline = pipeline_cell(seed)
     noisy, = [cell for cell in preset_cells(seed)
               if cell.name == "table8_manchester_2k_noisy"]
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "frames.csv"
-        for cell in (pipeline_cell(seed), noisy):
+        for cell in (pipeline, noisy):
             stream = framing.build_packet_stream(
                 _payloads(cell), cell.plan(), cell.rll_scheme,
                 cell.frame_structure)
             io.write_frames_csv(path, camera.sample_frames(
                 stream, cell.camera(), cell.geometry()))
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            if cell is pipeline:
+                geometry = cell.geometry()
+                blocks = io.read_frames_csv(
+                    path, covered_rows=None if geometry is None else
+                    camera.covered_rows(geometry, max_rows=cell.camera_rows))
+                digests.append(report_digest(decoder.decode_samples(
+                    decoder.extract_parts(blocks, cell.decoder()),
+                    fusion=True)))
     return digests
 
 
@@ -124,8 +160,9 @@ def main(argv=None):
                         help="inclusive seed range, e.g. 0-20")
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        digests = (preset_digests(seed) + fusion_digests(seed)
-                   + frames_csv_digests(seed) + [der_digest(seed)])
+        digests = (preset_digests(seed) + [dropping_digest(seed)]
+                   + fusion_digests(seed) + frames_csv_digests(seed)
+                   + [der_digest(seed)])
         combined = hashlib.sha256(" ".join(digests).encode()).hexdigest()
         print(f"seed {seed} {combined[:16]}", flush=True)
 

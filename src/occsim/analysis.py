@@ -9,6 +9,7 @@ report empirical rates beside the formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -44,7 +45,10 @@ def scheme_overhead(scheme: RllScheme,
 
 def bit_rate_limit(eta, symbols_per_frame, overhead, fps_min) -> Fraction:
     """Error-free bit-rate ceiling from the frame-rate floor, one
-    sub-packet per frame."""
+    sub-packet per frame; ValueError for a floor that is not positive or
+    whose ceiling is above the largest float."""
+    if not 0 < fps_min < math.inf:
+        raise ValueError(f"fps_min: must be positive, got {fps_min!r}")
     eta = Fraction(eta)
     budget = Fraction(symbols_per_frame) - Fraction(overhead)
     if budget <= 0:
@@ -52,7 +56,11 @@ def bit_rate_limit(eta, symbols_per_frame, overhead, fps_min) -> Fraction:
             f"overhead {overhead} exhausts the per-frame budget of "
             f"{symbols_per_frame} symbols"
         )
-    return eta * budget * Fraction(fps_min)
+    rate = eta * budget * Fraction(fps_min)
+    if rate > sys.float_info.max:
+        raise ValueError(f"fps_min: {fps_min!r} gives a ceiling above the "
+                         f"largest float")
+    return rate
 
 
 def throughput_packet(eta, payload_symbols, overhead, packet_rate) -> Fraction:

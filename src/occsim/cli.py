@@ -135,21 +135,20 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = analysis.sweep_frequency(f_list=args.frequencies,
-                                    fps_min=args.fps_min)
+    # every row of both files is computed before either is opened
+    rows = [[row.scheme, row.f_hz, row.symbols_per_image, row.overhead,
+             float(row.eta),
+             "" if row.bitrate_bps is None else float(row.bitrate_bps),
+             row.status]
+            for row in analysis.sweep_frequency(f_list=args.frequencies,
+                                                fps_min=args.fps_min)]
+    reference = _reference_rows(args.fps_min)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "f_hz", "L", "OH", "eta",
                          "bitrate_bps", "status"])
-        for row in rows:
-            writer.writerow([
-                row.scheme, row.f_hz, row.symbols_per_image, row.overhead,
-                float(row.eta),
-                "" if row.bitrate_bps is None else float(row.bitrate_bps),
-                row.status,
-            ])
+        writer.writerows(rows)
 
-    reference = _reference_rows(args.fps_min)
     ref_path = Path(args.out).with_name(Path(args.out).stem + "_reference.csv")
     with open(ref_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -8,7 +8,7 @@ one line per sensor row, in the one grammar :func:`read_frames_csv` states.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import struct
@@ -180,13 +180,10 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
     exactly ``0..n-1``, in any order, and frames may interleave; its
     start time is its first line's.  No rows read as no frames.
 
-    :func:`_parse_frames` is the only reader; a file it rejects goes to
-    :func:`_diagnose`, only to name the first line or frame at fault.
+    :func:`_parse_frames` is the only reader: it reads the file once and
+    names the first line or frame at fault.
     """
-    frames = _parse_frames(path)
-    if frames is None:
-        raise _diagnose(path)
-    index, start, sizes, luma = frames
+    index, start, sizes, luma = _parse_frames(path)
     blocks = []
     first = np.flatnonzero(np.diff(sizes, prepend=-1))  # a run's first frame
     offsets = (np.cumsum(sizes) - sizes).tolist()  # a frame's first luma
@@ -220,82 +217,85 @@ def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
                           ndmin=1)
 
 
-def _parse_frames(path) -> tuple[np.ndarray, ...] | None:
-    """Each frame's index and start time and row count, by index, and
-    every luma by frame, then row, from one :func:`_load_rows` pass
-    streamed from the file; None for a file it does not accept."""
-    with open(path, "rb") as raw:
-        for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return None
-    with open(path, "r", encoding="ascii") as fh:
+def _parse_frames(path) -> tuple[np.ndarray, ...]:
+    """Each frame's index, start time and row count, by index, and every
+    luma by frame, then row, from one :func:`_read_chunk` pass over the
+    body, else FileFormatError naming the first line or frame at fault."""
+    tables, numbers = [np.empty(0, _FRAME_CSV_DTYPE)], [np.empty(0, int)]
+    fault = None
+    # one character per byte, so a byte numpy misreads is still seen
+    with open(path, "r", encoding="latin-1") as fh:
         if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
-            return None
-        body = fh.tell()
-        try:
-            table = _load_rows(fh)
-        except (ValueError, Warning):
-            # only empty lines: a header-only file, as a zero-length
-            # simulation writes it
-            fh.seek(body)
-            if any(line != "\n" for line in fh):
-                return None
-            table = np.empty(0, dtype=_FRAME_CSV_DTYPE)
-    start, luma = table["start"], table["luma"]
-    if not (np.isfinite(start).all() and np.isfinite(luma).all()):
-        return None
-    # by index, then row
-    order = np.lexsort((table["row"], table["index"]))
-    index = table["index"][order]
+            raise FileFormatError(
+                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}")
+        first = 2  # the chunk's first line number
+        for chunk in iter(lambda: list(itertools.islice(fh, 1 << 13)), []):
+            number, first = range(first, first + len(chunk)), first + len(chunk)
+            if "\n" in chunk:  # empty lines hold no row
+                keep = [line != "\n" for line in chunk]
+                chunk = list(itertools.compress(chunk, keep))
+                number = list(itertools.compress(number, keep))
+            table, fault = _read_chunk(chunk)
+            tables.append(table)
+            numbers.append(number[:len(table)])
+            if fault:
+                fault = (number[fault[0]], fault[1])
+                break
+    table = np.concatenate(tables)
+    del tables  # the chunks' rows, held once
+    order = np.lexsort((table["row"], table["index"]))  # lines stay in order
+    index, row = table["index"][order], table["row"][order]
     new = np.ones(len(index), dtype=bool)
     new[1:] = index[1:] != index[:-1]
     first = np.flatnonzero(new)  # each frame's first row
     sizes = np.diff(np.append(first, len(order)))
-    # rows 0..n-1 per frame: no gap, no duplicate
-    if not np.array_equal(table["row"][order],
-                          np.arange(len(order)) - np.repeat(first, sizes)):
-        return None
+    gap = row != np.arange(len(order)) - np.repeat(first, sizes)
+    if fault or gap.any():  # rows 0..n-1 per frame, else a line or a frame
+        number = np.concatenate(numbers)
+        again = order[1:][~new[1:] & (row[1:] == row[:-1])]
+        if len(again) and (not fault or number[again].min() < fault[0]):
+            k = again[np.argmin(number[again])]
+            fault = (number[k], f"duplicate row {table['row'][k]}")
+        raise FileFormatError(f"line {fault[0]}: {fault[1]}" if fault else
+                              f"frame {index[np.argmax(gap)]}: non-contiguous"
+                              f" row numbers")
     first_line = np.minimum.reduceat(order, first)
-    return index[first], start[first_line], sizes, luma[order]
+    return (index[first], table["start"][first_line], sizes,
+            table["luma"][order])
 
 
-def _diagnose(path) -> FileFormatError:
-    """Why :func:`_parse_frames` rejects the file: the first line at
-    fault, each line checked on its own by the same grammar, else the
-    first frame whose rows are not ``0..n-1``."""
-    rows: dict[int, set[int]] = {}
-    # one character per byte, so a byte numpy misreads is still seen
-    with open(path, "r", encoding="latin-1") as fh:
-        if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
-            return FileFormatError(
-                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.removesuffix("\n")
-            if not line:
-                continue
-            try:
-                (index, start, row, luma), = _load_rows([line]).tolist()
-            except (ValueError, Warning) as exc:
-                return FileFormatError(f"line {lineno}: {_fault(line) or exc}")
-            bad = line.encode("latin-1").translate(None, _PLAIN_BYTES)
-            if bad:
-                return FileFormatError(
-                    f"line {lineno}: byte {bad[:1]!r} is not printable ASCII")
-            for column, value in ((1, start), (3, luma)):
-                if not math.isfinite(value):
-                    text = line.split(",")[column].strip()
-                    return FileFormatError(
-                        f"line {lineno}: {FRAME_CSV_HEADER[column]} must "
-                        f"be finite, got {text!r}")
-            if row in rows.setdefault(index, set()):
-                return FileFormatError(f"line {lineno}: duplicate row {row}")
-            rows[index].add(row)
-    gaps = [index for index, seen in rows.items()
-            if min(seen) != 0 or max(seen) != len(seen) - 1]
-    if gaps:
-        return FileFormatError(f"frame {min(gaps)}: non-contiguous row numbers")
-    # reached only if the file changed between the two readings
-    return FileFormatError("rejected, though no line or frame is at fault")
+def _read_chunk(lines: list[str]) -> tuple[np.ndarray, tuple | None]:
+    """The rows of body lines up to the first that holds a byte other than
+    printable ASCII, tab, CR and LF or that :func:`_load_rows` rejects
+    alone, found by reading the lines left in halves, and the position
+    and fault of the first line at fault, or None."""
+    parts, lo, mid, hi = [], 0, len(lines), len(lines)
+    while lo < mid:  # lines[:lo] are read; after one try, lines[lo:hi] fail
+        try:
+            if "".join(lines[lo:mid]).encode("latin-1").translate(
+                    None, _PLAIN_BYTES):
+                raise ValueError("a byte out of the grammar")
+            parts.append(_load_rows(lines[lo:mid]))
+            lo = mid
+        except (ValueError, Warning):
+            hi = mid
+        mid = (lo + hi) // 2
+    table, fault = parts[0] if len(parts) == 1 else np.concatenate(
+        [np.empty(0, _FRAME_CSV_DTYPE), *parts]), None
+    if lo < len(lines):  # the same line's grammar comes first
+        try:
+            _load_rows([lines[lo]])
+            bad = lines[lo].encode("latin-1").translate(None, _PLAIN_BYTES)
+            fault = (lo, f"byte {bad[:1]!r} is not printable ASCII")
+        except (ValueError, Warning) as exc:
+            fault = (lo, _fault(lines[lo]) or str(exc))
+    finite = np.isfinite(table["start"]) & np.isfinite(table["luma"])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        column = 3 if np.isfinite(table["start"][k]) else 1
+        text = lines[k].split(",")[column].strip()
+        fault = (k, f"{FRAME_CSV_HEADER[column]} must be finite, got {text!r}")
+    return table, fault
 
 
 def _fault(line: str) -> str | None:

@@ -47,16 +47,6 @@ _CODEWORD_CHIPS = {
     RllScheme.EIGHT_B_TEN_B: 10,
 }
 
-# Longest run of identical chips codewords can produce, including across
-# codeword boundaries and adjacent Manchester-coded asynchronous bits.
-# Each preamble contains a strictly longer run (3 / 5 / 10), which is what
-# makes exact preamble matches unambiguous.
-MAX_DATA_RUN = {
-    RllScheme.MANCHESTER: 2,
-    RllScheme.FOUR_B_SIX_B: 4,
-    RllScheme.EIGHT_B_TEN_B: 5,
-}
-
 # Manchester convention used everywhere, including asynchronous bits.
 MANCHESTER_PAIRS = {1: (1, 0), 0: (0, 1)}
 
@@ -228,7 +218,8 @@ def codeword_values(chips, scheme: RllScheme) -> np.ndarray:
         raise ValueError("chips must be 0/1 valued")
     width = _CODEWORD_CHIPS[scheme]
     n = max(chips.shape[-1] - width + 1, 0)
-    words = np.zeros(chips.shape[:-1] + (n,), dtype=np.intp)
+    # a codeword's chips fit in 16 bits
+    words = np.zeros(chips.shape[:-1] + (n,), dtype=np.int16)
     for k in range(width):
         words <<= 1
         words |= chips[..., k:k + n]

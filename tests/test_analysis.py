@@ -1,5 +1,6 @@
 """Closed-form link formulas, their exactness, and simulation cross-checks."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestBitRateLimit:
     def test_nonpositive_budget(self):
         with pytest.raises(NonPositiveBudget):
             bit_rate_limit(Fraction(1, 2), 8, 8, 20)
+
+    @pytest.mark.parametrize("fps_min, symbols",
+                             [(0, 63), (-5, 63), (-5, 8), (1e308, 63)])
+    def test_floor_rejected_by_value(self, fps_min, symbols):
+        # a plain ValueError that names the floor, not the row status
+        # NonPositiveBudget, even where the budget is spent (8 symbols)
+        with pytest.raises(ValueError, match=re.escape(repr(fps_min))) as exc:
+            bit_rate_limit(Fraction(1, 2), symbols, 8, fps_min)
+        assert type(exc.value) is ValueError
 
     def test_matches_packet_form_at_floor(self):
         # frame-rate-floor form with one sub-packet per frame equals the

@@ -339,6 +339,24 @@ class TestAgainstReference:
             got = _integral_at(prefix, span, lo, self.CLOCK, times)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_iterations_share_no_workspace(self, sigma):
+        # each iteration renders into a workspace of its own: two advanced
+        # in turn yield, block for block, the luma of one alone
+        sampled = sample_frames(
+            self.stream(3 * self.BLOCK), self.config(delta_fps=5.0,
+                                                     noise_sigma=sigma),
+            GeometryConfig(distance=2.0, reference_distance=1.0,
+                           subpacket_rows=self.ROWS - 2))
+        alone = [block.luma.tobytes() for block in sampled]
+        first, second = iter(sampled), iter(sampled)
+        # the blocks are kept, and read only once both are done: none is a
+        # view that a later block overwrites
+        turns = [(next(first), next(second)) for _ in alone]
+        assert len(alone) > 2
+        assert [a.luma.tobytes() for a, _ in turns] == alone
+        assert [b.luma.tobytes() for _, b in turns] == alone
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_block_boundaries(self, offset, sigma):

@@ -907,6 +907,17 @@ class TestStudies:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fps_min", ["1e308", "0", "-5"])
+    def test_sweep_floor_rejected_before_any_file(self, tmp_path, capsys,
+                                                  fps_min):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--fps-min", fps_min, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "fps_min" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "sweep_reference.csv").exists()
+
     def test_presets_listing(self, capsys):
         assert run_cli("presets") == 0
         out = capsys.readouterr().out

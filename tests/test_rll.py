@@ -14,7 +14,6 @@ from occsim.rll import (
     ENCODE_4B6B,
     ENCODE_8B10B,
     MANCHESTER_PAIRS,
-    MAX_DATA_RUN,
     ChipStream,
     RllScheme,
     ascii_to_chips,
@@ -28,6 +27,16 @@ from occsim.rll import (
 )
 
 ALL_SCHEMES = list(RllScheme)
+
+# The property the SF uniqueness tests check: the longest run of identical
+# chips that codewords can produce, across codeword boundaries too (Ab
+# adjacency adds one where a test says so).  Each preamble holds a strictly
+# longer run (3 / 5 / 10), which makes an exact preamble match unambiguous.
+MAX_DATA_RUN = {
+    RllScheme.MANCHESTER: 2,
+    RllScheme.FOUR_B_SIX_B: 4,
+    RllScheme.EIGHT_B_TEN_B: 5,
+}
 
 # frozen copy of the published VLC 4B6B table the codec must reproduce
 VLC_4B6B_TABLE = {
