@@ -42,15 +42,13 @@ column for a skipped full cycle.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import _BLOCK_ELEMENTS, FrameBlock, _Workspace
+from .camera import _BLOCK_ELEMENTS, FrameBlock
 from .framing import FrameStructure, ab_chip_count, subpacket_chip_length
 from .rll import (
     RllScheme,
@@ -184,8 +182,7 @@ class PartTable:
     config: DecoderConfig
 
 
-def _window_sums(x: np.ndarray, w: int, work: _Workspace | None = None,
-                 name: str = "sums") -> np.ndarray:
+def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
     """Every ``w``-long window sum along the last axis (at least ``w``
     long), bit for bit as numpy's ``add.reduce`` sums a contiguous run of
     ``w`` (pairwise, from its ``+0.0`` identity), in a few whole-array
@@ -197,38 +194,32 @@ def _window_sums(x: np.ndarray, w: int, work: _Workspace | None = None,
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one;
     past 128 it splits at ``w // 2`` rounded down to a multiple of 8.
     Window i's accumulators are ``y[i:i+8]`` of one array
-    ``y[k] = x[k] + x[k+8] + ...`` that serves every window.  The arrays
-    are ``work``'s, under ``name`` and names made from it.
+    ``y[k] = x[k] + x[k+8] + ...`` that serves every window.
     """
-    work = work or _Workspace()
-    lead, n = x.shape[:-1], x.shape[-1] - w + 1
-    sums = work(name, lead + (n,))
+    n = x.shape[-1] - w + 1
     if w < 8:
-        np.add(x[..., :n], 0.0, out=sums)
+        sums = x[..., :n] + 0.0
         for j in range(1, w):
             sums += x[..., j:j + n]
         return sums
     if w > 128:
         h = w // 2 - w // 2 % 8
-        return np.add(_window_sums(x[..., :n + h - 1], h, work, name + "<"),
-                      _window_sums(x[..., h:], w - h, work, name + ">"),
-                      out=sums)
+        return (_window_sums(x[..., :n + h - 1], h)
+                + _window_sums(x[..., h:], w - h))
     m = w - w % 8
     # from +0.0, as numpy's identity: no sum comes out -0.0
-    y = np.add(x[..., :n + 7], 0.0, out=work(name + "y", lead + (n + 7,)))
+    y = x[..., :n + 7] + 0.0
     for j in range(8, m, 8):
         y += x[..., j:j + n + 7]
-    pairs = np.add(y[..., :-1], y[..., 1:],
-                   out=work(name + "2", lead + (n + 6,)))
-    quads = np.add(pairs[..., :-2], pairs[..., 2:], out=y[..., :n + 4])
-    np.add(quads[..., :n], quads[..., 4:4 + n], out=sums)
+    pairs = y[..., :-1] + y[..., 1:]
+    quads = pairs[..., :-2] + pairs[..., 2:]
+    sums = quads[..., :n] + quads[..., 4:4 + n]
     for j in range(m, w):
         sums += x[..., j:j + n]
     return sums
 
 
-def _detrend(row_luma, window: int, work: _Workspace | None = None
-             ) -> np.ndarray:
+def detrend(row_luma, window: int) -> np.ndarray:
     """Subtract a centered moving average (odd window) along the last axis.
 
     Near the ends the window is truncated to the available rows and
@@ -236,31 +227,26 @@ def _detrend(row_luma, window: int, work: _Workspace | None = None
     bias the baseline exactly where fragments start and end.  A frames x
     rows block is detrended in one pass, each row exactly as on its own:
     the window sums are :func:`_window_sums`, numpy's pairwise order for
-    one window summed alone.  The result and temporaries are ``work``'s.
+    one window summed alone.
     """
-    work = work or _Workspace()
-    signal = np.asarray(row_luma, dtype=np.float64)
+    # C order, so a row's mean reduces as a contiguous run, as it does alone
+    signal = np.ascontiguousarray(row_luma, dtype=np.float64)
     n = signal.shape[-1]
     window = min(window, n)
     if window % 2 == 0:
         window -= 1
     if window < 3:
-        # C order, so a row's mean reduces as a contiguous run, as alone
-        signal = np.ascontiguousarray(signal)
         return signal - signal.mean(axis=-1, keepdims=True) if n else signal
     half = window // 2
-    padded = work("padded", signal.shape[:-1] + (n + 2 * half,))
-    padded[..., :half] = padded[..., half + n:] = 0.0
+    padded = np.zeros(signal.shape[:-1] + (n + 2 * half,))
     padded[..., half:half + n] = signal
-    sums = _window_sums(padded, window, work)
+    sums = _window_sums(padded, window)
     i = np.arange(n)
-    sums /= np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
-    return np.subtract(padded[..., half:half + n], sums,
-                       out=work("detrended", sums.shape))
+    counts = np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
+    return signal - sums / counts
 
 
-def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1,
-                 work: _Workspace | None = None
+def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Chip-group means of ``block[:, offset:]`` for every offset below
     ``offsets``, side by side along the last axis, and the bounds of each
@@ -276,17 +262,14 @@ def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1,
     frames, length = block.shape
     counts = [int((length - offset) / rows_per_chip + 1e-9)
               for offset in range(offsets)]
-    bounds = np.array([0, *itertools.accumulate(counts)])
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     step = int(round(rows_per_chip))
     if abs(rows_per_chip - step) < 1e-9:
-        work = work or _Workspace()
         # an offset's group g is the window starting at offset + g * step
-        sums = _window_sums(block, step, work)
-        means = work("means", (frames, bounds[-1]))
-        for offset, n in enumerate(counts):
-            np.divide(sums[:, offset:offset + n * step:step], step,
-                      out=means[:, bounds[offset]:bounds[offset + 1]])
-        return means, bounds
+        sums = _window_sums(block, step)
+        return np.concatenate([sums[:, offset:offset + n * step:step]
+                               for offset, n in enumerate(counts)],
+                              axis=1) / step, bounds
     edges = [offset + np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
              for offset, n in enumerate(counts)]
     starts = np.concatenate([e[:-1] for e in edges])
@@ -302,22 +285,18 @@ def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1,
             / np.concatenate([np.diff(e) for e in edges])), bounds
 
 
-def _sf_match(chips: np.ndarray, scheme: RllScheme,
-              work: _Workspace | None = None) -> np.ndarray:
+def _sf_match(chips: np.ndarray, scheme: RllScheme) -> np.ndarray:
     """Where an exact start-frame pattern starts, along the last axis (one
     slice-AND pass)."""
     pattern = preamble(scheme)
     n = max(chips.shape[-1] - len(pattern) + 1, 0)
-    match = (work or _Workspace())("match", chips.shape[:-1] + (n,), bool)
-    np.equal(chips[..., :n], pattern[0], out=match)
+    match = chips[..., :n] == pattern[0]
     for k in range(1, len(pattern)):
-        # of 0/1 chips: a match holds where a 1 is due and set, or a 0 not
-        (np.logical_and if pattern[k] else np.greater)(
-            match, chips[..., k:k + n], out=match)
+        match &= chips[..., k:k + n] == pattern[k]
     return match
 
 
-def _slice(block, config: DecoderConfig, work: _Workspace | None = None
+def _slice(block, config: DecoderConfig
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Detrend and slice each frame (row) of a frames x rows block of
     covered rows into chips, and find their start frames.
@@ -333,23 +312,21 @@ def _slice(block, config: DecoderConfig, work: _Workspace | None = None
     differ by at most one chip; a shorter run is padded), and the SF
     table: the frame and the chip position of every whole SF at the
     chosen offsets, by frame, then position.  A frame with no SF at any
-    offset has no entry in the table.  The temporaries are ``work``'s.
+    offset has no entry in the table.
     """
-    work = work or _Workspace()
     block = np.asarray(block, dtype=np.float64)
     frames, length = block.shape
     if length < 2 * config.rows_per_chip:
         none = np.empty(0, dtype=np.intp)
         return (np.empty((frames, 0), dtype=np.int8),
                 np.zeros(frames, dtype=np.intp), none, none)
-    means, bounds = _group_means(_detrend(block, config.window_rows(), work),
+    means, bounds = _group_means(detrend(block, config.window_rows()),
                                  config.rows_per_chip,
-                                 max(1, math.ceil(config.rows_per_chip)), work)
-    chips = np.greater(means, 0, out=work("chips", means.shape, bool)).view(
-        np.int8)
+                                 max(1, math.ceil(config.rows_per_chip)))
+    chips = (means > 0).astype(np.int8)
     # one SF search along every offset's chips of every frame; a hit counts
     # for an offset only when the whole pattern lies inside that offset's run
-    match = _sf_match(chips, config.scheme, work)
+    match = _sf_match(chips, config.scheme)
     sf_frame, column = np.divmod(np.flatnonzero(match), max(match.shape[1], 1))
     sf_len, runs = len(preamble(config.scheme)), bounds[1:] - bounds[:-1]
     run = np.searchsorted(bounds, column, side="right") - 1
@@ -361,11 +338,8 @@ def _slice(block, config: DecoderConfig, work: _Workspace | None = None
     # SF appearing only at a worse-margin offset is a phase-mixing alias.
     # The largest (margin, hits) wins and the first offset wins a tie.
     np.abs(means, out=means)
-    if (runs == runs[0]).all():  # one reshape sums every offset's run
-        margins = means.reshape(frames, -1, runs[0]).sum(axis=2) / runs[0]
-    else:
-        margins = np.stack([means[:, lo:hi].sum(axis=1) / (hi - lo)
-                            for lo, hi in zip(bounds[:-1], bounds[1:])], 1)
+    margins = np.stack([means[:, lo:hi].sum(axis=1) / (hi - lo)
+                        for lo, hi in zip(bounds[:-1], bounds[1:])], 1)
     top = margins == margins.max(axis=1, keepdims=True)
     best = np.where(top, hits, -1).argmax(axis=1)
     lengths = runs[best]
@@ -375,16 +349,6 @@ def _slice(block, config: DecoderConfig, work: _Workspace | None = None
         chosen[rows, :n] = chips[rows, lo:lo + n]
     inside &= run == best[sf_frame]
     return chosen, lengths, sf_frame[inside], sf_position[inside]
-
-
-@functools.cache
-def _layout(config: DecoderConfig) -> tuple[int, ...]:
-    """A read's chip counts, from its config alone: SF, Ab copy, payload,
-    codeword, the payload's codewords and the sub-packet."""
-    scheme, bits = config.scheme, config.payload_bits
-    pay, cw = payload_chip_count(bits, scheme), codeword_chips(scheme)
-    return (len(preamble(scheme)), ab_chip_count(config.version), pay, cw,
-            pay // cw, subpacket_chip_length(bits, scheme, config.version))
 
 
 def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
@@ -403,7 +367,12 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
     disagrees with the one next to the SF: it would poison grouping.
     """
     scheme, payload_bits = config.scheme, config.payload_bits
-    sf_len, ab_chips, pay_chips, cw, n_words, ds_chips = _layout(config)
+    sf_len = len(preamble(scheme))
+    ab_chips = ab_chip_count(config.version)
+    pay_chips = payload_chip_count(payload_bits, scheme)
+    cw = codeword_chips(scheme)
+    n_words = pay_chips // cw
+    ds_chips = subpacket_chip_length(payload_bits, scheme, config.version)
 
     # keep only each frame's dominant sub-packet grid; stray matches are
     # artifacts
@@ -615,12 +584,12 @@ def extract_parts(blocks: Iterable[FrameBlock],
     # a block of no frames gives each column its dtype and row shape
     reads = [_read_parts(*_slice(np.empty((0, 0)), config), config, [])]
     frames = frames_with_sf = 0
-    work, runs = _Workspace(), []  # this call's own; runs sliced, not read
+    runs = []  # sliced, not yet read
     for block in blocks:
         covered = block.luma[:, block.covered]
         step = max(1, _BLOCK_ELEMENTS // max(covered.shape[1], 1))
         for lo in range(0, len(covered), step):
-            runs.append((*_slice(covered[lo:lo + step], config, work),
+            runs.append((*_slice(covered[lo:lo + step], config),
                          block.index[lo:lo + step]))
             frames_with_sf += np.count_nonzero(np.bincount(runs[-1][2]))
             if sum(run[0].size for run in runs) >= _BLOCK_ELEMENTS:

@@ -8,6 +8,7 @@ one line per sensor row, in the one grammar :func:`read_frames_csv` states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -180,10 +181,13 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
     exactly ``0..n-1``, in any order, and frames may interleave; its
     start time is its first line's.  No rows read as no frames.
 
-    :func:`_parse_frames` is the only reader: it reads the file once and
-    names the first line or frame at fault.
+    :func:`_parse_frames` is the only reader; a file it rejects goes to
+    :func:`_diagnose`, only to name the first line or frame at fault.
     """
-    index, start, sizes, luma = _parse_frames(path)
+    frames = _parse_frames(path)
+    if frames is None:
+        raise _diagnose(path)
+    index, start, sizes, luma = frames
     blocks = []
     first = np.flatnonzero(np.diff(sizes, prepend=-1))  # a run's first frame
     offsets = (np.cumsum(sizes) - sizes).tolist()  # a frame's first luma
@@ -217,90 +221,104 @@ def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
                           ndmin=1)
 
 
-def _parse_frames(path) -> tuple[np.ndarray, ...]:
-    """Each frame's index, start time and row count, by index, and every
-    luma by frame, then row, from one :func:`_read_chunk` pass over the
-    body, else FileFormatError naming the first line or frame at fault."""
-    tables, numbers = [np.empty(0, _FRAME_CSV_DTYPE)], [np.empty(0, int)]
-    fault = None
-    # one character per byte, so a byte numpy misreads is still seen
-    with open(path, "r", encoding="latin-1") as fh:
+def _parse_frames(path) -> tuple[np.ndarray, ...] | None:
+    """Each frame's index and start time and row count, by index, and
+    every luma by frame, then row, from one :func:`_load_rows` pass
+    streamed from the file; None for a file it does not accept."""
+    with open(path, "rb") as raw:
+        for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+    with open(path, "r", encoding="ascii") as fh:
         if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
-            raise FileFormatError(
-                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}")
-        first = 2  # the chunk's first line number
-        for chunk in iter(lambda: list(itertools.islice(fh, 1 << 13)), []):
-            number, first = range(first, first + len(chunk)), first + len(chunk)
-            if "\n" in chunk:  # empty lines hold no row
-                keep = [line != "\n" for line in chunk]
-                chunk = list(itertools.compress(chunk, keep))
-                number = list(itertools.compress(number, keep))
-            table, fault = _read_chunk(chunk)
-            tables.append(table)
-            numbers.append(number[:len(table)])
-            if fault:
-                fault = (number[fault[0]], fault[1])
-                break
-    table = np.concatenate(tables)
-    del tables  # the chunks' rows, held once
-    order = np.lexsort((table["row"], table["index"]))  # lines stay in order
-    index, row = table["index"][order], table["row"][order]
+            return None
+        body = fh.tell()
+        try:
+            table = _load_rows(fh)
+        except (ValueError, Warning):
+            # only empty lines: a header-only file, as a zero-length
+            # simulation writes it
+            fh.seek(body)
+            if any(line != "\n" for line in fh):
+                return None
+            table = np.empty(0, dtype=_FRAME_CSV_DTYPE)
+    start, luma = table["start"], table["luma"]
+    if not (np.isfinite(start).all() and np.isfinite(luma).all()):
+        return None
+    # by index, then row
+    order = np.lexsort((table["row"], table["index"]))
+    index = table["index"][order]
     new = np.ones(len(index), dtype=bool)
     new[1:] = index[1:] != index[:-1]
     first = np.flatnonzero(new)  # each frame's first row
     sizes = np.diff(np.append(first, len(order)))
-    gap = row != np.arange(len(order)) - np.repeat(first, sizes)
-    if fault or gap.any():  # rows 0..n-1 per frame, else a line or a frame
-        number = np.concatenate(numbers)
-        again = order[1:][~new[1:] & (row[1:] == row[:-1])]
-        if len(again) and (not fault or number[again].min() < fault[0]):
-            k = again[np.argmin(number[again])]
-            fault = (number[k], f"duplicate row {table['row'][k]}")
-        raise FileFormatError(f"line {fault[0]}: {fault[1]}" if fault else
-                              f"frame {index[np.argmax(gap)]}: non-contiguous"
-                              f" row numbers")
+    # rows 0..n-1 per frame: no gap, no duplicate
+    if not np.array_equal(table["row"][order],
+                          np.arange(len(order)) - np.repeat(first, sizes)):
+        return None
     first_line = np.minimum.reduceat(order, first)
-    return (index[first], table["start"][first_line], sizes,
-            table["luma"][order])
+    return index[first], start[first_line], sizes, luma[order]
 
 
-def _read_chunk(lines: list[str]) -> tuple[np.ndarray, tuple | None]:
-    """The rows of body lines up to the first that holds a byte other than
-    printable ASCII, tab, CR and LF or that :func:`_load_rows` rejects
-    alone, found by reading the lines left in halves, and the position
-    and fault of the first line at fault, or None."""
-    parts, lo, mid, hi = [], 0, len(lines), len(lines)
-    while lo < mid:  # lines[:lo] are read; after one try, lines[lo:hi] fail
-        try:
-            if "".join(lines[lo:mid]).encode("latin-1").translate(
-                    None, _PLAIN_BYTES):
-                raise ValueError("a byte out of the grammar")
-            parts.append(_load_rows(lines[lo:mid]))
-            lo = mid
-        except (ValueError, Warning):
-            hi = mid
-        mid = (lo + hi) // 2
-    table, fault = parts[0] if len(parts) == 1 else np.concatenate(
-        [np.empty(0, _FRAME_CSV_DTYPE), *parts]), None
-    if lo < len(lines):  # the same line's grammar comes first
-        try:
-            _load_rows([lines[lo]])
-            bad = lines[lo].encode("latin-1").translate(None, _PLAIN_BYTES)
-            fault = (lo, f"byte {bad[:1]!r} is not printable ASCII")
-        except (ValueError, Warning) as exc:
-            fault = (lo, _fault(lines[lo]) or str(exc))
-    finite = np.isfinite(table["start"]) & np.isfinite(table["luma"])
-    if not finite.all():
-        k = int(np.argmin(finite))
-        column = 3 if np.isfinite(table["start"][k]) else 1
-        text = lines[k].split(",")[column].strip()
-        fault = (k, f"{FRAME_CSV_HEADER[column]} must be finite, got {text!r}")
-    return table, fault
+def _diagnose(path) -> FileFormatError:
+    """Why :func:`_parse_frames` rejects the file: the first line at
+    fault, else the first frame whose rows are not ``0..n-1``.  The body
+    is read by the same grammar in chunks of lines, and the first chunk
+    that fails is halved down to its first faulty line; the lines before
+    that one are checked for duplicate rows by column."""
+    tables, numbers = [], [np.empty(0, int)]
+    fault, end = None, 1  # the last line read
+    # one character per byte, so a byte numpy misreads is still seen
+    with open(path, "r", encoding="latin-1") as fh:
+        if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
+            return FileFormatError(
+                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}")
+        while not fault and (lines := [*itertools.islice(fh, 1 << 14)]):
+            number = np.arange(end + 1, end + 1 + len(lines))
+            end += len(lines)
+            if "\n" in lines:  # empty lines hold no row
+                number = number[keep := [line != "\n" for line in lines]]
+                lines = [*itertools.compress(lines, keep)]
+            lo, mid, hi = 0, len(lines), len(lines)
+            while lo < mid:  # lines[:lo] are read, lines[lo:hi] hold a fault
+                try:
+                    table = _load_rows(lines[lo:mid])
+                    if "".join(lines[lo:mid]).encode("latin-1").translate(
+                            None, _PLAIN_BYTES) or not np.isfinite(
+                            [table["start"], table["luma"]]).all():
+                        raise ValueError("a byte or float out of the grammar")
+                    tables.append(table)
+                    lo = mid
+                except (ValueError, Warning):
+                    hi = mid
+                mid = (lo + hi) // 2
+            numbers.append(number[:lo])
+            if lo < len(lines):
+                line = lines[lo].removesuffix("\n")
+                fault = f"line {number[lo]}: {_fault(line)}"
+    table = np.concatenate([np.empty(0, _FRAME_CSV_DTYPE), *tables])
+    order = np.lexsort((table["row"], table["index"]))  # stable: by line
+    index, row = table["index"][order], table["row"][order]
+    again = order[1:][(index[1:] == index[:-1]) & (row[1:] == row[:-1])]
+    if len(again):  # before any faulty line: the first to repeat a row
+        k = again.min()
+        fault = (f"line {np.concatenate(numbers)[k]}: "
+                 f"duplicate row {table['row'][k]}")
+    frames, first, count = np.unique(index, return_index=True,
+                                     return_counts=True)
+    gaps = frames[(row[first] != 0) | (row[first + count - 1] != count - 1)]
+    if not fault and len(gaps):
+        fault = f"frame {gaps[0]}: non-contiguous row numbers"
+    # no fault only if the file changed between the two readings
+    return FileFormatError(
+        fault or "rejected, though no line or frame is at fault")
 
 
-def _fault(line: str) -> str | None:
-    """What :func:`_load_rows` rejects in one body line: its field count,
-    else its first field that does not read alone by the same grammar."""
+def _fault(line: str) -> str:
+    """What the grammar rejects in one body line that it rejects: its
+    field count, else its first field that does not read alone, else the
+    line as numpy reads it, else a byte out of the grammar, else a float
+    that is not finite."""
     fields = line.split(",")
     if len(fields) != len(FRAME_CSV_HEADER):
         return f"expected {len(FRAME_CSV_HEADER)} fields, got {len(fields)}"
@@ -309,7 +327,15 @@ def _fault(line: str) -> str | None:
             _load_rows([text], _FRAME_CSV_DTYPE[column])
         except (ValueError, Warning):
             return f"{name}: could not convert {text.strip()!r}"
-    return None
+    try:
+        (_, start, _, _), = _load_rows([line]).tolist()
+    except (ValueError, Warning) as exc:
+        return str(exc)
+    bad = line.encode("latin-1").translate(None, _PLAIN_BYTES)
+    column = 3 if math.isfinite(start) else 1
+    return (f"byte {bad[:1]!r} is not printable ASCII" if bad else
+            f"{FRAME_CSV_HEADER[column]} must be finite, got "
+            f"{fields[column].strip()!r}")
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -340,9 +340,9 @@ class TestAgainstReference:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_iterations_share_no_workspace(self, sigma):
-        # each iteration renders into a workspace of its own: two advanced
-        # in turn yield, block for block, the luma of one alone
+    def test_iterations_are_independent(self, sigma):
+        # each iteration keeps its own state: two advanced in turn yield,
+        # block for block, the luma of one alone
         sampled = sample_frames(
             self.stream(3 * self.BLOCK), self.config(delta_fps=5.0,
                                                      noise_sigma=sigma),

@@ -424,6 +424,34 @@ class TestReadFramesCsv:
         with pytest.raises(io.FileFormatError, match=message):
             io.read_frames_csv(path)
 
+    @pytest.mark.parametrize("edits, message", [
+        # a duplicate in the second chunk of lines comes before a bad line
+        # in the third
+        ({20_002: "37,0.5,1,0.5\n", 40_001: "1,2,3\n"},
+         "^line 20002: duplicate row 1$"),
+        ({33_000: "164,0.5,198,inf\n", 35_000: "0,0.0,0,0.5\n"},
+         "^line 33000: luma must be finite, got 'inf'$"),
+        # empty lines count toward line numbers, not toward rows
+        ({5: "\n\n0,0.0,3,0.5\n", 39_000: "194,0.5,x,0.5\n"},
+         "^line 39002: row: could not convert 'x'$"),
+        ({16_386: "81,0.5,184,0.5\x1c\n"},
+         "^line 16386: byte b'\\\\x1c' is not printable ASCII$"),
+        ({38_000: ""}, "^frame 189: non-contiguous row numbers$"),
+    ], ids=["duplicate_first", "inf_first", "blank_lines", "byte_in_chunk",
+            "row_gap"])
+    def test_first_fault_across_chunks(self, tmp_path, edits, message):
+        # 40 000 rows, three chunks of lines: each fault is named by line
+        # number, the first in line order
+        lines = [",".join(io.FRAME_CSV_HEADER) + "\n"] + [
+            f"{frame},0.5,{row},0.5\n"
+            for frame in range(200) for row in range(200)]
+        for number, text in edits.items():
+            lines[number - 1] = text
+        path = tmp_path / "frames.csv"
+        path.write_bytes("".join(lines).encode("latin-1"))
+        with pytest.raises(io.FileFormatError, match=message):
+            io.read_frames_csv(path)
+
     def test_frames_and_rows_in_any_order(self, tmp_path):
         # a frame's start time is its first line's; later lines' are not
         # checked against it

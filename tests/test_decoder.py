@@ -16,9 +16,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from occsim import decoder
-from occsim.camera import CameraConfig, FrameBlock, _Workspace, sample_frames
+from occsim.camera import CameraConfig, FrameBlock, sample_frames
 from occsim.configs import load_config
-from occsim.decoder import _detrend as detrend
 from occsim.decoder import (
     DecoderConfig,
     GapReport,
@@ -29,6 +28,7 @@ from occsim.decoder import (
     _window_sums,
     decode_samples,
     detect_missed,
+    detrend,
     extract_parts,
     fuse,
     group_parts,
@@ -211,27 +211,6 @@ class TestDetrend:
             tolerance = window * np.finfo(float).eps * np.abs(row).max()
             np.testing.assert_allclose(got, _ref_detrend(row, window),
                                        rtol=0, atol=tolerance)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 300)),
-                    min_size=2, max_size=5),
-           st.integers(1, 301), st.sampled_from([1, 1.5, 2, 3]),
-           st.integers(0, 2**32 - 1))
-    def test_reused_workspace_is_a_fresh_one(self, shapes, window,
-                                             rows_per_chip, seed):
-        # one workspace through blocks whose shapes shrink and grow gives
-        # each block's detrend and group means bit for bit as fresh arrays
-        rng = np.random.default_rng(seed)
-        work = _Workspace()
-        for frames, rows in shapes:
-            block = rng.normal(size=(frames, rows))
-            got = detrend(block, window, work)
-            assert got.tobytes() == detrend(block, window).tobytes()
-            if frames and rows >= 2 * rows_per_chip:
-                means, bounds = _group_means(got, rows_per_chip, 2, work)
-                want, want_bounds = _group_means(got.copy(), rows_per_chip, 2)
-                assert means.tobytes() == want.tobytes()
-                assert bounds.tolist() == want_bounds.tolist()
 
     def test_window_mean_near_zero(self):
         rng = np.random.default_rng(4)
@@ -732,7 +711,7 @@ _TIE_ROWS = [1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1,
 _TIE_CHIPS = [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
 
 
-def _mean_removed(rows, window, work=None):
+def _mean_removed(rows, window):
     return detrend(rows, 1)
 
 
@@ -760,7 +739,7 @@ class TestFrameToChips:
     def test_tie_keeps_first_offset(self, monkeypatch):
         # both chip phases see one SF at the same slicing margin once the
         # frame is only mean-removed (a one-row detrend window)
-        monkeypatch.setattr(decoder, "_detrend", _mean_removed)
+        monkeypatch.setattr(decoder, "detrend", _mean_removed)
         rows = np.array(_TIE_ROWS, dtype=float)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
@@ -1080,7 +1059,7 @@ class TestAgainstReference:
         block = np.array(others[:at] + [_TIE_ROWS] + others[at:], dtype=float)
         config = DecoderConfig(scheme=MAN, version=V1, payload_bits=5,
                                rows_per_chip=2)
-        with mock.patch.object(decoder, "_detrend", _mean_removed):
+        with mock.patch.object(decoder, "detrend", _mean_removed):
             got = _frames_to_chips(block, config)
         assert got[at][0].tolist() == _TIE_CHIPS
         for rows, sliced in zip(block, got):
@@ -1112,7 +1091,7 @@ class TestAgainstReference:
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
-def _half_removed(rows, window, work=None):
+def _half_removed(rows, window):
     """A detrend for rows of 0/1 levels: every chip slices at margin 0.5."""
     return np.asarray(rows, dtype=np.float64) - 0.5
 
@@ -1218,7 +1197,7 @@ class TestBlockReaderAgainstReference:
     @given(_reader_blocks(), st.integers(0, 2**32 - 1))
     def test_block_parts(self, case, seed):
         config, indices, block = case
-        with mock.patch.object(decoder, "_detrend", _half_removed):
+        with mock.patch.object(decoder, "detrend", _half_removed):
             chips, lengths, sf_frame, sf_position = decoder._slice(block,
                                                                    config)
         # a frame is read up to its own run's end, whatever pads the rest
@@ -1626,13 +1605,13 @@ class TestDecodeSamplesFuzz:
                 assert _outputs(decode_samples(table, fusion=fusion)) \
                     == _outputs(_decode(samples, config, fusion))
 
-
     @settings(max_examples=150, deadline=None)
     @given(_sample_lists(), st.sampled_from([decoder._BLOCK_ELEMENTS, 1]))
-    def test_workspace_keeps_nothing_between_runs(self, case, block_elements):
-        # one call's workspace serves blocks whose covered widths shrink,
-        # grow and drop to 0 rows between runs: its table is that of one
-        # fresh call per block, concatenated
+    def test_batched_runs_read_as_one_call_per_block(self, case,
+                                                     block_elements):
+        # one call reads the sliced runs of blocks whose covered widths
+        # shrink, grow and drop to 0 rows together: its table is that of
+        # one fresh call per block, concatenated
         config, samples = case
         with np.errstate(invalid="ignore", over="ignore"), \
                 mock.patch.object(decoder, "_BLOCK_ELEMENTS", block_elements):
