@@ -21,6 +21,7 @@ waveform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,23 @@ from .rll import ChipStream
 # one frame), which bounds the memory a block and its temporaries take
 _BLOCK_ELEMENTS = 1 << 15
 # a block's row integrals are computed over at most this many values at a
-# time (but at least one frame): temporaries this small are reused from
-# the heap, where whole-block ones were given back to the system and
-# faulted in again block after block
+# time (but at least one frame), which bounds the workspace they take
 _SCRATCH_ELEMENTS = 1 << 13
+
+
+class _Workspace:
+    """Named arrays that one sampler iteration or receiver call writes block
+    after block, viewed at each block's shape and replaced only when one
+    needs more; a name's view is overwritten by the name's next use."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        size, array = math.prod(shape), self._arrays.get(name)
+        if array is None or array.size < size or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -149,34 +163,47 @@ def frame_intervals(config: CameraConfig, count: int) -> np.ndarray:
 
 
 def _chip_span(chips: np.ndarray, lo: int, hi: int, ones_before: int,
-               clock_hz: float) -> tuple[np.ndarray, np.ndarray]:
+               clock_hz: float, work: _Workspace
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Chips ``lo`` to ``hi`` as floats (0.0 past the end), and the
     waveform's on-time integral, in seconds, at the start of each, given
     the count of on-chips before chip ``lo``.
 
     The integral is that count plus a float sum over only these chips, so
     it equals, bit for bit, what a float prefix sum of the whole waveform
-    gives: a float sum of 0/1 chips is exact below 2**53.
+    gives: a float sum of 0/1 chips is exact below 2**53.  Both arrays
+    are ``work``'s.
     """
-    span = np.zeros(hi + 1 - lo)
+    span, prefix = work("span", (hi + 1 - lo,)), work("prefix", (hi + 1 - lo,))
     reached = chips[lo:hi + 1]
-    span[:len(reached)] = reached
-    prefix = np.empty(len(span))
+    span[:len(reached)], span[len(reached):] = reached, 0.0
     prefix[0] = ones_before
     np.cumsum(span[:-1], out=prefix[1:])
     prefix[1:] += ones_before
-    return span, prefix / clock_hz
+    prefix /= clock_hz
+    return span, prefix
 
 
 def _integral_at(prefix: np.ndarray, span: np.ndarray, lo: int,
-                 clock_hz: float, times: np.ndarray) -> np.ndarray:
+                 clock_hz: float, times: np.ndarray,
+                 work: _Workspace) -> np.ndarray:
     """On-time integral of the waveform from 0 to each time (0 past the
     end), from a :func:`_chip_span` from chip ``lo`` that reaches every
-    time."""
-    positions = np.clip(times, 0.0, None) * clock_hz
-    idx = np.minimum(positions.astype(np.int64), lo + len(span) - 1)
-    return (prefix[idx - lo]
-            + span[idx - lo] * (positions - idx) / clock_hz)
+    time, in ``work``'s arrays."""
+    positions = np.maximum(times, 0.0, out=work("positions", times.shape))
+    positions *= clock_hz
+    # each time's chip (exact in floats) and its index in the span
+    chip = np.floor(positions, out=work("integral", times.shape))
+    np.minimum(chip, lo + len(span) - 1, out=chip)
+    positions -= chip  # the fraction of its chip each time has passed
+    idx = np.subtract(chip, lo, out=work("idx", times.shape, np.int64),
+                      casting="unsafe")
+    # every index is in range: "wrap" only spares take's buffered check
+    integral = np.take(span, idx, out=chip, mode="wrap")
+    integral *= positions
+    integral /= clock_hz
+    integral += np.take(prefix, idx, out=positions, mode="wrap")
+    return integral
 
 
 class SampledFrames:
@@ -197,6 +224,7 @@ class SampledFrames:
         camera, chips = self.camera, self.waveform.chips
         clock_hz, exposure = self.waveform.clock_hz, camera.row_exposure_s
         noise_rng = np.random.default_rng((camera.seed, 1))
+        work = _Workspace()  # this iteration's own
         # only the covered rows are integrated; the rest stay dark
         row_offsets = (np.arange(self.covered.start, self.covered.stop)
                        * camera.row_period_s)
@@ -214,16 +242,26 @@ class SampledFrames:
                                          + exposure))
                 ones += int(np.count_nonzero(chips[mark:first]))
                 mark = first
-                span, prefix = _chip_span(chips, first, last, ones, clock_hz)
+                span, prefix = _chip_span(chips, first, last, ones, clock_hz,
+                                          work)
                 sub = max(1, _SCRATCH_ELEMENTS // len(row_offsets))
                 for f in range(0, len(block_starts), sub):
                     # each row's window edges: its begin, then its end
-                    begins = block_starts[f:f + sub, None] + row_offsets
-                    at = _integral_at(prefix, span, first, clock_hz,
-                                      np.stack([begins, begins + exposure]))
-                    luma[f:f + sub, self.covered] = (at[1] - at[0]) / exposure
+                    edges = work("edges", (2, len(block_starts[f:f + sub]),
+                                           len(row_offsets)))
+                    np.add(block_starts[f:f + sub, None], row_offsets,
+                           out=edges[0])
+                    np.add(edges[0], exposure, out=edges[1])
+                    at = _integral_at(prefix, span, first, clock_hz, edges,
+                                      work)
+                    np.subtract(at[1], at[0],
+                                out=luma[f:f + sub, self.covered])
+                    luma[f:f + sub, self.covered] /= exposure
             if camera.noise_sigma > 0:
-                luma += noise_rng.normal(0.0, camera.noise_sigma, luma.shape)
+                # normal(0, sigma) draws sigma * standard_normal
+                noise = noise_rng.standard_normal(out=work("noise", luma.shape))
+                noise *= camera.noise_sigma
+                luma += noise
             np.clip(luma, 0.0, 1.0, out=luma)
             yield FrameBlock(np.arange(lo, lo + len(block_starts)),
                              block_starts, luma, self.covered)

@@ -42,13 +42,14 @@ column for a skipped full cycle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import _BLOCK_ELEMENTS, FrameBlock
+from .camera import _BLOCK_ELEMENTS, FrameBlock, _Workspace
 from .framing import FrameStructure, ab_chip_count, subpacket_chip_length
 from .rll import (
     RllScheme,
@@ -182,7 +183,8 @@ class PartTable:
     config: DecoderConfig
 
 
-def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
+def _window_sums(x: np.ndarray, w: int, work: _Workspace,
+                 name: str = "sums") -> np.ndarray:
     """Every ``w``-long window sum along the last axis (at least ``w``
     long), bit for bit as numpy's ``add.reduce`` sums a contiguous run of
     ``w`` (pairwise, from its ``+0.0`` identity), in a few whole-array
@@ -194,32 +196,36 @@ def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one;
     past 128 it splits at ``w // 2`` rounded down to a multiple of 8.
     Window i's accumulators are ``y[i:i+8]`` of one array
-    ``y[k] = x[k] + x[k+8] + ...`` that serves every window.
+    ``y[k] = x[k] + x[k+8] + ...`` that serves every window.  The arrays
+    are ``work``'s, under ``name`` and names made from it.
     """
-    n = x.shape[-1] - w + 1
+    lead, n = x.shape[:-1], x.shape[-1] - w + 1
+    sums = work(name, lead + (n,))
     if w < 8:
-        sums = x[..., :n] + 0.0
+        np.add(x[..., :n], 0.0, out=sums)
         for j in range(1, w):
             sums += x[..., j:j + n]
         return sums
     if w > 128:
         h = w // 2 - w // 2 % 8
-        return (_window_sums(x[..., :n + h - 1], h)
-                + _window_sums(x[..., h:], w - h))
+        return np.add(_window_sums(x[..., :n + h - 1], h, work, name + "<"),
+                      _window_sums(x[..., h:], w - h, work, name + ">"),
+                      out=sums)
     m = w - w % 8
     # from +0.0, as numpy's identity: no sum comes out -0.0
-    y = x[..., :n + 7] + 0.0
+    y = np.add(x[..., :n + 7], 0.0, out=work(name + "y", lead + (n + 7,)))
     for j in range(8, m, 8):
         y += x[..., j:j + n + 7]
-    pairs = y[..., :-1] + y[..., 1:]
-    quads = pairs[..., :-2] + pairs[..., 2:]
-    sums = quads[..., :n] + quads[..., 4:4 + n]
+    pairs = np.add(y[..., :-1], y[..., 1:],
+                   out=work(name + "2", lead + (n + 6,)))
+    quads = np.add(pairs[..., :-2], pairs[..., 2:], out=y[..., :n + 4])
+    np.add(quads[..., :n], quads[..., 4:4 + n], out=sums)
     for j in range(m, w):
         sums += x[..., j:j + n]
     return sums
 
 
-def detrend(row_luma, window: int) -> np.ndarray:
+def detrend(row_luma, window: int, work: _Workspace) -> np.ndarray:
     """Subtract a centered moving average (odd window) along the last axis.
 
     Near the ends the window is truncated to the available rows and
@@ -227,27 +233,30 @@ def detrend(row_luma, window: int) -> np.ndarray:
     bias the baseline exactly where fragments start and end.  A frames x
     rows block is detrended in one pass, each row exactly as on its own:
     the window sums are :func:`_window_sums`, numpy's pairwise order for
-    one window summed alone.
+    one window summed alone.  The result and temporaries are ``work``'s.
     """
-    # C order, so a row's mean reduces as a contiguous run, as it does alone
-    signal = np.ascontiguousarray(row_luma, dtype=np.float64)
+    signal = np.asarray(row_luma, dtype=np.float64)
     n = signal.shape[-1]
     window = min(window, n)
     if window % 2 == 0:
         window -= 1
     if window < 3:
+        # C order, so a row's mean reduces as a contiguous run, as alone
+        signal = np.ascontiguousarray(signal)
         return signal - signal.mean(axis=-1, keepdims=True) if n else signal
     half = window // 2
-    padded = np.zeros(signal.shape[:-1] + (n + 2 * half,))
+    padded = work("padded", signal.shape[:-1] + (n + 2 * half,))
+    padded[..., :half] = padded[..., half + n:] = 0.0
     padded[..., half:half + n] = signal
-    sums = _window_sums(padded, window)
+    sums = _window_sums(padded, window, work)
     i = np.arange(n)
-    counts = np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
-    return signal - sums / counts
+    sums /= np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
+    return np.subtract(padded[..., half:half + n], sums,
+                       out=work("detrended", sums.shape))
 
 
-def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int,
+                 work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Chip-group means of ``block[:, offset:]`` for every offset below
     ``offsets``, side by side along the last axis, and the bounds of each
     offset's run in them.
@@ -262,14 +271,16 @@ def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
     frames, length = block.shape
     counts = [int((length - offset) / rows_per_chip + 1e-9)
               for offset in range(offsets)]
-    bounds = np.concatenate([[0], np.cumsum(counts)])
+    bounds = np.array([0, *itertools.accumulate(counts)])
     step = int(round(rows_per_chip))
     if abs(rows_per_chip - step) < 1e-9:
         # an offset's group g is the window starting at offset + g * step
-        sums = _window_sums(block, step)
-        return np.concatenate([sums[:, offset:offset + n * step:step]
-                               for offset, n in enumerate(counts)],
-                              axis=1) / step, bounds
+        sums = _window_sums(block, step, work)
+        means = work("means", (frames, bounds[-1]))
+        for offset, n in enumerate(counts):
+            np.divide(sums[:, offset:offset + n * step:step], step,
+                      out=means[:, bounds[offset]:bounds[offset + 1]])
+        return means, bounds
     edges = [offset + np.floor(np.arange(n + 1) * rows_per_chip).astype(np.int64)
              for offset, n in enumerate(counts)]
     starts = np.concatenate([e[:-1] for e in edges])
@@ -285,18 +296,22 @@ def _group_means(block: np.ndarray, rows_per_chip: float, offsets: int = 1
             / np.concatenate([np.diff(e) for e in edges])), bounds
 
 
-def _sf_match(chips: np.ndarray, scheme: RllScheme) -> np.ndarray:
+def _sf_match(chips: np.ndarray, scheme: RllScheme,
+              work: _Workspace) -> np.ndarray:
     """Where an exact start-frame pattern starts, along the last axis (one
-    slice-AND pass)."""
+    slice-AND pass), in ``work``'s array."""
     pattern = preamble(scheme)
     n = max(chips.shape[-1] - len(pattern) + 1, 0)
-    match = chips[..., :n] == pattern[0]
+    match = work("match", chips.shape[:-1] + (n,), bool)
+    np.equal(chips[..., :n], pattern[0], out=match)
     for k in range(1, len(pattern)):
-        match &= chips[..., k:k + n] == pattern[k]
+        # of 0/1 chips: a match holds where a 1 is due and set, or a 0 not
+        (np.logical_and if pattern[k] else np.greater)(
+            match, chips[..., k:k + n], out=match)
     return match
 
 
-def _slice(block, config: DecoderConfig
+def _slice(block, config: DecoderConfig, work: _Workspace
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Detrend and slice each frame (row) of a frames x rows block of
     covered rows into chips, and find their start frames.
@@ -312,7 +327,7 @@ def _slice(block, config: DecoderConfig
     differ by at most one chip; a shorter run is padded), and the SF
     table: the frame and the chip position of every whole SF at the
     chosen offsets, by frame, then position.  A frame with no SF at any
-    offset has no entry in the table.
+    offset has no entry in the table.  The temporaries are ``work``'s.
     """
     block = np.asarray(block, dtype=np.float64)
     frames, length = block.shape
@@ -320,13 +335,14 @@ def _slice(block, config: DecoderConfig
         none = np.empty(0, dtype=np.intp)
         return (np.empty((frames, 0), dtype=np.int8),
                 np.zeros(frames, dtype=np.intp), none, none)
-    means, bounds = _group_means(detrend(block, config.window_rows()),
+    means, bounds = _group_means(detrend(block, config.window_rows(), work),
                                  config.rows_per_chip,
-                                 max(1, math.ceil(config.rows_per_chip)))
-    chips = (means > 0).astype(np.int8)
+                                 max(1, math.ceil(config.rows_per_chip)), work)
+    chips = np.greater(means, 0, out=work("chips", means.shape, bool)).view(
+        np.int8)
     # one SF search along every offset's chips of every frame; a hit counts
     # for an offset only when the whole pattern lies inside that offset's run
-    match = _sf_match(chips, config.scheme)
+    match = _sf_match(chips, config.scheme, work)
     sf_frame, column = np.divmod(np.flatnonzero(match), max(match.shape[1], 1))
     sf_len, runs = len(preamble(config.scheme)), bounds[1:] - bounds[:-1]
     run = np.searchsorted(bounds, column, side="right") - 1
@@ -582,14 +598,14 @@ def extract_parts(blocks: Iterable[FrameBlock],
     block is read as it comes, its covered rows in frames x rows runs of
     at most ``_BLOCK_ELEMENTS`` values."""
     # a block of no frames gives each column its dtype and row shape
-    reads = [_read_parts(*_slice(np.empty((0, 0)), config), config, [])]
+    work, runs = _Workspace(), []  # this call's own; runs sliced, not read
+    reads = [_read_parts(*_slice(np.empty((0, 0)), config, work), config, [])]
     frames = frames_with_sf = 0
-    runs = []  # sliced, not yet read
     for block in blocks:
         covered = block.luma[:, block.covered]
         step = max(1, _BLOCK_ELEMENTS // max(covered.shape[1], 1))
         for lo in range(0, len(covered), step):
-            runs.append((*_slice(covered[lo:lo + step], config),
+            runs.append((*_slice(covered[lo:lo + step], config, work),
                          block.index[lo:lo + step]))
             frames_with_sf += np.count_nonzero(np.bincount(runs[-1][2]))
             if sum(run[0].size for run in runs) >= _BLOCK_ELEMENTS:

@@ -17,6 +17,7 @@ from occsim.camera import (
     CameraConfig,
     GeometryConfig,
     _chip_span,
+    _Workspace,
     _integral_at,
     covered_rows,
     frame_intervals,
@@ -334,9 +335,11 @@ class TestAgainstReference:
         first, last = (int(min(max(t, 0.0) * self.CLOCK, n_chips))
                        for t in (times.min(), times.max()))
         for lo, hi in ((0, n_chips), (first, last)):
+            work = _Workspace()
             span, prefix = _chip_span(stream.chips, lo, hi,
-                                      int(stream.chips[:lo].sum()), self.CLOCK)
-            got = _integral_at(prefix, span, lo, self.CLOCK, times)
+                                      int(stream.chips[:lo].sum()), self.CLOCK,
+                                      work)
+            got = _integral_at(prefix, span, lo, self.CLOCK, times, work)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from occsim import cli, io
+from occsim import camera, cli, io
 from occsim.analysis import (FusionStudyConfig, monte_carlo_der,
                              wilson_interval)
 from occsim.cli import main
@@ -77,7 +77,8 @@ class TestEncode:
         assert len(stream.chips) == 2000
         from occsim.decoder import _sf_match
         from occsim.rll import RllScheme
-        sf = np.flatnonzero(_sf_match(stream.chips, RllScheme.MANCHESTER))
+        sf = np.flatnonzero(_sf_match(stream.chips, RllScheme.MANCHESTER,
+                                      camera._Workspace()))
         assert len(sf) == 20 * 5
         manifest = json.loads(out.with_suffix(".chips.manifest.json").read_text())
         assert manifest["payload_count"] == 20
@@ -389,6 +390,16 @@ class TestReadChipstream:
         assert "header truncated" in capsys.readouterr().err
 
 
+def _long_csv(edits) -> bytes:
+    """A frame CSV of 200 frames of 200 rows, more lines than two of the
+    chunks a rejected file is read in, with lines replaced by number."""
+    lines = [",".join(io.FRAME_CSV_HEADER) + "\n"] + [
+        f"{frame},0.5,{row},0.5\n" for frame in range(200) for row in range(200)]
+    for number, text in edits.items():
+        lines[number - 1] = text
+    return "".join(lines).encode("latin-1")
+
+
 class TestReadFramesCsv:
     @pytest.mark.parametrize("raw, message", [
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.\xff5\n",
@@ -415,40 +426,25 @@ class TestReadFramesCsv:
          b"1,0.1,0,0.5\n0,0.0,1,0.5\n", "line 5: duplicate row 1"),
         (b"frame_index,start_time_s,row,luma\n0,0.0,0,0.5\n0,0.0,2,0.5\n",
          "frame 0: non-contiguous row numbers"),
+        # the first fault in line order, across chunks of lines
+        (_long_csv({20_002: "37,0.5,1,0.5\n", 40_001: "1,2,3\n"}),
+         "^line 20002: duplicate row 1$"),
+        (_long_csv({33_000: "164,0.5,198,inf\n", 35_000: "0,0.0,0,0.5\n"}),
+         "^line 33000: luma must be finite, got 'inf'$"),
+        # empty lines count toward line numbers, not toward rows
+        (_long_csv({5: "\n\n0,0.0,3,0.5\n", 39_000: "194,0.5,x,0.5\n"}),
+         "^line 39002: row: could not convert 'x'$"),
+        (_long_csv({16_386: "81,0.5,184,0.5\x1c\n"}),
+         "^line 16386: byte b'\\\\x1c' is not printable ASCII$"),
+        (_long_csv({38_000: ""}), "^frame 189: non-contiguous row numbers$"),
     ], ids=["non_utf8_field", "bad_field", "short_line", "long_line",
             "fractional_row", "empty_field", "runaway_quote", "inf_luma",
-            "nan_start", "minus_inf_start", "duplicate_row", "row_gap"])
+            "nan_start", "minus_inf_start", "duplicate_row", "row_gap",
+            "long_duplicate_first", "long_inf_first", "long_blank_lines",
+            "long_byte_in_chunk", "long_row_gap"])
     def test_malformed_frames_rejected(self, tmp_path, raw, message):
         path = tmp_path / "frames.csv"
         path.write_bytes(raw)
-        with pytest.raises(io.FileFormatError, match=message):
-            io.read_frames_csv(path)
-
-    @pytest.mark.parametrize("edits, message", [
-        # a duplicate in the second chunk of lines comes before a bad line
-        # in the third
-        ({20_002: "37,0.5,1,0.5\n", 40_001: "1,2,3\n"},
-         "^line 20002: duplicate row 1$"),
-        ({33_000: "164,0.5,198,inf\n", 35_000: "0,0.0,0,0.5\n"},
-         "^line 33000: luma must be finite, got 'inf'$"),
-        # empty lines count toward line numbers, not toward rows
-        ({5: "\n\n0,0.0,3,0.5\n", 39_000: "194,0.5,x,0.5\n"},
-         "^line 39002: row: could not convert 'x'$"),
-        ({16_386: "81,0.5,184,0.5\x1c\n"},
-         "^line 16386: byte b'\\\\x1c' is not printable ASCII$"),
-        ({38_000: ""}, "^frame 189: non-contiguous row numbers$"),
-    ], ids=["duplicate_first", "inf_first", "blank_lines", "byte_in_chunk",
-            "row_gap"])
-    def test_first_fault_across_chunks(self, tmp_path, edits, message):
-        # 40 000 rows, three chunks of lines: each fault is named by line
-        # number, the first in line order
-        lines = [",".join(io.FRAME_CSV_HEADER) + "\n"] + [
-            f"{frame},0.5,{row},0.5\n"
-            for frame in range(200) for row in range(200)]
-        for number, text in edits.items():
-            lines[number - 1] = text
-        path = tmp_path / "frames.csv"
-        path.write_bytes("".join(lines).encode("latin-1"))
         with pytest.raises(io.FileFormatError, match=message):
             io.read_frames_csv(path)
 

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from occsim import decoder
-from occsim.camera import CameraConfig, FrameBlock, sample_frames
+from occsim.camera import CameraConfig, FrameBlock, _Workspace, sample_frames
 from occsim.configs import load_config
 from occsim.decoder import (
     DecoderConfig,
@@ -176,15 +176,15 @@ class TestDetrend:
         x = _with_zeros(np.random.default_rng(seed),
                         leading + (window + extra,), zeros)
         want = sliding_window_view(x, window, axis=-1).sum(axis=-1)
-        _assert_same_bits(_window_sums(x, window), want)
+        _assert_same_bits(_window_sums(x, window, _Workspace()), want)
 
     def test_constant_input_goes_to_zero(self):
-        out = detrend(np.full(50, 0.7), 9)
+        out = detrend(np.full(50, 0.7), 9, _Workspace())
         assert np.abs(out).max() < 1e-12
 
     def test_alternation_sign_preserved(self):
         rows = np.tile([1.0, 0.0], 30)
-        out = detrend(rows, 9)
+        out = detrend(rows, 9, _Workspace())
         assert (np.sign(out) == np.where(rows > 0.5, 1, -1)).all()
 
     def test_ramp_plus_chips_recoverable(self):
@@ -193,7 +193,9 @@ class TestDetrend:
         chips = encode_rll(payload, MAN)
         rows = np.repeat(chips, 2).astype(np.float64)
         ramp = np.linspace(0.0, 0.3, len(rows))
-        means, _ = _group_means(detrend(rows + ramp, 17)[None], 2)
+        work = _Workspace()
+        means, _ = _group_means(detrend(rows + ramp, 17, work)[None], 2, 1,
+                                work)
         assert np.array_equal(means[0] > 0, chips)
 
     @settings(max_examples=200, deadline=None)
@@ -204,10 +206,11 @@ class TestDetrend:
         # each row of a block detrends exactly as it does alone, and within
         # a sum's rounding of the per-row convolve moving average
         block = scale * np.random.default_rng(seed).normal(size=(frames, rows))
-        out = detrend(block, window)
+        out = detrend(block, window, _Workspace())
         assert out.shape == block.shape
         for row, got in zip(block, out):
-            assert got.tolist() == detrend(row, window).tolist()
+            alone = detrend(row, window, _Workspace())
+            assert got.tolist() == alone.tolist()
             tolerance = window * np.finfo(float).eps * np.abs(row).max()
             np.testing.assert_allclose(got, _ref_detrend(row, window),
                                        rtol=0, atol=tolerance)
@@ -215,7 +218,7 @@ class TestDetrend:
     def test_window_mean_near_zero(self):
         rng = np.random.default_rng(4)
         rows = rng.random(200)
-        out = detrend(rows, 21)
+        out = detrend(rows, 21, _Workspace())
         centered = np.convolve(out, np.ones(21) / 21, mode="valid")
         assert np.abs(centered).max() < 0.15
 
@@ -227,7 +230,7 @@ class TestBinarize:
     @staticmethod
     def chips(signal, rows_per_chip):
         means, _ = _group_means(np.asarray(signal, dtype=np.float64)[None],
-                                rows_per_chip)
+                                rows_per_chip, 1, _Workspace())
         return (means[0] > 0).astype(np.int8).tolist()
 
     def test_all_positive_is_all_ones(self):
@@ -245,7 +248,7 @@ class TestBinarize:
         # rows 6-7 lie past the last whole 1.5-row group of offset 0
         sig = np.zeros(8)
         sig[6:] = 9.0
-        means, bounds = _group_means(sig[None], 1.5, offsets=2)
+        means, bounds = _group_means(sig[None], 1.5, 2, _Workspace())
         assert bounds.tolist() == [0, 5, 9]
         assert means.tolist() == [[0, 0, 0, 0, 9.0, 0, 0, 0, 4.5]]
 
@@ -259,7 +262,7 @@ class TestBinarize:
         length = (2 + groups) * step + extra % step
         block = _with_zeros(np.random.default_rng(seed), (frames, length),
                             zeros)
-        means, bounds = _group_means(block, step, offsets=step)
+        means, bounds = _group_means(block, step, step, _Workspace())
         counts = [(length - offset) // step for offset in range(step)]
         assert bounds.tolist() == np.cumsum([0] + counts).tolist()
         want = np.concatenate([
@@ -278,7 +281,7 @@ class TestBinarize:
 def _decode_frame(chips, scheme, version, payload_bits, frame_index=0):
     """The block reader on one frame's chips and every SF in them."""
     chips = np.asarray(chips, dtype=np.int8)
-    positions = np.flatnonzero(_sf_match(chips, scheme))
+    positions = np.flatnonzero(_sf_match(chips, scheme, _Workspace()))
     config = DecoderConfig(scheme, version, payload_bits, rows_per_chip=1)
     return _parts(decoder._read_parts(chips[None], np.array([len(chips)]),
                                       np.zeros(len(positions), dtype=np.intp),
@@ -289,7 +292,8 @@ def _decode_frame(chips, scheme, version, payload_bits, frame_index=0):
 def _frames_to_chips(block, config):
     """Per frame (row) of a block, as the block slicer finds them: its
     chips at the chosen offset and its SF positions, or None without SF."""
-    chips, lengths, sf_frame, sf_position = decoder._slice(block, config)
+    chips, lengths, sf_frame, sf_position = decoder._slice(
+        block, config, _Workspace())
     cuts = np.searchsorted(sf_frame, np.arange(len(chips) + 1)).tolist()
     return [(chips[f, :lengths[f]], sf_position[lo:hi]) if hi > lo else None
             for f, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
@@ -305,19 +309,19 @@ class TestFindSf:
     def test_three_subpackets_on_grid(self):
         sub = _subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = np.tile(sub, 3)
-        positions = np.flatnonzero(_sf_match(chips, MAN))
+        positions = np.flatnonzero(_sf_match(chips, MAN, _Workspace()))
         assert positions.tolist() == [0, len(sub), 2 * len(sub)]
 
     def test_pure_payload_has_none(self):
         rng = np.random.default_rng(8)
         payload = rng.integers(0, 2, size=200).astype(np.int8)
         chips = encode_rll(payload, MAN)
-        assert len(np.flatnonzero(_sf_match(chips, MAN))) == 0
+        assert len(np.flatnonzero(_sf_match(chips, MAN, _Workspace()))) == 0
 
     def test_truncated_sf_not_reported(self):
         sub = _subpacket([1, 0, 1, 1, 0], 0, MAN, V1)
         chips = sub[:4]  # SF cut by the coverage boundary
-        assert len(np.flatnonzero(_sf_match(chips, MAN))) == 0
+        assert len(np.flatnonzero(_sf_match(chips, MAN, _Workspace()))) == 0
 
 
 class TestDecodeFrame:
@@ -711,8 +715,8 @@ _TIE_ROWS = [1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1,
 _TIE_CHIPS = [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
 
 
-def _mean_removed(rows, window):
-    return detrend(rows, 1)
+def _mean_removed(rows, window, work):
+    return detrend(rows, 1, work)
 
 
 class TestFrameToChips:
@@ -804,7 +808,7 @@ def _ref_frame_to_chips(rows, config, detrend=detrend):
     rows = np.asarray(rows, dtype=np.float64)
     if len(rows) < 2 * config.rows_per_chip:
         return None
-    signal = detrend(rows, config.window_rows())
+    signal = detrend(rows, config.window_rows(), _Workspace())
     candidates = []
     for offset in range(max(1, math.ceil(config.rows_per_chip))):
         means = _ref_group_means(signal[offset:], config.rows_per_chip)
@@ -1016,7 +1020,7 @@ class TestAgainstReference:
     @given(_frames())
     def test_find_sf(self, frame):
         scheme, _, _, chips = frame
-        got = np.flatnonzero(_sf_match(chips, scheme))
+        got = np.flatnonzero(_sf_match(chips, scheme, _Workspace()))
         want = _ref_find_sf(chips, scheme)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -1091,7 +1095,7 @@ class TestAgainstReference:
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
-def _half_removed(rows, window):
+def _half_removed(rows, window, work):
     """A detrend for rows of 0/1 levels: every chip slices at margin 0.5."""
     return np.asarray(rows, dtype=np.float64) - 0.5
 
@@ -1198,8 +1202,8 @@ class TestBlockReaderAgainstReference:
     def test_block_parts(self, case, seed):
         config, indices, block = case
         with mock.patch.object(decoder, "detrend", _half_removed):
-            chips, lengths, sf_frame, sf_position = decoder._slice(block,
-                                                                   config)
+            chips, lengths, sf_frame, sf_position = decoder._slice(
+                block, config, _Workspace())
         # a frame is read up to its own run's end, whatever pads the rest
         pad = np.arange(chips.shape[1]) >= lengths[:, None]
         chips[pad] = np.random.default_rng(seed).integers(0, 2, pad.sum())
@@ -1607,11 +1611,10 @@ class TestDecodeSamplesFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(_sample_lists(), st.sampled_from([decoder._BLOCK_ELEMENTS, 1]))
-    def test_batched_runs_read_as_one_call_per_block(self, case,
-                                                     block_elements):
-        # one call reads the sliced runs of blocks whose covered widths
-        # shrink, grow and drop to 0 rows together: its table is that of
-        # one fresh call per block, concatenated
+    def test_one_call_is_a_fresh_call_per_block(self, case, block_elements):
+        # one call's workspace and batched reads serve blocks whose covered
+        # widths shrink, grow and drop to 0 rows between runs: its table is
+        # that of one fresh call per block, concatenated
         config, samples = case
         with np.errstate(invalid="ignore", over="ignore"), \
                 mock.patch.object(decoder, "_BLOCK_ELEMENTS", block_elements):

@@ -15,6 +15,7 @@ from occsim.framing import (
     subpacket_chip_length,
 )
 from occsim.rll import RllScheme, chips_to_ascii, encode_rll, preamble
+from occsim.camera import _Workspace
 from occsim.decoder import _sf_match
 
 V1 = FrameStructure.V1_ONE_AB
@@ -161,7 +162,8 @@ class TestBuildPacketStream:
         plan = self._plan(5, reps=3)
         stream = build_packet_stream([[1, 0, 1, 0, 1]], plan,
                                      RllScheme.MANCHESTER, V1)
-        sf = np.flatnonzero(_sf_match(stream.chips, RllScheme.MANCHESTER))
+        sf = np.flatnonzero(_sf_match(stream.chips, RllScheme.MANCHESTER,
+                                      _Workspace()))
         assert len(sf) == 3
 
     def test_ab_differs_between_packets(self):
@@ -227,5 +229,6 @@ class TestBuildPacketStream:
         plan = self._plan(5, reps=reps)
         stream = build_packet_stream([payload], plan, RllScheme.MANCHESTER, V1)
         positions = np.flatnonzero(_sf_match(stream.chips,
-                                             RllScheme.MANCHESTER))
+                                             RllScheme.MANCHESTER,
+                                             _Workspace()))
         assert positions.tolist() == [k * plan.ds_chips for k in range(reps)]
