@@ -10,7 +10,9 @@ each ``LinkReport`` is summarized by the benchmark's ``report_digest``.
 The frame CSVs of the file pipeline's cell and of the noisy Manchester
 cell are written to a temporary directory and hashed too, and the first
 is read back with ``io.read_frames_csv`` and decoded, as ``occsim
-decode`` does, into full-sensor blocks of another shape; so is the CSV
+decode`` does, into full-sensor blocks of another shape; then one of
+its lines near a 512 KiB chunk boundary of the reader is cut to three
+fields, and the ``FileFormatError`` message is hashed.  So is the CSV
 of ``occsim der`` on ``table5_v2`` below its detection floor (4.5 +- 1.0
 fps, 2 600 packets: two links) at the seed.  The seed's line is one hash
 over all of them.  Nothing under ``perfbench/`` is changed.
@@ -135,7 +137,26 @@ def frames_csv_digests(seed: int) -> list[str]:
                 digests.append(report_digest(decoder.decode_samples(
                     decoder.extract_parts(blocks, cell.decoder()),
                     fusion=True)))
+                digests.append(cut_line_digest(path, seed))
     return digests
+
+
+def cut_line_digest(path: Path, seed: int) -> str:
+    """sha256 of the ``FileFormatError`` message for the CRLF frame CSV at
+    ``path`` with one line cut to its first three fields: the line that
+    holds byte k * 512 KiB (k from the seed), where the reader cuts a
+    chunk, or one of the two lines on either side of it."""
+    raw = path.read_bytes()
+    lines = raw.split(b"\n")  # each keeps its CR
+    boundary = (1 + seed % (len(raw) >> 19)) << 19
+    number = raw.count(b"\n", 0, boundary) + seed % 5 - 2
+    lines[number] = b",".join(lines[number].split(b",")[:3]) + b"\r"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        io.read_frames_csv(path)
+    except io.FileFormatError as exc:
+        return hashlib.sha256(str(exc).encode()).hexdigest()
+    raise SystemExit(f"a frame CSV with a cut line was accepted at seed {seed}")
 
 
 def der_digest(seed: int) -> str:

@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion", help="fusion gain vs distance study CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--ratios", type=_list_of(float), default=None)
+    p.add_argument("--ratios", type=_list_of(_finite), default=None)
     p.add_argument("--payload-bits", type=_list_of(int), default=(175,))
     p.add_argument("--packets", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

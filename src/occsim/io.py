@@ -8,8 +8,6 @@ one line per sensor row, in the one grammar :func:`read_frames_csv` states.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 import struct
@@ -181,21 +179,63 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
     exactly ``0..n-1``, in any order, and frames may interleave; its
     start time is its first line's.  No rows read as no frames.
 
-    :func:`_parse_frames` is the only reader; a file it rejects goes to
-    :func:`_diagnose`, only to name the first line or frame at fault.
+    The file is read once, in chunks of lines up to the first that
+    fails, which is halved down to its first faulty line.
     """
-    frames = _parse_frames(path)
-    if frames is None:
-        raise _diagnose(path)
-    index, start, sizes, luma = frames
+    header = ",".join(FRAME_CSV_HEADER)
+    table = np.empty(0, dtype=_FRAME_CSV_DTYPE)  # the rows before any fault
+    blank, fault, end = [], None, 0  # empty lines' numbers; the last line read
+    with open(path, "rb") as fh:
+        for lines, clean in _line_chunks(fh):
+            if not end and lines[:1] != [header]:
+                raise FileFormatError(f"line 1: expected header {header}")
+            lo, mid, hi = int(not end), clean, min(clean + 1, len(lines))
+            while lo < mid:  # lines[:lo] are read, lines[lo:hi] hold a fault
+                try:  # empty lines hold no row
+                    rows = (_load_rows(lines[lo:mid]) if any(lines[lo:mid])
+                            else np.empty(0, dtype=_FRAME_CSV_DTYPE))
+                    if not np.isfinite([rows["start"], rows["luma"]]).all():
+                        raise ValueError("a float that is not finite")
+                except (ValueError, Warning):
+                    hi = mid
+                else:
+                    table.resize(len(table) + len(rows), refcheck=False)
+                    table[len(table) - len(rows):] = rows
+                    if len(rows) < mid - lo:
+                        blank += [end + 1 + k for k in range(lo, mid)
+                                  if not lines[k]]
+                    lo = mid
+                mid = (lo + hi) // 2
+            if lo < len(lines):
+                fault = f"line {end + 1 + lo}: {_fault(lines[lo])}"
+                break
+            end += len(lines)
+    order = np.lexsort((table["row"], table["index"]))  # stable: by line
+    index, row = table["index"][order], table["row"][order]
+    new = np.ones(len(index), dtype=bool)
+    new[1:] = index[1:] != index[:-1]
+    first = np.flatnonzero(new)  # each frame's first row
+    sizes = np.diff(np.append(first, len(order)))
+    again = order[1:][~new[1:] & (row[1:] == row[:-1])]
+    if len(again):  # before any faulty line: the first to repeat a row
+        k = int(again.min())
+        line = k + 2
+        for number in blank:  # ascending: each at or above the row moves it
+            line += number <= line
+        fault = f"line {line}: duplicate row {table['row'][k]}"
+    gaps = (row[first] != 0) | (row[first + sizes - 1] != sizes - 1)
+    if fault or gaps.any():
+        raise FileFormatError(fault or f"frame {index[first][gaps][0]}: "
+                              "non-contiguous row numbers")
+    start = table["start"][np.minimum.reduceat(order, first)]
+    index, luma = index[first], table["luma"][order]
     blocks = []
-    first = np.flatnonzero(np.diff(sizes, prepend=-1))  # a run's first frame
-    offsets = (np.cumsum(sizes) - sizes).tolist()  # a frame's first luma
-    for lo, hi in zip(first.tolist(), [*first[1:].tolist(), len(sizes)]):
+    runs = np.flatnonzero(np.diff(sizes, prepend=-1))  # a run's first frame
+    for lo, hi in zip(runs.tolist(), [*runs[1:].tolist(), len(sizes)]):
         rows = int(sizes[lo])
         cov = rows if covered_rows is None else min(covered_rows, rows)
         begin = (rows - cov) // 2
-        run = luma[offsets[lo]:offsets[lo] + (hi - lo) * rows]
+        run = luma[first[lo]:first[lo] + (hi - lo) * rows]
         blocks.append(FrameBlock(index[lo:hi], start[lo:hi],
                                  run.reshape(hi - lo, rows),
                                  slice(begin, begin + cov)))
@@ -209,9 +249,35 @@ _FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
 
 
+def _line_chunks(fh):
+    """A binary file's lines, by :func:`_split_lines`, in 512 KiB chunks
+    cut after a line end, not inside a CRLF; the last may be empty."""
+    rest = b""
+    while data := fh.read(1 << 19):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
+        if cut:
+            yield _split_lines(data[:cut])
+        rest = data[cut:]
+    yield _split_lines(rest)
+
+
+def _split_lines(chunk: bytes) -> tuple[list[str], int]:
+    """A chunk's lines without their ends, and how many of the first
+    hold only plain bytes.  A chunk with other bytes is read as latin-1
+    and split at CR and LF only (``str.splitlines`` also splits at
+    ``\\x85`` and ``\\x1c``-``\\x1e``)."""
+    if not chunk.translate(None, _PLAIN_BYTES):
+        lines = chunk.decode("ascii").splitlines()
+        return lines, len(lines)
+    lines = chunk.splitlines()
+    return [line.decode("latin-1") for line in lines], next(
+        k for k, line in enumerate(lines) if line.translate(None, _PLAIN_BYTES))
+
+
 def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
-    """The body grammar: one ``np.loadtxt`` over an open text file or a
-    list of lines, raising ValueError or Warning for what it rejects."""
+    """The body grammar: one ``np.loadtxt`` over a list of lines, raising
+    ValueError or Warning for what it rejects."""
     # any warning is a rejection too: numpy before 2.0 reads "1.0" as an
     # integer with only a DeprecationWarning, and an empty body is a
     # UserWarning
@@ -219,99 +285,6 @@ def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
         warnings.simplefilter("error")
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                           ndmin=1)
-
-
-def _parse_frames(path) -> tuple[np.ndarray, ...] | None:
-    """Each frame's index and start time and row count, by index, and
-    every luma by frame, then row, from one :func:`_load_rows` pass
-    streamed from the file; None for a file it does not accept."""
-    with open(path, "rb") as raw:
-        for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return None
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
-            return None
-        body = fh.tell()
-        try:
-            table = _load_rows(fh)
-        except (ValueError, Warning):
-            # only empty lines: a header-only file, as a zero-length
-            # simulation writes it
-            fh.seek(body)
-            if any(line != "\n" for line in fh):
-                return None
-            table = np.empty(0, dtype=_FRAME_CSV_DTYPE)
-    start, luma = table["start"], table["luma"]
-    if not (np.isfinite(start).all() and np.isfinite(luma).all()):
-        return None
-    # by index, then row
-    order = np.lexsort((table["row"], table["index"]))
-    index = table["index"][order]
-    new = np.ones(len(index), dtype=bool)
-    new[1:] = index[1:] != index[:-1]
-    first = np.flatnonzero(new)  # each frame's first row
-    sizes = np.diff(np.append(first, len(order)))
-    # rows 0..n-1 per frame: no gap, no duplicate
-    if not np.array_equal(table["row"][order],
-                          np.arange(len(order)) - np.repeat(first, sizes)):
-        return None
-    first_line = np.minimum.reduceat(order, first)
-    return index[first], start[first_line], sizes, luma[order]
-
-
-def _diagnose(path) -> FileFormatError:
-    """Why :func:`_parse_frames` rejects the file: the first line at
-    fault, else the first frame whose rows are not ``0..n-1``.  The body
-    is read by the same grammar in chunks of lines, and the first chunk
-    that fails is halved down to its first faulty line; the lines before
-    that one are checked for duplicate rows by column."""
-    tables, numbers = [], [np.empty(0, int)]
-    fault, end = None, 1  # the last line read
-    # one character per byte, so a byte numpy misreads is still seen
-    with open(path, "r", encoding="latin-1") as fh:
-        if fh.readline().removesuffix("\n") != ",".join(FRAME_CSV_HEADER):
-            return FileFormatError(
-                f"line 1: expected header {','.join(FRAME_CSV_HEADER)}")
-        while not fault and (lines := [*itertools.islice(fh, 1 << 14)]):
-            number = np.arange(end + 1, end + 1 + len(lines))
-            end += len(lines)
-            if "\n" in lines:  # empty lines hold no row
-                number = number[keep := [line != "\n" for line in lines]]
-                lines = [*itertools.compress(lines, keep)]
-            lo, mid, hi = 0, len(lines), len(lines)
-            while lo < mid:  # lines[:lo] are read, lines[lo:hi] hold a fault
-                try:
-                    table = _load_rows(lines[lo:mid])
-                    if "".join(lines[lo:mid]).encode("latin-1").translate(
-                            None, _PLAIN_BYTES) or not np.isfinite(
-                            [table["start"], table["luma"]]).all():
-                        raise ValueError("a byte or float out of the grammar")
-                    tables.append(table)
-                    lo = mid
-                except (ValueError, Warning):
-                    hi = mid
-                mid = (lo + hi) // 2
-            numbers.append(number[:lo])
-            if lo < len(lines):
-                line = lines[lo].removesuffix("\n")
-                fault = f"line {number[lo]}: {_fault(line)}"
-    table = np.concatenate([np.empty(0, _FRAME_CSV_DTYPE), *tables])
-    order = np.lexsort((table["row"], table["index"]))  # stable: by line
-    index, row = table["index"][order], table["row"][order]
-    again = order[1:][(index[1:] == index[:-1]) & (row[1:] == row[:-1])]
-    if len(again):  # before any faulty line: the first to repeat a row
-        k = again.min()
-        fault = (f"line {np.concatenate(numbers)[k]}: "
-                 f"duplicate row {table['row'][k]}")
-    frames, first, count = np.unique(index, return_index=True,
-                                     return_counts=True)
-    gaps = frames[(row[first] != 0) | (row[first + count - 1] != count - 1)]
-    if not fault and len(gaps):
-        fault = f"frame {gaps[0]}: non-contiguous row numbers"
-    # no fault only if the file changed between the two readings
-    return FileFormatError(
-        fault or "rejected, though no line or frame is at fault")
 
 
 def _fault(line: str) -> str:

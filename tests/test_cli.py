@@ -391,13 +391,23 @@ class TestReadChipstream:
 
 
 def _long_csv(edits) -> bytes:
-    """A frame CSV of 200 frames of 200 rows, more lines than two of the
-    chunks a rejected file is read in, with lines replaced by number."""
+    """A frame CSV of 200 frames of 200 rows, longer than one of the
+    512 KiB chunks the reader reads, with lines replaced by number."""
     lines = [",".join(io.FRAME_CSV_HEADER) + "\n"] + [
         f"{frame},0.5,{row},0.5\n" for frame in range(200) for row in range(200)]
     for number, text in edits.items():
         lines[number - 1] = text
     return "".join(lines).encode("latin-1")
+
+
+def _crlf_cut_at(raw: bytes, at: int) -> bytes:
+    """``raw`` with CRLF line ends and line 2 padded with spaces so that
+    the CR of a line end is byte ``at``."""
+    raw = raw.replace(b"\n", b"\r\n")
+    pad = at - raw.rindex(b"\r", 0, at + 1)
+    second = raw.index(b"\r\n") + 2
+    end = raw.index(b"\r\n", second)
+    return raw[:end] + b" " * pad + raw[end:]
 
 
 class TestReadFramesCsv:
@@ -437,11 +447,26 @@ class TestReadFramesCsv:
         (_long_csv({16_386: "81,0.5,184,0.5\x1c\n"}),
          "^line 16386: byte b'\\\\x1c' is not printable ASCII$"),
         (_long_csv({38_000: ""}), "^frame 189: non-contiguous row numbers$"),
+        # str.splitlines would end a line at \x85, past the first chunk
+        (_long_csv({36_000: "179,0.5\x85,199,0.5\n"}),
+         "^line 36000: byte b'\\\\x85' is not printable ASCII$"),
+        # empty lines in both chunks, above a repeated row
+        (_long_csv({5: "\n\n0,0.5,3,0.5\n", 36_000: "\n179,0.5,198,0.5\n",
+                    38_003: "190,0.5,0,0.5\n"}),
+         "^line 38006: duplicate row 0$"),
+        # the first 512 KiB read ends between a CR and its LF
+        (_crlf_cut_at(_long_csv({39_000: "194,0.5,x,0.5\n"}), (1 << 19) - 1),
+         "^line 39000: row: could not convert 'x'$"),
+        # a bare CR ends the header as it ends any line
+        (_long_csv({1: ",".join(io.FRAME_CSV_HEADER) + "\r",
+                    39_000: "194,0.5,x,0.5\n"}),
+         "^line 39000: row: could not convert 'x'$"),
     ], ids=["non_utf8_field", "bad_field", "short_line", "long_line",
             "fractional_row", "empty_field", "runaway_quote", "inf_luma",
             "nan_start", "minus_inf_start", "duplicate_row", "row_gap",
             "long_duplicate_first", "long_inf_first", "long_blank_lines",
-            "long_byte_in_chunk", "long_row_gap"])
+            "long_byte_in_chunk", "long_row_gap", "long_x85_byte",
+            "long_blank_lines_duplicate", "long_crlf_cut", "long_cr_header"])
     def test_malformed_frames_rejected(self, tmp_path, raw, message):
         path = tmp_path / "frames.csv"
         path.write_bytes(raw)
@@ -482,6 +507,36 @@ class TestReadFramesCsv:
         assert [(s.index, s.start_time_s, s.row_luma.tobytes())
                 for s in got] == [(s.index, s.start_time_s, s.row_luma.tobytes())
                                   for s in samples]
+
+    @pytest.mark.parametrize("line_ends", [
+        {b"\n": b"\r\n"},
+        {b"\n": b"\r"},
+        {b"luma\n": b"luma\r"},
+    ], ids=["long_crlf", "long_cr", "long_cr_header"])
+    def test_long_files_read_back_at_any_line_end(self, tmp_path, line_ends):
+        # longer than one chunk: a chunk is cut after a line end, never
+        # inside a CRLF, and a bare CR ends the header too
+        (old, new), = line_ends.items()
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        lf.write_bytes(_long_csv({}))
+        other.write_bytes(_long_csv({}).replace(old, new))
+        got, want = io.read_frames_csv(other), io.read_frames_csv(lf)
+        assert len(want) == 1 and want[0].luma.shape == (200, 200)
+        assert [(b.index.tobytes(), b.start_time_s.tobytes(),
+                 b.luma.tobytes(), b.covered) for b in got] == [
+            (b.index.tobytes(), b.start_time_s.tobytes(), b.luma.tobytes(),
+             b.covered) for b in want]
+
+    def test_rejected_long_file_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "frames.csv"
+        path.write_bytes(_long_csv({40_001: "1,2,3\n"}))
+        opened = []
+        monkeypatch.setattr(io, "open", lambda *args, **kwargs: opened.append(
+            args) or open(*args, **kwargs), raising=False)
+        with pytest.raises(io.FileFormatError,
+                           match="^line 40001: expected 4 fields, got 3$"):
+            io.read_frames_csv(path)
+        assert len(opened) == 1
 
 
 def _csv_writer_frames(path, blocks):
@@ -922,6 +977,10 @@ class TestStudies:
         (["sweep", "--fps-min", "inf"], "--fps-min"),
         (["sweep", "--fps-min", "1e400"], "--fps-min"),
         (["sweep", "--fps-min", "nan"], "--fps-min"),
+        # non-finite ratios, as ExperimentConfig.validate() rejects them
+        (["fusion", "--ratios", "inf"], "--ratios"),
+        (["fusion", "--ratios", "0.5,nan"], "--ratios"),
+        (["fusion", "--ratios", "1e400"], "--ratios"),
     ])
     def test_malformed_list_flag_named(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "study.csv"
