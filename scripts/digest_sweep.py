@@ -10,9 +10,12 @@ each ``LinkReport`` is summarized by the benchmark's ``report_digest``.
 The frame CSVs of the file pipeline's cell and of the noisy Manchester
 cell are written to a temporary directory and hashed too, and the first
 is read back with ``io.read_frames_csv`` and decoded, as ``occsim
-decode`` does, into full-sensor blocks of another shape; then one of
-its lines near a 512 KiB chunk boundary of the reader is cut to three
-fields, and the ``FileFormatError`` message is hashed.  So is the CSV
+decode`` does, into full-sensor blocks of another shape.  The blocks
+read back from the noisy cell's CSV and from a line-shuffled copy of
+the pipeline cell's (lines permuted by the seed) are hashed: their
+frame indices, start times and luma bytes.  Then one of the pipeline
+CSV's lines near a 512 KiB chunk boundary of the reader is cut to
+three fields, and the ``FileFormatError`` message is hashed.  So is the CSV
 of ``occsim der`` on ``table5_v2`` below its detection floor (4.5 +- 1.0
 fps, 2 600 packets: two links) at the seed.  The seed's line is one hash
 over all of them.  Nothing under ``perfbench/`` is changed.
@@ -32,6 +35,8 @@ import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -114,8 +119,9 @@ def fusion_digests(seed: int) -> list[str]:
 def frames_csv_digests(seed: int) -> list[str]:
     """sha256 of the frame CSVs of the file pipeline's cell and of the
     noisy Manchester cell, sampled and written as `occsim simulate` does,
-    and the digest of the first read back and decoded as `occsim decode`
-    does."""
+    the digest of the first read back and decoded as `occsim decode`
+    does, and the digests of the blocks read back from a line-shuffled
+    copy of the first and from the second."""
     pipeline = pipeline_cell(seed)
     noisy, = [cell for cell in preset_cells(seed)
               if cell.name == "table8_manchester_2k_noisy"]
@@ -129,6 +135,8 @@ def frames_csv_digests(seed: int) -> list[str]:
             io.write_frames_csv(path, camera.sample_frames(
                 stream, cell.camera(), cell.geometry()))
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            if cell is noisy:
+                digests.append(blocks_digest(path))
             if cell is pipeline:
                 geometry = cell.geometry()
                 blocks = io.read_frames_csv(
@@ -137,8 +145,28 @@ def frames_csv_digests(seed: int) -> list[str]:
                 digests.append(report_digest(decoder.decode_samples(
                     decoder.extract_parts(blocks, cell.decoder()),
                     fusion=True)))
+                shuffled = Path(tmp) / "shuffled.csv"
+                shuffled.write_bytes(shuffled_lines(path.read_bytes(), seed))
+                digests.append(blocks_digest(shuffled))
                 digests.append(cut_line_digest(path, seed))
     return digests
+
+
+def shuffled_lines(raw: bytes, seed: int) -> bytes:
+    """A CRLF frame CSV with its body lines permuted by the seed."""
+    header, *body = raw.split(b"\r\n")[:-1]
+    order = np.random.default_rng(seed).permutation(len(body))
+    return b"\r\n".join([header, *(body[k] for k in order), b""])
+
+
+def blocks_digest(path: Path) -> str:
+    """sha256 over the frame indices, start times and luma bytes of the
+    blocks ``io.read_frames_csv`` reads from ``path``."""
+    digest = hashlib.sha256()
+    for block in io.read_frames_csv(path):
+        for array in (block.index, block.start_time_s, block.luma):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 def cut_line_digest(path: Path, seed: int) -> str:

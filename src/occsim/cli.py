@@ -262,6 +262,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occsim",
@@ -314,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="fusion gain vs distance study CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--ratios", type=_list_of(_finite), default=None)
-    p.add_argument("--payload-bits", type=_list_of(int), default=(175,))
-    p.add_argument("--packets", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--payload-bits", type=_list_of(_at_least(1)),
+                   default=(175,))
+    p.add_argument("--packets", type=_at_least(1), default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("presets", help="list bundled experiment presets")

@@ -180,11 +180,16 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
     start time is its first line's.  No rows read as no frames.
 
     The file is read once, in chunks of lines up to the first that
-    fails, which is halved down to its first faulty line.
+    fails, which is halved down to its first faulty line.  Each run of
+    equal start texts in a chunk is converted once (:func:`_load_runs`)
+    until a chunk's start text changes on more than half its rows, as it
+    does in a line-shuffled file; later chunks convert every start field.
+    Rows already in (frame, row) order are not sorted.
     """
     header = ",".join(FRAME_CSV_HEADER)
     table = np.empty(0, dtype=_FRAME_CSV_DTYPE)  # the rows before any fault
     blank, fault, end = [], None, 0  # empty lines' numbers; the last line read
+    per_line = False  # set once a chunk's start text changes on most rows
     with open(path, "rb") as fh:
         for lines, clean in _line_chunks(fh):
             if not end and lines[:1] != [header]:
@@ -192,8 +197,13 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
             lo, mid, hi = int(not end), clean, min(clean + 1, len(lines))
             while lo < mid:  # lines[:lo] are read, lines[lo:hi] hold a fault
                 try:  # empty lines hold no row
-                    rows = (_load_rows(lines[lo:mid]) if any(lines[lo:mid])
-                            else np.empty(0, dtype=_FRAME_CSV_DTYPE))
+                    if not any(lines[lo:mid]):
+                        rows = np.empty(0, dtype=_FRAME_CSV_DTYPE)
+                    elif per_line:
+                        rows = _load_rows(lines[lo:mid])
+                    else:
+                        rows, runs = _load_runs(lines[lo:mid])
+                        per_line = 2 * runs > len(rows)
                     if not np.isfinite([rows["start"], rows["luma"]]).all():
                         raise ValueError("a float that is not finite")
                 except (ValueError, Warning):
@@ -210,8 +220,13 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
                 fault = f"line {end + 1 + lo}: {_fault(lines[lo])}"
                 break
             end += len(lines)
-    order = np.lexsort((table["row"], table["index"]))  # stable: by line
-    index, row = table["index"][order], table["row"][order]
+    index, row = table["index"], table["row"]
+    if ((index[1:] > index[:-1])
+            | (index[1:] == index[:-1]) & (row[1:] >= row[:-1])).all():
+        order = np.arange(len(table))  # already by frame, then row
+    else:
+        order = np.lexsort((row, index))  # stable: by line
+    index, row = index[order], row[order]
     new = np.ones(len(index), dtype=bool)
     new[1:] = index[1:] != index[:-1]
     first = np.flatnonzero(new)  # each frame's first row
@@ -244,6 +259,8 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
 
 _FRAME_CSV_DTYPE = np.dtype([("index", np.int64), ("start", np.float64),
                              ("row", np.int64), ("luma", np.float64)])
+_START_TEXT_DTYPE = np.dtype([("index", np.int64), ("start", "S32"),
+                              ("row", np.int64), ("luma", np.float64)])
 # numpy's parser reads the ASCII separators \x1c-\x1f and some other
 # bytes as blanks and misreads some non-ASCII characters as digits
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
@@ -285,6 +302,37 @@ def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
         warnings.simplefilter("error")
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                           ndmin=1)
+
+
+def _load_runs(lines) -> tuple[np.ndarray, int]:
+    """:func:`_load_rows` of lines, with each run of equal
+    ``start_time_s`` texts converted once, and the number of runs.
+
+    The start field is read as 32 bytes of text, a run is found by
+    comparing adjacent rows' bytes as ``uint64`` words, and each run's
+    first text goes through :func:`_load_rows` on its own, the grammar's
+    float64 field converter.  Where a start field may not fit (any of
+    its last 8 bytes set), or fewer values than texts come back (an
+    empty field is an empty line, which ``loadtxt`` skips), the lines
+    are read by :func:`_load_rows` alone.
+    """
+    text = _load_rows(lines, _START_TEXT_DTYPE)
+    # a row is 7 words; the start field's 32 bytes are words 1 to 4
+    words = text.view(np.uint64).reshape(len(text), 7)[:, 1:5]
+    new = np.ones(len(text), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    first = np.flatnonzero(new)
+    if words[:, 3].any():  # a start field that may not fit
+        return _load_rows(lines), len(first)
+    values = _load_rows([token.decode() for token in
+                         text["start"][first].tolist()], np.float64)
+    if len(values) < len(first):  # an empty field
+        return _load_rows(lines), len(first)
+    rows = np.empty(len(text), dtype=_FRAME_CSV_DTYPE)
+    for name in ("index", "row", "luma"):
+        rows[name] = text[name]
+    rows["start"] = np.repeat(values, np.diff(first, append=len(text)))
+    return rows, len(first)
 
 
 def _fault(line: str) -> str:

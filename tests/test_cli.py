@@ -461,12 +461,25 @@ class TestReadFramesCsv:
         (_long_csv({1: ",".join(io.FRAME_CSV_HEADER) + "\r",
                     39_000: "194,0.5,x,0.5\n"}),
          "^line 39000: row: could not convert 'x'$"),
+        # an empty or blank start field inside a run of equal start texts
+        (b"frame_index,start_time_s,row,luma\n0,0.5,0,0.5\n0,0.5,1,0.5\n"
+         b"0,,2,0.5\n0,0.5,3,0.5\n",
+         "^line 4: start_time_s: could not convert ''$"),
+        (b"frame_index,start_time_s,row,luma\n0,0.5,0,0.5\n0,0.5,1,0.5\n"
+         b"0, ,2,0.5\n0,0.5,3,0.5\n",
+         "^line 4: start_time_s: could not convert ''$"),
+        (_long_csv({30_000: "149,,198,0.5\n"}),
+         "^line 30000: start_time_s: could not convert ''$"),
+        (_long_csv({30_000: "149, ,198,0.5\n"}),
+         "^line 30000: start_time_s: could not convert ''$"),
     ], ids=["non_utf8_field", "bad_field", "short_line", "long_line",
             "fractional_row", "empty_field", "runaway_quote", "inf_luma",
             "nan_start", "minus_inf_start", "duplicate_row", "row_gap",
             "long_duplicate_first", "long_inf_first", "long_blank_lines",
             "long_byte_in_chunk", "long_row_gap", "long_x85_byte",
-            "long_blank_lines_duplicate", "long_crlf_cut", "long_cr_header"])
+            "long_blank_lines_duplicate", "long_crlf_cut", "long_cr_header",
+            "empty_start_in_run", "blank_start_in_run",
+            "long_empty_start_in_run", "long_blank_start_in_run"])
     def test_malformed_frames_rejected(self, tmp_path, raw, message):
         path = tmp_path / "frames.csv"
         path.write_bytes(raw)
@@ -521,6 +534,50 @@ class TestReadFramesCsv:
         lf.write_bytes(_long_csv({}))
         other.write_bytes(_long_csv({}).replace(old, new))
         got, want = io.read_frames_csv(other), io.read_frames_csv(lf)
+        assert len(want) == 1 and want[0].luma.shape == (200, 200)
+        assert [(b.index.tobytes(), b.start_time_s.tobytes(),
+                 b.luma.tobytes(), b.covered) for b in got] == [
+            (b.index.tobytes(), b.start_time_s.tobytes(), b.luma.tobytes(),
+             b.covered) for b in want]
+
+    @pytest.mark.parametrize("body, starts", [
+        ("0,0.5,0,1\n0, 0.5,1,1\n0,5e-1,2,1\n0,+0.50,3,1\n", [0.5]),
+        # a frame's start is its first line's, whatever the others say
+        ("0,0.25,1,1\n0,0.5,0,1\n0,0.75,2,1\n1,2,0,1\n1,2.5,1,1\n",
+         [0.25, 2.0]),
+        # start fields longer than 24 bytes: one in the middle of a run,
+        # one whose first 32 bytes read as 0.0, one with trailing spaces
+        ("0,0.5,0,1\n0,0.5" + "0" * 30 + ",1,1\n0,0.5,2,1\n"
+         "1,0." + "0" * 40 + "1,0,1\n1,0.5,1,1\n2,1.25" + " " * 30 + ",0,1\n",
+         [0.5, 1e-41, 1.25]),
+        ("0,-0.0,0,1\n0,-0.0,1,1\n1,0.0,0,1\n2,-0.0,0,1\n",
+         [-0.0, 0.0, -0.0]),
+    ], ids=["one_start_spelled_four_ways", "first_line_start",
+            "long_start_fields", "signed_zero_starts"])
+    def test_start_texts_read_as_values(self, tmp_path, body, starts):
+        path = tmp_path / "frames.csv"
+        path.write_text(",".join(io.FRAME_CSV_HEADER) + "\n" + body)
+        got = [s.start_time_s for s in _frames(io.read_frames_csv(path))]
+        assert np.array(got).tobytes() == np.array(starts).tobytes()
+
+    def test_line_shuffled_long_file_reads_back(self, tmp_path, monkeypatch):
+        # a start time and a luma per frame and row; shuffled, the start
+        # text changes on most lines, and after the first chunk the file
+        # is read line by line
+        raw = _long_csv({2 + 200 * frame + row:
+                         f"{frame},{frame / 8},{row},{row / 4}\n"
+                         for frame in range(200) for row in range(200)})
+        header, *body = raw.splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(body))
+        ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+        ordered.write_bytes(raw)
+        shuffled.write_bytes(header + b"".join(body[k] for k in order))
+        want = io.read_frames_csv(ordered)
+        runs = []
+        monkeypatch.setattr(io, "_load_runs", lambda lines, load=io._load_runs:
+                            runs.append(len(lines)) or load(lines))
+        got = io.read_frames_csv(shuffled)
+        assert len(runs) == 1 and len(shuffled.read_bytes()) > 1 << 19
         assert len(want) == 1 and want[0].luma.shape == (200, 200)
         assert [(b.index.tobytes(), b.start_time_s.tobytes(),
                  b.luma.tobytes(), b.covered) for b in got] == [
@@ -981,6 +1038,11 @@ class TestStudies:
         (["fusion", "--ratios", "inf"], "--ratios"),
         (["fusion", "--ratios", "0.5,nan"], "--ratios"),
         (["fusion", "--ratios", "1e400"], "--ratios"),
+        # counts and seeds out of range, which the study cannot draw
+        (["fusion", "--payload-bits", "-8"], "--payload-bits"),
+        (["fusion", "--payload-bits", "40,0"], "--payload-bits"),
+        (["fusion", "--packets", "0"], "--packets"),
+        (["fusion", "--seed", "-1"], "--seed"),
     ])
     def test_malformed_list_flag_named(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "study.csv"
