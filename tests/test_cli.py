@@ -561,9 +561,9 @@ class TestReadFramesCsv:
         assert np.array(got).tobytes() == np.array(starts).tobytes()
 
     def test_line_shuffled_long_file_reads_back(self, tmp_path, monkeypatch):
-        # a start time and a luma per frame and row; shuffled, the start
-        # text changes on most lines, and after the first chunk the file
-        # is read line by line
+        # a start time per frame and a luma per row; shuffled, the start
+        # text changes on most lines, so each chunk after the first
+        # converts every start field
         raw = _long_csv({2 + 200 * frame + row:
                          f"{frame},{frame / 8},{row},{row / 4}\n"
                          for frame in range(200) for row in range(200)})
