@@ -14,11 +14,11 @@ decode`` does, into full-sensor blocks of another shape.  The blocks
 read back from the noisy cell's CSV and from a line-shuffled copy of
 the pipeline cell's (lines permuted by the seed) are hashed: their
 frame indices, start times and luma bytes.  Then one of the pipeline
-CSV's lines near a 512 KiB chunk boundary of the reader is cut to
-three fields, and the ``FileFormatError`` message is hashed.  So is the CSV
-of ``occsim der`` on ``table5_v2`` below its detection floor (4.5 +- 1.0
-fps, 2 600 packets: two links) at the seed.  The seed's line is one hash
-over all of them.  Nothing under ``perfbench/`` is changed.
+CSV's lines near a chunk boundary of the reader (a multiple of
+``io._CHUNK_BYTES``) is cut to three fields, and the ``FileFormatError``
+message is hashed.  So is the CSV of ``occsim der`` on ``table5_v2``
+below its detection floor (4.5 +- 1.0 fps, 2 600 packets: two links) at
+the seed.  The seed's line is one hash over all of them.  Nothing under ``perfbench/`` is changed.
 Run this script from each tree's root, the same copy of it in both, and
 diff the outputs:
 
@@ -172,11 +172,14 @@ def blocks_digest(path: Path) -> str:
 def cut_line_digest(path: Path, seed: int) -> str:
     """sha256 of the ``FileFormatError`` message for the CRLF frame CSV at
     ``path`` with one line cut to its first three fields: the line that
-    holds byte k * 512 KiB (k from the seed), where the reader cuts a
-    chunk, or one of the two lines on either side of it."""
+    holds byte k * ``io._CHUNK_BYTES`` (k from the seed), where the reader
+    cuts a chunk, or one of the two lines on either side of it."""
+    # a tree whose reader does not name its chunk size is cut at the same
+    # bytes, so that both trees' messages name the same line
+    chunk = getattr(io, "_CHUNK_BYTES", 1 << 18)
     raw = path.read_bytes()
     lines = raw.split(b"\n")  # each keeps its CR
-    boundary = (1 + seed % (len(raw) >> 19)) << 19
+    boundary = (1 + seed % (len(raw) // chunk)) * chunk
     number = raw.count(b"\n", 0, boundary) + seed % 5 - 2
     lines[number] = b",".join(lines[number].split(b",")[:3]) + b"\r"
     path.write_bytes(b"\n".join(lines))

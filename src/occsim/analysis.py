@@ -271,6 +271,9 @@ def fusion_gain_experiment(config: FusionStudyConfig) -> list[FusionStudyRow]:
                 camera_rows=config.camera_rows, mean_fps=config.mean_fps,
                 delta_fps=config.delta_fps, distance=ratio,
                 reference_distance=1.0, seed=seed + 1, trials=config.packets)
+            problems = cell.validate()  # before any draw, as for a config
+            if problems:
+                raise ValueError("; ".join(problems))
             payloads = random_payloads(cell.trials, cell.payload_bits, seed,
                                        distinct=True)
             sent = {p.tobytes() for p in payloads}

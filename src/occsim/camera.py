@@ -116,6 +116,10 @@ class GeometryConfig:
         if not self.subpacket_rows > 0:
             raise ValueError("payload_bits/rows_per_chip: sub-packet rows "
                              "must be positive")
+        if not math.isfinite(self.subpacket_rows * self.reference_distance
+                             / self.distance):
+            raise ValueError("distance: too small for reference_distance; "
+                             "the footprint's row count is not finite")
 
 
 def covered_rows(geometry: GeometryConfig, max_rows: int | None = None) -> int:

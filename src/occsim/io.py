@@ -184,10 +184,12 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
     equal start texts in a chunk is converted once (:func:`_load_runs`)
     until a chunk's start text changes on more than half its rows, as it
     does in a line-shuffled file; later chunks convert every start field.
-    Rows already in (frame, row) order are not sorted.
+    Each column is joined from its chunks' arrays once, at the end.  Rows
+    already in (frame, row) order are not sorted: each block is a view.
     """
     header = ",".join(FRAME_CSV_HEADER)
-    table = np.empty(0, dtype=_FRAME_CSV_DTYPE)  # the rows before any fault
+    parts = {name: [np.empty(0, dtype)]  # the rows before any fault
+             for name, (dtype, _) in _FRAME_CSV_DTYPE.fields.items()}
     blank, fault, end = [], None, 0  # empty lines' numbers; the last line read
     per_line = False  # set once a chunk's start text changes on most rows
     with open(path, "rb") as fh:
@@ -203,15 +205,17 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
                         rows = _load_rows(lines[lo:mid])
                     else:
                         rows, runs = _load_runs(lines[lo:mid])
-                        per_line = 2 * runs > len(rows)
-                    if not np.isfinite([rows["start"], rows["luma"]]).all():
+                        per_line = 2 * runs > len(rows["row"])
+                    if not all(np.isfinite(rows[name]).all()
+                               for name in ("start", "luma")):
                         raise ValueError("a float that is not finite")
                 except (ValueError, Warning):
                     hi = mid
                 else:
-                    table.resize(len(table) + len(rows), refcheck=False)
-                    table[len(table) - len(rows):] = rows
-                    if len(rows) < mid - lo:
+                    for name, part in parts.items():  # one plain array each
+                        part.append(np.ascontiguousarray(rows[name]))
+                    del rows  # a chunk's parsed text is dropped as it is read
+                    if len(parts["row"][-1]) < mid - lo:
                         blank += [end + 1 + k for k in range(lo, mid)
                                   if not lines[k]]
                     lo = mid
@@ -220,30 +224,36 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
                 fault = f"line {end + 1 + lo}: {_fault(lines[lo])}"
                 break
             end += len(lines)
-    index, row = table["index"], table["row"]
-    if ((index[1:] > index[:-1])
+    # each column is joined once, and its chunks' arrays dropped
+    index, row = (np.concatenate(parts.pop(name)) for name in ("index", "row"))
+    order = None  # the line order of the rows by frame, then row
+    if not ((index[1:] > index[:-1])
             | (index[1:] == index[:-1]) & (row[1:] >= row[:-1])).all():
-        order = np.arange(len(table))  # already by frame, then row
-    else:
         order = np.lexsort((row, index))  # stable: by line
-    index, row = index[order], row[order]
+        index = index[order]  # one gather at a time
+        row = row[order]
     new = np.ones(len(index), dtype=bool)
     new[1:] = index[1:] != index[:-1]
     first = np.flatnonzero(new)  # each frame's first row
-    sizes = np.diff(np.append(first, len(order)))
-    again = order[1:][~new[1:] & (row[1:] == row[:-1])]
+    sizes = np.diff(np.append(first, len(index)))
+    again = np.flatnonzero(~new[1:] & (row[1:] == row[:-1])) + 1
     if len(again):  # before any faulty line: the first to repeat a row
-        k = int(again.min())
-        line = k + 2
+        at = again if order is None else order[again]
+        k = int(at.argmin())
+        line = int(at[k]) + 2
         for number in blank:  # ascending: each at or above the row moves it
             line += number <= line
-        fault = f"line {line}: duplicate row {table['row'][k]}"
+        fault = f"line {line}: duplicate row {row[again[k]]}"
     gaps = (row[first] != 0) | (row[first + sizes - 1] != sizes - 1)
     if fault or gaps.any():
         raise FileFormatError(fault or f"frame {index[first][gaps][0]}: "
                               "non-contiguous row numbers")
-    start = table["start"][np.minimum.reduceat(order, first)]
-    index, luma = index[first], table["luma"][order]
+    del row  # before luma is joined
+    start = np.concatenate(parts.pop("start"))[
+        first if order is None else np.minimum.reduceat(order, first)]
+    index, luma = index[first], np.concatenate(parts.pop("luma"))
+    if order is not None:
+        luma = luma[order]
     blocks = []
     runs = np.flatnonzero(np.diff(sizes, prepend=-1))  # a run's first frame
     for lo, hi in zip(runs.tolist(), [*runs[1:].tolist(), len(sizes)]):
@@ -264,13 +274,14 @@ _START_TEXT_DTYPE = np.dtype([("index", np.int64), ("start", "S32"),
 # numpy's parser reads the ASCII separators \x1c-\x1f and some other
 # bytes as blanks and misreads some non-ASCII characters as digits
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
+_CHUNK_BYTES = 1 << 18  # the most a chunk of lines reads from the file
 
 
 def _line_chunks(fh):
-    """A binary file's lines, by :func:`_split_lines`, in 512 KiB chunks
-    cut after a line end, not inside a CRLF; the last may be empty."""
+    """A binary file's lines, by :func:`_split_lines`, in ``_CHUNK_BYTES``
+    chunks cut after a line end, not inside a CRLF; the last may be empty."""
     rest = b""
-    while data := fh.read(1 << 19):
+    while data := fh.read(_CHUNK_BYTES):
         data = rest + data
         cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
         if cut:
@@ -304,9 +315,9 @@ def _load_rows(lines, dtype=_FRAME_CSV_DTYPE) -> np.ndarray:
                           ndmin=1)
 
 
-def _load_runs(lines) -> tuple[np.ndarray, int]:
-    """:func:`_load_rows` of lines, with each run of equal
-    ``start_time_s`` texts converted once, and the number of runs.
+def _load_runs(lines) -> tuple[np.ndarray | dict, int]:
+    """:func:`_load_rows` of lines, or its columns by name, with each run
+    of equal ``start_time_s`` texts converted once; and the number of runs.
 
     The start field is read as 32 bytes of text, a run is found by
     comparing adjacent rows' bytes as ``uint64`` words, and each run's
@@ -328,11 +339,9 @@ def _load_runs(lines) -> tuple[np.ndarray, int]:
                          text["start"][first].tolist()], np.float64)
     if len(values) < len(first):  # an empty field
         return _load_rows(lines), len(first)
-    rows = np.empty(len(text), dtype=_FRAME_CSV_DTYPE)
-    for name in ("index", "row", "luma"):
-        rows[name] = text[name]
-    rows["start"] = np.repeat(values, np.diff(first, append=len(text)))
-    return rows, len(first)
+    start = np.repeat(values, np.diff(first, append=len(text)))
+    return {"index": text["index"], "start": start, "row": text["row"],
+            "luma": text["luma"]}, len(first)
 
 
 def _fault(line: str) -> str:

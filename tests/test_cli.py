@@ -1,5 +1,6 @@
 """Command-line driver: files, determinism, validation, and studies."""
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -7,7 +8,9 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 import typing
+from io import StringIO
 from pathlib import Path
 from typing import NamedTuple
 
@@ -392,7 +395,8 @@ class TestReadChipstream:
 
 def _long_csv(edits) -> bytes:
     """A frame CSV of 200 frames of 200 rows, longer than one of the
-    512 KiB chunks the reader reads, with lines replaced by number."""
+    ``io._CHUNK_BYTES`` chunks the reader reads, with lines replaced by
+    number."""
     lines = [",".join(io.FRAME_CSV_HEADER) + "\n"] + [
         f"{frame},0.5,{row},0.5\n" for frame in range(200) for row in range(200)]
     for number, text in edits.items():
@@ -454,8 +458,9 @@ class TestReadFramesCsv:
         (_long_csv({5: "\n\n0,0.5,3,0.5\n", 36_000: "\n179,0.5,198,0.5\n",
                     38_003: "190,0.5,0,0.5\n"}),
          "^line 38006: duplicate row 0$"),
-        # the first 512 KiB read ends between a CR and its LF
-        (_crlf_cut_at(_long_csv({39_000: "194,0.5,x,0.5\n"}), (1 << 19) - 1),
+        # the first chunk's read ends between a CR and its LF
+        (_crlf_cut_at(_long_csv({39_000: "194,0.5,x,0.5\n"}),
+                      io._CHUNK_BYTES - 1),
          "^line 39000: row: could not convert 'x'$"),
         # a bare CR ends the header as it ends any line
         (_long_csv({1: ",".join(io.FRAME_CSV_HEADER) + "\r",
@@ -577,7 +582,7 @@ class TestReadFramesCsv:
         monkeypatch.setattr(io, "_load_runs", lambda lines, load=io._load_runs:
                             runs.append(len(lines)) or load(lines))
         got = io.read_frames_csv(shuffled)
-        assert len(runs) == 1 and len(shuffled.read_bytes()) > 1 << 19
+        assert len(runs) == 1 and len(shuffled.read_bytes()) > io._CHUNK_BYTES
         assert len(want) == 1 and want[0].luma.shape == (200, 200)
         assert [(b.index.tobytes(), b.start_time_s.tobytes(),
                  b.luma.tobytes(), b.covered) for b in got] == [
@@ -594,6 +599,27 @@ class TestReadFramesCsv:
                            match="^line 40001: expected 4 fields, got 3$"):
             io.read_frames_csv(path)
         assert len(opened) == 1
+
+    def test_read_peak_memory(self, tmp_path):
+        # 200 000 rows in (frame, row) order, over about 30 chunks: the
+        # reader holds its columns' chunk arrays, joins one column at a
+        # time, and sorts nothing.  Traced on numpy 2.4.6: 40.4 bytes per
+        # row; 67.2 for the reader that grew one 32-byte row table with
+        # ndarray.resize and gathered sorted copies of its columns
+        frames, rows = 1000, 200
+        path = tmp_path / "frames.csv"
+        path.write_text(",".join(io.FRAME_CSV_HEADER) + "\n" + "".join(
+            f"{frame},{frame / 30!r},{row},{row / 7!r}\n"
+            for frame in range(frames) for row in range(rows)))
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            blocks = io.read_frames_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(blocks) == 1 and blocks[0].luma.shape == (frames, rows)
+        assert peak / (frames * rows) < 46
 
 
 def _csv_writer_frames(path, blocks):
@@ -894,6 +920,33 @@ class TestFramesCsvGrammar:
         else:
             assert _read_fields(path) == _fields(expected)
 
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_frame_csvs())
+    def test_generated_files_across_chunks(self, tmp_path, monkeypatch,
+                                           case):
+        # read whole, then in chunks of a few dozen bytes, where duplicates,
+        # gaps, blank lines and interleaved frames fall in different chunks:
+        # the same frames, or the same located message
+        text, expected = case
+        path = tmp_path / "frames.csv"
+        path.write_bytes(text.encode("utf-8"))
+        results = []
+        for chunk in (io._CHUNK_BYTES, 24):
+            with monkeypatch.context() as patch:
+                patch.setattr(io, "_CHUNK_BYTES", chunk)
+                try:
+                    results.append(_read_fields(path))
+                except io.FileFormatError as exc:
+                    assert _located(exc), exc
+                    results.append(str(exc))
+        whole, chunked = results
+        assert chunked == whole
+        if expected is not None:
+            assert chunked == _fields(expected)
+        else:
+            assert isinstance(chunked, str), chunked
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(_EDITS, min_size=1, max_size=4))
@@ -908,6 +961,19 @@ class TestFramesCsvGrammar:
         else:
             expected = _expected_frames(_split_lines(data))
             assert expected is not None and got == _fields(expected)
+
+
+# numeric flag values: extreme, negative, zero, non-numeric and ordinary
+_NUMBERS = st.sampled_from([
+    "0", "-0", "-1", "-5", "1", "7", "40", "0.5", "1.5", "1e-300", "5e-324",
+    "2.2250738585072014e-308", "1e308", "-1e308", "1e400", "-1e400",
+    "9" * 40, "1" + "0" * 400, "nan", "inf", "-inf", "", " ", "abc", "0x10",
+    "1_0", "1e3", "3,", ",",
+]) | st.integers(-10**6, 10**6).map(str) | st.floats(-1e6, 1e6).map(repr)
+_NUMBER_LISTS = st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join)
+# run lengths: --trials and --packets stay small
+_COUNTS = st.sampled_from(["-1", "0", "1", "3", "", "abc", "1.5", "1e3",
+                           "nan", "-1e400"])
 
 
 class TestStudies:
@@ -1062,6 +1128,48 @@ class TestStudies:
         assert "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "sweep_reference.csv").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.just("sweep"), st.just("--frequencies"), _NUMBER_LISTS),
+        st.tuples(st.just("sweep"), st.just("--fps-min"), _NUMBERS),
+        st.tuples(st.just("der"), st.just("--seed"), _NUMBERS),
+        st.tuples(st.just("der"), st.just("--trials"), _COUNTS),
+        st.tuples(st.just("fusion"), st.just("--ratios"), _NUMBER_LISTS),
+        st.tuples(st.just("fusion"), st.just("--payload-bits"), _NUMBER_LISTS),
+        st.tuples(st.just("fusion"), st.just("--packets"), _COUNTS),
+        st.tuples(st.just("fusion"), st.just("--seed"), _NUMBERS)))
+    # a footprint beyond float range, and a sub-packet too long to draw
+    @example(("fusion", "--ratios", "5e-324"))
+    @example(("fusion", "--payload-bits", "1" + "0" * 400))
+    def test_numeric_flags_exit_cleanly(self, flag):
+        # one flag at a time at any value; the others stay small so that a
+        # run takes well under a second
+        command, name, value = flag
+        small = {"sweep": [], "der": ["--config", "table5_v2", "--trials", "3"],
+                 "fusion": ["--packets", "2", "--ratios", "1.0",
+                            "--payload-bits", "40"]}[command]
+        err = StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "study.csv"
+            argv = [command, *small, f"{name}={value}", "--out", str(out)]
+            with contextlib.redirect_stdout(StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:  # argparse rejected the value
+                    code = exit_.code
+            written = sorted(path.name for path in Path(tmp).iterdir())
+        errors = [line for line in err.getvalue().splitlines()
+                  if "error:" in line]
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            # one error line, or one config error line per problem
+            assert errors and (len(errors) == 1 or all(
+                line.startswith("config error: ") for line in errors)), argv
+            assert written == [], (argv, written)
+        else:
+            assert errors == [] and "study.csv" in written, argv
 
     def test_presets_listing(self, capsys):
         assert run_cli("presets") == 0
