@@ -604,7 +604,7 @@ class TestReadFramesCsv:
         # 200 000 rows in (frame, row) order, over about 30 chunks: the
         # reader holds its columns' chunk arrays, joins one column at a
         # time, and sorts nothing.  Traced on numpy 2.4.6: 40.4 bytes per
-        # row; 67.2 for the reader that grew one 32-byte row table with
+        # row; 66.4 for the reader that grew one 32-byte row table with
         # ndarray.resize and gathered sorted copies of its columns
         frames, rows = 1000, 200
         path = tmp_path / "frames.csv"
