@@ -194,14 +194,17 @@ def _integral_at(prefix: np.ndarray, span: np.ndarray, lo: int,
     """On-time integral of the waveform from 0 to each time (0 past the
     end), from a :func:`_chip_span` from chip ``lo`` that reaches every
     time, in ``work``'s arrays."""
-    positions = np.maximum(times, 0.0, out=work("positions", times.shape))
-    positions *= clock_hz
+    positions = np.multiply(times, clock_hz, out=work("positions", times.shape))
     # each time's chip (exact in floats) and its index in the span
     chip = np.floor(positions, out=work("integral", times.shape))
-    np.minimum(chip, lo + len(span) - 1, out=chip)
-    positions -= chip  # the fraction of its chip each time has passed
     idx = np.subtract(chip, lo, out=work("idx", times.shape, np.int64),
                       casting="unsafe")
+    if idx.size and idx.view(np.uint64).max() >= len(span):
+        # a time before or past the span (none sampled): clamped into it
+        positions[...] = np.maximum(times, 0.0) * clock_hz
+        chip[...] = np.minimum(np.floor(positions), lo + len(span) - 1)
+        idx[...] = chip - lo
+    positions -= chip  # the fraction of its chip each time has passed
     # every index is in range: "wrap" only spares take's buffered check
     integral = np.take(span, idx, out=chip, mode="wrap")
     integral *= positions

@@ -17,7 +17,7 @@ import sys
 import typing
 from dataclasses import dataclass
 
-from .camera import CameraConfig, GeometryConfig
+from .camera import CameraConfig, GeometryConfig, covered_rows
 from .decoder import DecoderConfig
 from .framing import (
     FrameStructure,
@@ -25,7 +25,7 @@ from .framing import (
     repetition_count,
     subpacket_chip_length,
 )
-from .rll import RllScheme
+from .rll import RllScheme, preamble
 
 _SCHEMES = {s.value: s for s in RllScheme}
 _VERSIONS = {v.value: v for v in FrameStructure}
@@ -176,7 +176,12 @@ class ExperimentConfig:
         if problems:
             return problems
 
-        plan, camera = built[:2]
+        plan, camera, geometry = built[:3]
+        sf_rows = len(preamble(self.rll_scheme)) * self.rows_per_chip
+        if geometry is not None and covered_rows(geometry) < sf_rows:
+            problems.append(
+                f"distance: the LED footprint spans {covered_rows(geometry)} "
+                f"rows, fewer than the {sf_rows:g} rows of one start frame")
         if self.version == "v1":
             floor = self.mean_fps - self.delta_fps
             if floor < self.packet_rate:

@@ -42,6 +42,7 @@ column for a skipped full cycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -367,6 +368,15 @@ def _slice(block, config: DecoderConfig, work: _Workspace
     return chosen, lengths, sf_frame[inside], sf_position[inside]
 
 
+@functools.lru_cache(maxsize=1)  # a read and its assembly share one length
+def _fragment_masks(payload_bits: int) -> np.ndarray:
+    """Fragment masks by direction (backward, forward), then length."""
+    column, cut = np.arange(payload_bits), np.arange(payload_bits + 1)[:, None]
+    masks = np.stack([column >= payload_bits - cut, column < cut])
+    masks.flags.writeable = False
+    return masks
+
+
 def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
                 sf_position: np.ndarray, config: DecoderConfig,
                 frame_indices) -> tuple[np.ndarray, ...]:
@@ -413,20 +423,21 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
     # then its complement
     ab_lo = np.stack([end, position + sf_len,
                       end - pay_chips - ab_chips, start + pay_chips], axis=1)
-    at = np.clip(ab_lo[..., None] + np.arange(0, ab_chips, 2), 0,
-                 chips.shape[1] - 2)
-    rows = frame[:, None, None]
-    bit = chips[rows, at]
-    ab = np.where(bit != chips[rows, at + 1], bit, -1)
+    # each gather is one take at frame * width + column; what is read past
+    # a frame's row is never used: not valid, or past the window's n
+    at = (frame[:, None] * chips.shape[1] + ab_lo)[..., None] \
+        + np.arange(0, ab_chips, 2)
+    bit = chips.ravel().take(at, mode="clip")
+    ab = np.where(bit != chips.ravel().take(at + 1, mode="clip"), bit, -1)
     ab_ok = ((ab_lo >= 0) & (ab_lo + ab_chips <= length[:, None])
              & (ab >= 0).all(axis=-1))
 
     # every window's codewords in payload order: a backward window holds
     # the last n, a forward window the first n
     word_lo = np.stack([end - pay_chips, start], axis=1)
-    at = np.clip(word_lo[..., None] + cw * np.arange(n_words), 0,
-                 words.shape[1] - 1)
-    values = words[frame[:, None, None], at]
+    at = (frame[:, None] * words.shape[1] + word_lo)[..., None] \
+        + cw * np.arange(n_words)
+    values = words.ravel().take(at, mode="clip")
     # counted away from the SF, a fragment ends at its first invalid
     # codeword or at the window's end: one argmax over both directions
     stop = np.ones(values.shape[:-1] + (n_words + 1,), dtype=bool)
@@ -438,16 +449,16 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
     disagree = ab_ok[:, 2:] & (ab[:, 2:] != ab[:, :2]).any(axis=-1)
     read = ab_ok[:, :2] & (kept > 0) & ~(complete & disagree)
 
-    s, d = np.divmod(np.flatnonzero(read), 2)
-    cut = kept[s, d] * (payload_bits // n_words)
-    forward = d == 1
+    # each part's (SF, direction) index i, its SF and its direction
+    s, d = np.divmod(i := np.flatnonzero(read), 2)
+    cut = kept.ravel().take(i) * (payload_bits // n_words)
     # each fragment at its place in the payload, zeros elsewhere
-    column = np.arange(payload_bits)
-    inside = np.where(forward[:, None], column < cut[:, None],
-                      column >= payload_bits - cut[:, None])
+    inside = _fragment_masks(payload_bits).reshape(-1, payload_bits).take(
+        d * (payload_bits + 1) + cut, axis=0)
+    bits = codeword_bits(values.reshape(-1, n_words).take(i, axis=0), scheme)
     return (np.asarray(frame_indices, dtype=np.int64)[frame[s]], position[s],
-            forward, ab[s, d].astype(np.int8), cut,
-            codeword_bits(values[s, d], scheme) * inside)
+            d == 1, ab.reshape(-1, ab.shape[-1]).take(4 * s + d, axis=0),
+            cut, bits * inside)
 
 
 def _vote(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -508,8 +519,7 @@ def group_parts(table: PartTable) -> np.ndarray:
     with their known rows, packed, under packed fragment masks."""
     n, count = table.config.payload_bits, len(table.length)
     packed = np.packbits(table.bits, axis=1)
-    col, cut = np.arange(n), np.arange(n + 1)[:, None]
-    masks = np.packbits([col >= n - cut, col < cut], axis=-1)  # [fw][length]
+    masks = np.packbits(_fragment_masks(n), axis=-1)  # [fw][length]
     complete = np.append(np.flatnonzero(table.length == n), count)
     split = np.flatnonzero(np.diff(table.ab, axis=0, prepend=-1).any(axis=1))
     start = np.zeros(count, dtype=bool)

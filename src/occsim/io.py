@@ -328,12 +328,12 @@ def _load_runs(lines) -> tuple[np.ndarray | dict, int]:
     are read by :func:`_load_rows` alone.
     """
     text = _load_rows(lines, _START_TEXT_DTYPE)
-    # a row is 7 words; the start field's 32 bytes are words 1 to 4
-    words = text.view(np.uint64).reshape(len(text), 7)[:, 1:5]
+    # a row is 7 words; the start field's 32 bytes, words 1 to 4, one by one
+    words = text.view(np.uint64).reshape(len(text), 7).T[1:5]
     new = np.ones(len(text), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    new[1:] = np.logical_or.reduce([word[1:] != word[:-1] for word in words])
     first = np.flatnonzero(new)
-    if words[:, 3].any():  # a start field that may not fit
+    if words[3].any():  # a start field that may not fit
         return _load_rows(lines), len(first)
     values = _load_rows([token.decode() for token in
                          text["start"][first].tolist()], np.float64)

@@ -223,16 +223,23 @@ def codeword_values(chips, scheme: RllScheme) -> np.ndarray:
     for k in range(width):
         words <<= 1
         words |= chips[..., k:k + n]
-    return _codeword_table(scheme)[words]
+    return _codeword_table(scheme).take(words)
+
+
+@functools.cache
+def _bits_table(scheme: RllScheme) -> np.ndarray:
+    """Bits of codeword value v at v + 1, of -1 (all ones) at 0, as words."""
+    width = _BLOCK_BITS[scheme]
+    bits = np.arange(-1, 1 << width)[:, None] >> np.arange(width - 1, -1, -1)
+    words = (bits & 1).astype(np.int8).view(f"u{width}")[:, 0]
+    words.flags.writeable = False
+    return words
 
 
 def codeword_bits(values, scheme: RllScheme) -> np.ndarray:
-    """Data bits, MSB first, of valid codeword values along the last axis."""
+    """MSB-first data bits of codeword values, or -1, along the last axis."""
     values = np.asarray(values)
-    width = _BLOCK_BITS[scheme]
-    shifts = np.arange(width - 1, -1, -1)
-    bits = ((values[..., None] >> shifts) & 1).astype(np.int8)
-    return bits.reshape(values.shape[:-1] + (values.shape[-1] * width,))
+    return _bits_table(scheme).take(values + 1).view(np.int8)
 
 
 def chips_to_ascii(chips) -> str:

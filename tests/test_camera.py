@@ -342,6 +342,30 @@ class TestAgainstReference:
             got = _integral_at(prefix, span, lo, self.CLOCK, times, work)
             assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 50), st.integers(0, 2**32 - 1))
+    def test_integral_at_inside_the_span(self, n_chips, seed):
+        # only times a sampled frame reaches, from 0 (and -0.0) to the
+        # waveform's end: no time is clamped
+        rng = np.random.default_rng(seed)
+        stream = ChipStream(rng.integers(0, 2, n_chips).astype(np.int8),
+                            self.CLOCK)
+        times = np.concatenate([
+            rng.uniform(0.0, 1.0, 200) * stream.duration_s,
+            np.arange(n_chips + 1) / self.CLOCK, [0.0, -0.0]])
+        want = _ref_integral_at(_prefix_integral(stream),
+                                stream.chips.astype(np.float64), self.CLOCK,
+                                times)
+        # over the whole waveform, and over only the chips the times reach
+        first, last = (int(t * self.CLOCK) for t in (times.min(), times.max()))
+        for lo, hi in ((0, n_chips), (first, last)):
+            work = _Workspace()
+            span, prefix = _chip_span(stream.chips, lo, hi,
+                                      int(stream.chips[:lo].sum()), self.CLOCK,
+                                      work)
+            got = _integral_at(prefix, span, lo, self.CLOCK, times, work)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_iterations_are_independent(self, sigma):
         # each iteration keeps its own state: two advanced in turn yield,

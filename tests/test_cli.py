@@ -1082,6 +1082,18 @@ class TestStudies:
         assert set(rows[0]) == {"distance_ratio", "ds_length", "fusion",
                                 "recovered_fraction"}
 
+    def test_fusion_footprint_below_one_sf_rejected(self, tmp_path, capsys):
+        # footprints of a row or none, which no start frame fits in: every
+        # packet would be lost, so the study stops before any file
+        out = tmp_path / "fusion.csv"
+        assert run_cli("fusion", "--ratios", "1e300,1e6,50", "--packets", 5,
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert ("distance: the LED footprint spans 0 rows, fewer than the 12 "
+                "rows of one start frame") in err
+        assert not out.exists()
+
     def test_fusion_defaults_are_the_study_config(self, tmp_path, monkeypatch):
         studies = []
         monkeypatch.setattr(cli, "fusion_gain_experiment",
@@ -1210,6 +1222,18 @@ class TestConfigRoundtrip:
                     for build in (config.plan, config.camera,
                                   config.geometry, config.decoder):
                         build()
+
+    def test_footprint_of_one_start_frame_needed(self):
+        # table8_manchester_1k's SF spans 6 chips of 2 rows: a footprint of
+        # 11 rows is rejected, one of 12 passes
+        preset = PRESETS["table8_manchester_1k"]
+        subpacket_rows = preset.ds_chips * preset.rows_per_chip
+        for rows, problems in (
+                (11, ["distance: the LED footprint spans 11 rows, fewer than "
+                      "the 12 rows of one start frame"]), (12, [])):
+            config = dataclasses.replace(preset, reference_distance=1.0,
+                                         distance=subpacket_rows / rows)
+            assert config.validate() == problems
 
     def test_required_repetitions_satisfied_by_presets(self):
         for name, preset in PRESETS.items():

@@ -23,6 +23,7 @@ from occsim.decoder import (
     GapReport,
     LinkReport,
     PartTable,
+    _fragment_masks,
     _group_means,
     _sf_match,
     _window_sums,
@@ -1481,6 +1482,25 @@ def _assert_assembles_as_reference(parts, payload_bits, version, fusion):
     assert all(type(v) is int for v in (
         report.n_parts, report.n_complete_parts,
         report.n_unrecovered_groups))
+
+
+@pytest.mark.parametrize("payload_bits", [1, 5, 8, 24, 175])
+def test_fragment_masks(payload_bits):
+    # every (direction, length) row against the np.where form the reader
+    # took each part's mask from, and packed, against the masks grouping
+    # built from the two comparisons
+    n = payload_bits
+    table = _fragment_masks(n)
+    assert table.dtype == bool and table.shape == (2, n + 1, n)
+    assert not table.flags.writeable
+    forward, cut = np.repeat([False, True], n + 1), np.tile(np.arange(n + 1), 2)
+    column = np.arange(n)
+    want = np.where(forward[:, None], column < cut[:, None],
+                    column >= n - cut[:, None])
+    assert table[forward.astype(np.intp), cut].tolist() == want.tolist()
+    length = np.arange(n + 1)[:, None]
+    packed = np.packbits([column >= n - length, column < length], axis=-1)
+    assert np.packbits(table, axis=-1).tobytes() == packed.tobytes()
 
 
 class TestGroupingAgainstReference:

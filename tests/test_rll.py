@@ -172,6 +172,25 @@ class TestDecode:
         with pytest.raises(ValueError, match="0/1"):
             decode(chips, RllScheme.MANCHESTER)
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_codeword_bits_of_every_value(self, scheme, dtype):
+        # every value a codeword reads as, -1 (invalid: all ones) included,
+        # against the shift-and-mask form, along a row and down a column;
+        # int16 is what codeword_values gives
+        width = int(codeword_chips(scheme) * efficiency(scheme))
+        values = np.arange(-1, 1 << width)
+        want = ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1
+                ).astype(np.int8)
+        for given_values, bits in (
+                (values, want.ravel()), (values[None], want.reshape(1, -1)),
+                (values[:, None], want),
+                (np.zeros((0, 3)), np.zeros((0, 3 * width), np.int8))):
+            got = codeword_bits(given_values.astype(dtype), scheme)
+            assert got.dtype == np.int8
+            assert got.shape == bits.shape
+            assert got.tolist() == bits.tolist()
+
 
 class TestRoundtrip:
     def test_4b6b_exhaustive(self):
