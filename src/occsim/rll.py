@@ -238,8 +238,8 @@ def _bits_table(scheme: RllScheme) -> np.ndarray:
 
 def codeword_bits(values, scheme: RllScheme) -> np.ndarray:
     """MSB-first data bits of codeword values, or -1, along the last axis."""
-    values = np.asarray(values)
-    return _bits_table(scheme).take(values + 1).view(np.int8)
+    rows = np.add(values, 1, dtype=np.intp)  # value v's bits are row v + 1
+    return _bits_table(scheme).take(rows).view(np.int8)
 
 
 def chips_to_ascii(chips) -> str:

@@ -1083,8 +1083,8 @@ class TestStudies:
                                 "recovered_fraction"}
 
     def test_fusion_footprint_below_one_sf_rejected(self, tmp_path, capsys):
-        # footprints of a row or none, which no start frame fits in: every
-        # packet would be lost, so the study stops before any file
+        # footprints of 0, 0 and 4 rows, which no 12-row start frame fits
+        # in: every packet would be lost, so the study stops before any file
         out = tmp_path / "fusion.csv"
         assert run_cli("fusion", "--ratios", "1e300,1e6,50", "--packets", 5,
                        "--out", out) == 1
