@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Print one output digest per seed, to compare two trees' outputs.
 
-For each seed, every preset cell of the benchmark runs through
+For each seed, every preset cell of the benchmark and the four path
+cells of ``tests/test_golden.py`` (a fractional v2 grid, a short
+exposure, 8B10B under v2 and noisy 8.5-row chips) run through
 ``experiment.run_link`` (with gap accounting on the two-Ab cells, as the
-benchmark does), as does acceptance criterion 5's frame-dropping run
+benchmark does), their seeds shifted by the seed, as does acceptance
+criterion 5's frame-dropping run
 (10 000 packets, ``keep_probability=0.45``, gap accounting), whose
 blocks are of uneven length; the far-field fusion study runs in full;
 each ``LinkReport`` is summarized by the benchmark's ``report_digest``.
@@ -54,6 +57,7 @@ from occsim import (  # noqa: E402
 )
 from workloads import (  # noqa: E402
     _payloads,
+    _seeded,
     fusion_config,
     pipeline_cell,
     preset_cells,
@@ -66,9 +70,29 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+# the path cells of tests/test_golden.py, each its base preset with fields
+# changed; kept here as well so that this script runs unchanged in a tree
+# without them
+PATH_CELLS = (
+    ("table5_v2", dict(rows_per_chip=2.5, camera_rows=250, trials=60)),
+    ("table8_manchester_2k", dict(row_exposure_factor=0.4, trials=60)),
+    ("table5_v2", dict(scheme="8b10b", payload_bits=24,
+                       optical_clock_hz=4560.0, camera_rows=240, trials=60)),
+    ("table8_manchester_2k", dict(
+        optical_clock_hz=1000.0, rows_per_chip=8.5, camera_rows=425,
+        mean_fps=10.0, delta_fps=2.0, packet_rate=5.0, noise_sigma=0.3,
+        trials=40)),
+)
+
+
+def path_cells(seed: int) -> list[configs.ExperimentConfig]:
+    return [_seeded(dataclasses.replace(configs.load_config(base), **fields),
+                    seed) for base, fields in PATH_CELLS]
+
+
 def preset_digests(seed: int) -> list[str]:
     digests = []
-    for cell in preset_cells(seed):
+    for cell in preset_cells(seed) + path_cells(seed):
         outcome = experiment.run_link(
             _payloads(cell), cell.plan(), cell.rll_scheme,
             cell.frame_structure, cell.camera(), cell.rows_per_chip,

@@ -1,9 +1,10 @@
 """Golden outputs: the decoded results of every preset and the checked-in
 study CSVs.
 
-Each preset, and one noisy cell whose report shows the tie and overlap
-flags, runs end to end at its own seed, and the sha256 of its
-``LinkReport.to_text()`` and of its recovered payload hex list are pinned.
+Each preset, one noisy cell whose report shows the tie and overlap
+flags, and four cells on decoder paths no preset takes run end to end at
+their own seeds, and the sha256 of each ``LinkReport.to_text()`` and of
+its recovered payload hex list are pinned.
 Every CSV in ``results/`` must regenerate byte for byte from the script
 that wrote it.  A rewrite that claims unchanged behaviour passes these
 unchanged; only an intended behaviour change re-pins them.
@@ -83,6 +84,49 @@ def test_noisy_cell_outputs():
     text, hex_lines = _outputs(config)
     assert " tie" in text and " overlap" in text
     assert (_sha256(text), _sha256(hex_lines)) == NOISY_CELL
+
+
+# validated cells on decoder paths no preset takes, each a few dozen
+# packets at its base preset's seed, with no padded slot:
+# name -> (base preset, changed fields, report sha256, payload hex sha256)
+PATH_CELLS = {
+    # a fractional grid (2.5 rows per chip) under v2, `_group_means`'
+    # reduceat path: 34 of 60, as the preset's frames come slower than
+    # its packets
+    "fractional_v2": (
+        "table5_v2", dict(rows_per_chip=2.5, camera_rows=250, trials=60),
+        "b36f2d5b033c00c6c8b3fc219d25e8bc2479df56698f226bfffb5c974892bf84",
+        "ca8e4df7f771a3d6074851ef73f9028d9736769459219920f156a944d877bd64"),
+    # an exposure shorter than a row period: 60 of 60
+    "short_exposure": (
+        "table8_manchester_2k", dict(row_exposure_factor=0.4, trials=60),
+        "754611a3729a92998eb240daa6c6e1431752f9f2f8de41429e69d43ba1262fe4",
+        "4cd089a97785daf86b92a4e15fa242033b5e509076efdc09a1740dc17b0a2494"),
+    # 8B10B under v2: 37 of 60, as in the cell above
+    "v2_8b10b": (
+        "table5_v2", dict(scheme="8b10b", payload_bits=24,
+                          optical_clock_hz=4560.0, camera_rows=240,
+                          trials=60),
+        "214b0c95cc5b33035b4f0e04023b1c6b1d4cb694303182387775ce1fa2b91325",
+        "f8108ed4f07b211b342b100641867790cd2afe5ec585c060607f00097a6928ea"),
+    # chip groups of 8 and 9 rows (8.5 rows per chip), with noise: 40 of 40
+    "noisy_8_9_rows": (
+        "table8_manchester_2k", dict(
+            optical_clock_hz=1000.0, rows_per_chip=8.5, camera_rows=425,
+            mean_fps=10.0, delta_fps=2.0, packet_rate=5.0, noise_sigma=0.3,
+            trials=40),
+        "c54face0dd8b4fdf01100bc18c9a6cc835803d6848f86692a4872f776603d69d",
+        "5fe66431db61c13e5bb8900c5ff5f7f047f64ec07416d21b2c697b38ca52f2ce"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CELLS))
+def test_path_cell_outputs(name):
+    base, fields, *pins = PATH_CELLS[name]
+    config = dataclasses.replace(configs.load_config(base), **fields)
+    assert config.validate() == [] and config.plan().pad_chips == 0
+    text, hex_lines = _outputs(config)
+    assert [_sha256(text), _sha256(hex_lines)] == pins
 
 
 def _script(name: str):
