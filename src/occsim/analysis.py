@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 from .camera import sample_frames
 from .configs import ExperimentConfig
@@ -226,13 +227,14 @@ class FusionStudyConfig:
     regime use larger sub-packets and a slower packet rate.
     """
 
-    scheme: RllScheme = RllScheme.MANCHESTER
-    version: FrameStructure = FrameStructure.V1_ONE_AB
+    # the study's fixed link, the same in every study: not fields
+    scheme: ClassVar[RllScheme] = RllScheme.MANCHESTER
+    version: ClassVar[FrameStructure] = FrameStructure.V1_ONE_AB
+    rows_per_chip: ClassVar[int] = 2
     payload_bits_grid: tuple[int, ...] = (40,)
     distance_ratios: tuple[float, ...] = (0.5, 1.0, 1.5, 1.8, 2.0, 2.5)
     packet_rate: float = 0.5
     optical_clock_hz: float = 3000.0
-    rows_per_chip: int = 2
     camera_rows: int = 300
     mean_fps: float = 15.0
     delta_fps: float = 2.0

@@ -31,9 +31,6 @@ from .rll import ChipStream
 # frames x rows blocks hold at most this many luma values (but at least
 # one frame), which bounds the memory a block and its temporaries take
 _BLOCK_ELEMENTS = 1 << 15
-# a block's row integrals are computed over at most this many values at a
-# time (but at least one frame), which bounds the workspace they take
-_SCRATCH_ELEMENTS = 1 << 13
 
 
 class _Workspace:
@@ -131,6 +128,12 @@ def covered_rows(geometry: GeometryConfig, max_rows: int | None = None) -> int:
     return max(0, rows)
 
 
+def covered_slice(rows: int, covered: int) -> slice:
+    """A ``rows``-row sensor's middle ``covered`` rows, rounded toward row 0."""
+    begin = (rows - covered) // 2
+    return slice(begin, begin + covered)
+
+
 @dataclass(frozen=True, eq=False)
 class FrameBlock:
     """Consecutive frames of one sensor, as columns: each frame's index
@@ -221,8 +224,7 @@ class SampledFrames:
     def __init__(self, waveform: ChipStream, camera: CameraConfig,
                  covered: int, starts: np.ndarray):
         self.waveform, self.camera, self.starts = waveform, camera, starts
-        begin = (camera.rows - covered) // 2
-        self.covered = slice(begin, begin + covered)
+        self.covered = covered_slice(camera.rows, covered)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -251,19 +253,16 @@ class SampledFrames:
                 mark = first
                 span, prefix = _chip_span(chips, first, last, ones, clock_hz,
                                           work)
-                sub = max(1, _SCRATCH_ELEMENTS // len(row_offsets))
-                for f in range(0, len(block_starts), sub):
-                    # each row's window edges: its begin, then its end
-                    edges = work("edges", (2, len(block_starts[f:f + sub]),
-                                           len(row_offsets)))
-                    np.add(block_starts[f:f + sub, None], row_offsets,
-                           out=edges[0])
-                    np.add(edges[0], exposure, out=edges[1])
-                    at = _integral_at(prefix, span, first, clock_hz, edges,
-                                      work)
-                    np.subtract(at[1], at[0],
-                                out=luma[f:f + sub, self.covered])
-                    luma[f:f + sub, self.covered] /= exposure
+                # each row's luma: (integral at its end - at its begin) / exposure
+                begin = work("begin", (len(block_starts), len(row_offsets)))
+                np.add(block_starts[:, None], row_offsets, out=begin)
+                end = np.add(begin, exposure, out=work("end", begin.shape))
+                covered = luma[:, self.covered]
+                covered[...] = _integral_at(prefix, span, first, clock_hz,
+                                            end, work)
+                covered -= _integral_at(prefix, span, first, clock_hz, begin,
+                                        work)
+                covered /= exposure
             if camera.noise_sigma > 0:
                 # normal(0, sigma) draws sigma * standard_normal
                 noise = noise_rng.standard_normal(out=work("noise", luma.shape))

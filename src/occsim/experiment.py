@@ -78,12 +78,12 @@ def drop_frames(blocks: Iterable[FrameBlock], keep_probability: float,
 
 @dataclass
 class LinkOutcome:
-    transmitted: list[np.ndarray]
+    transmitted: np.ndarray  # packets x bits, int8
     report: LinkReport
     n_frames_sampled: int
 
     def payload_index(self) -> dict[bytes, int]:
-        """Packet index by payload, keyed by the int8 payload's bytes."""
+        """Packet index by payload, keyed by the int8 payload row's bytes."""
         return {p.tobytes(): i for i, p in enumerate(self.transmitted)}
 
 
@@ -93,17 +93,15 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
              keep_probability: float = 1.0) -> LinkOutcome:
     """Transmit the payload sequence and decode the simulated frames."""
     stream = build_packet_stream(payloads, plan, scheme, version)
+    transmitted = np.asarray(payloads, dtype=np.int8)  # not ragged: built
     frames = sample_frames(stream, camera, geometry)
     config = DecoderConfig(scheme=scheme, version=version,
-                           payload_bits=len(payloads[0]),
+                           payload_bits=transmitted.shape[1],
                            rows_per_chip=rows_per_chip)
     table = extract_parts(
         drop_frames(frames, keep_probability, camera.seed + 7919), config)
-    return LinkOutcome(
-        transmitted=[np.asarray(p, dtype=np.int8) for p in payloads],
-        report=decode_samples(table, fusion=True),
-        n_frames_sampled=len(frames),
-    )
+    return LinkOutcome(transmitted, decode_samples(table, fusion=True),
+                       n_frames_sampled=len(frames))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import FrameBlock
+from .camera import FrameBlock, covered_slice
 from .decoder import hex_rows
 from .rll import ChipStream, ascii_to_chips, chips_to_ascii
 
@@ -259,11 +259,10 @@ def read_frames_csv(path, covered_rows: int | None = None) -> list[FrameBlock]:
     for lo, hi in zip(runs.tolist(), [*runs[1:].tolist(), len(sizes)]):
         rows = int(sizes[lo])
         cov = rows if covered_rows is None else min(covered_rows, rows)
-        begin = (rows - cov) // 2
         run = luma[first[lo]:first[lo] + (hi - lo) * rows]
         blocks.append(FrameBlock(index[lo:hi], start[lo:hi],
                                  run.reshape(hi - lo, rows),
-                                 slice(begin, begin + cov)))
+                                 covered_slice(rows, cov)))
     return blocks
 
 

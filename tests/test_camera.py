@@ -437,10 +437,9 @@ class TestBlockPartition:
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(sorted(PRESETS)), st.sampled_from([0.0, 0.3]),
-           st.sampled_from([None, 1.0, 1.6, 2.5]), st.integers(0, 1000),
-           st.sampled_from(["_BLOCK_ELEMENTS", "_SCRATCH_ELEMENTS"]))
-    def test_one_frame_blocks(self, name, sigma, distance, seed, size):
-        # one frame per block, or per step of a block's row integrals
+           st.sampled_from([None, 1.0, 1.6, 2.5]), st.integers(0, 1000))
+    def test_one_frame_blocks(self, name, sigma, distance, seed):
+        # one frame per block
         cell = dataclasses.replace(
             PRESETS[name], noise_sigma=sigma, distance=distance,
             reference_distance=1.0, seed=seed, trials=12)
@@ -448,11 +447,10 @@ class TestBlockPartition:
             random_payloads(cell.trials, cell.payload_bits, seed),
             cell.plan(), cell.rll_scheme, cell.frame_structure)
         frames = sample_frames(stream, cell.camera(), cell.geometry())
-        with mock.patch.object(camera_module, size, 1):
+        with mock.patch.object(camera_module, "_BLOCK_ELEMENTS", 1):
             single = list(frames)
             table = extract_parts(frames, cell.decoder())
-        if size == "_BLOCK_ELEMENTS":
-            assert {len(block) for block in single} <= {1}
+        assert {len(block) for block in single} <= {1}
         want, got = _frames(frames), _frames(single)
         assert len(got) == len(want) == len(frames)
         for a, b in zip(got, want):
