@@ -93,7 +93,8 @@ def run_link(payloads, plan: PacketPlan, scheme: RllScheme,
              keep_probability: float = 1.0) -> LinkOutcome:
     """Transmit the payload sequence and decode the simulated frames."""
     stream = build_packet_stream(payloads, plan, scheme, version)
-    transmitted = np.asarray(payloads, dtype=np.int8)  # not ragged: built
+    # after the stream, whose build names a ragged payload list
+    transmitted = np.asarray(payloads, dtype=np.int8)
     frames = sample_frames(stream, camera, geometry)
     config = DecoderConfig(scheme=scheme, version=version,
                            payload_bits=transmitted.shape[1],
