@@ -129,7 +129,7 @@ def covered_rows(geometry: GeometryConfig, max_rows: int | None = None) -> int:
 
 
 def covered_slice(rows: int, covered: int) -> slice:
-    """A ``rows``-row sensor's middle ``covered`` rows, rounded toward row 0."""
+    """The middle ``covered`` of ``rows`` sensor rows, rounded toward row 0."""
     begin = (rows - covered) // 2
     return slice(begin, begin + covered)
 
@@ -253,7 +253,7 @@ class SampledFrames:
                 mark = first
                 span, prefix = _chip_span(chips, first, last, ones, clock_hz,
                                           work)
-                # each row's luma: (integral at its end - at its begin) / exposure
+                # each row's luma: (integral at its end - its begin) / exposure
                 begin = work("begin", (len(block_starts), len(row_offsets)))
                 np.add(block_starts[:, None], row_offsets, out=begin)
                 end = np.add(begin, exposure, out=work("end", begin.shape))
