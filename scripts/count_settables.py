@@ -10,21 +10,33 @@ Three counts, printed with their total:
   subcommand's counted on its own, ``--help`` left out.
 
 A public name is one without a leading underscore that its module
-defines (re-exports are counted where they are defined).  Run, from any
-directory, as
+defines (re-exports are counted where they are defined).
+
+It then lists the public names that occsim's modules define at top level
+and that no code outside ``tests/`` uses: not the package's modules,
+``scripts/`` or ``perfbench/``.  A name counts as used where it appears
+in code as a name, beyond its own definition, or as a ``"module.name"``
+string, the form in which perfbench wraps functions.  A local variable
+of the same name counts too, so the list may miss a name, never add one.
+Run, from any directory, as
 
     python3 scripts/count_settables.py
 """
 
 import argparse
+import ast
+import collections
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
+import tokenize
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import occsim  # noqa: E402
 from occsim.cli import build_parser  # noqa: E402
@@ -69,11 +81,52 @@ def count_flags() -> int:
                and not isinstance(action, argparse._HelpAction))
 
 
+def _uses(path: Path):
+    """The names a file's code uses, its ``"module.name"`` strings as the
+    name, and every word of an f-string (one token before Python 3.12)."""
+    with open(path, "rb") as fh:
+        for token in tokenize.tokenize(fh.readline):
+            if token.type == tokenize.NAME:
+                yield token.string
+            elif token.type == tokenize.STRING:
+                if "f" in re.match(r"\w*", token.string).group().lower():
+                    yield from re.findall(r"\w+", token.string)
+                elif dotted := re.fullmatch(r"""(["'])\w+\.(\w+)\1""",
+                                            token.string):
+                    yield dotted.group(2)
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def unused_outside_tests() -> list[str]:
+    """``module.name`` of every public top-level name of the package that
+    only its own definition uses, outside ``tests/``."""
+    package = ROOT / "src" / "occsim"
+    uses = collections.Counter()
+    for folder in (package, ROOT / "scripts", ROOT / "perfbench"):
+        for path in folder.glob("*.py"):
+            uses.update(_uses(path))
+    return [f"{path.stem}.{name}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.parse(path.read_bytes()).body
+            for name in _defined(node)
+            if not name.startswith("_") and uses[name] <= 1]
+
+
 def main() -> int:
     fields, defaulted = count_api()
     flags = count_flags()
     print(f"fields {fields}, defaulted parameters {defaulted}, "
           f"flags {flags}: {fields + defaulted + flags} settable values")
+    unused = unused_outside_tests()
+    print(f"public names only tests use: {', '.join(unused) or 'none'}")
     return 0
 
 

@@ -75,21 +75,6 @@ def throughput_packet(eta, payload_symbols, overhead, packet_rate) -> Fraction:
     return eta * budget * Fraction(packet_rate)
 
 
-def skip_probability(packet_length_s, excess_interval_s) -> Fraction:
-    """Probability a packet is skipped by one overlong sampling interval.
-
-    Closed form excess/(24*T) for excess below the packet length; beyond
-    that regime the linear form is extended and capped at 1.
-    """
-    t = Fraction(packet_length_s)
-    delta = Fraction(excess_interval_s)
-    if t <= 0:
-        raise ValueError("packet length must be positive")
-    if delta <= 0:
-        return Fraction(0)
-    return min(Fraction(1), delta / (24 * t))
-
-
 def der(packet_rate, frame_rate_mean, frame_rate_floor=None) -> Fraction:
     """Detection error rate for missed payloads.
 

@@ -10,7 +10,6 @@ on validation or decode failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -53,10 +52,10 @@ def _load_validated(args) -> ExperimentConfig | None:
     return config
 
 
-def _manifest_payload(config: ExperimentConfig, **extra) -> dict:
-    payload = {"config": dataclasses.asdict(config)}
-    payload.update(extra)
-    return payload
+def _write_manifest(out, config: ExperimentConfig, **extra) -> None:
+    """The resolved config and ``extra`` in a manifest beside ``out``."""
+    io.write_manifest(f"{out}.manifest.json",
+                      {"config": dataclasses.asdict(config), **extra})
 
 
 def cmd_encode(args) -> int:
@@ -83,16 +82,10 @@ def cmd_encode(args) -> int:
         io.write_chipstream_packed(out, stream)
     else:
         io.write_chipstream_ascii(out, stream)
-    io.write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                      _manifest_payload(
-                          config,
-                          payload_count=len(payloads),
-                          ds_chips=plan.ds_chips,
-                          repetitions=plan.repetitions,
-                          pad_chips=plan.pad_chips,
-                          chip_count=len(stream.chips),
-                          duration_s=stream.duration_s,
-                      ))
+    _write_manifest(out, config, payload_count=len(payloads),
+                    ds_chips=plan.ds_chips, repetitions=plan.repetitions,
+                    pad_chips=plan.pad_chips, chip_count=len(stream.chips),
+                    duration_s=stream.duration_s)
     print(f"wrote {len(stream.chips)} chips "
           f"({len(payloads)} packets x {plan.repetitions} sub-packets) to {out}")
     return 0
@@ -107,10 +100,8 @@ def cmd_simulate(args) -> int:
     frames = sample_frames(stream, config.camera(), config.geometry(),
                            duration_s=duration)
     io.write_frames_csv(args.out, frames)
-    out = Path(args.out)
-    io.write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                      _manifest_payload(config, frame_count=len(frames),
-                                        duration_s=duration))
+    _write_manifest(args.out, config, frame_count=len(frames),
+                    duration_s=duration)
     print(f"wrote {len(frames)} frames to {args.out}")
     return 0
 
@@ -128,7 +119,8 @@ def cmd_decode(args) -> int:
     text = report.to_text()
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with io.replacing(args.out, binary=False) as fh:
+            fh.write(text + "\n")
     if args.payload_out:
         io.write_payload_bits(args.payload_out, report.payload)
     return 0
@@ -143,18 +135,12 @@ def cmd_sweep(args) -> int:
             for row in analysis.sweep_frequency(f_list=args.frequencies,
                                                 fps_min=args.fps_min)]
     reference = _reference_rows(args.fps_min)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "f_hz", "L", "OH", "eta",
-                         "bitrate_bps", "status"])
-        writer.writerows(rows)
-
+    io.write_csv(args.out, ["scheme", "f_hz", "L", "OH", "eta",
+                            "bitrate_bps", "status"], rows)
     ref_path = Path(args.out).with_name(Path(args.out).stem + "_reference.csv")
-    with open(ref_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config", "scheme", "f_hz", "computed_limit_bps",
-                         "reported_limit_bps", "reported_achieved_bps"])
-        writer.writerows(reference)
+    io.write_csv(ref_path, ["config", "scheme", "f_hz", "computed_limit_bps",
+                            "reported_limit_bps", "reported_achieved_bps"],
+                 reference)
     print(f"wrote {len(rows)} sweep rows to {args.out} and "
           f"{len(reference)} reference rows to {ref_path}")
     return 0
@@ -180,25 +166,19 @@ def _reference_rows(fps_min: float) -> list[list]:
 
 def write_der_csv(path, estimates) -> None:
     """One detection-error study row per estimate."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fps_floor", "packet_rate", "der_formula",
-                         "der_empirical", "ci_low", "ci_high"])
-        for est in estimates:
-            writer.writerow([est.fps_floor, est.packet_rate,
-                             float(est.der_formula), est.der_empirical,
-                             est.ci_low, est.ci_high])
+    io.write_csv(path, ["fps_floor", "packet_rate", "der_formula",
+                        "der_empirical", "ci_low", "ci_high"],
+                 [[est.fps_floor, est.packet_rate, float(est.der_formula),
+                   est.der_empirical, est.ci_low, est.ci_high]
+                  for est in estimates])
 
 
 def write_fusion_csv(path, rows) -> None:
     """One fusion study row per (sub-packet length, distance, fusion) cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["distance_ratio", "ds_length", "fusion",
-                         "recovered_fraction"])
-        for row in rows:
-            writer.writerow([row.distance_ratio, row.ds_length_s,
-                             int(row.fusion), row.recovered_fraction])
+    io.write_csv(path, ["distance_ratio", "ds_length", "fusion",
+                        "recovered_fraction"],
+                 [[row.distance_ratio, row.ds_length_s, int(row.fusion),
+                   row.recovered_fraction] for row in rows])
 
 
 def cmd_der(args) -> int:

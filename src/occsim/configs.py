@@ -200,16 +200,18 @@ class ExperimentConfig:
                     f"cover less than the longest frame interval; at least "
                     f"{self.required_repetitions()} are needed"
                 )
-        elif camera.capture_time_s < 2 * self.ds_length_s - 1e-12:
+        else:
             # gap counting needs every frame to land one whole sub-packet
-            # regardless of phase, which takes a two-sub-packet window
-            problems.append(
-                f"camera_rows: rolling exposure time "
-                f"{camera.capture_time_s:g} s is below "
-                f"twice the sub-packet duration ({2 * self.ds_length_s:g} s); "
-                f"a frame could then miss every sub-packet boundary and "
-                f"break gap counting"
-            )
+            # at any phase: two sub-packets and the pad between them
+            window = (2 * ds_chips + plan.pad_chips) / self.optical_clock_hz
+            if camera.capture_time_s < window - 1e-12:
+                problems.append(
+                    f"camera_rows: rolling exposure time "
+                    f"{camera.capture_time_s:g} s is below the {window:g} s "
+                    f"of two {ds_chips}-chip sub-packets and the "
+                    f"{plan.pad_chips}-chip slot pad; a frame could then "
+                    f"miss every sub-packet boundary and break gap counting"
+                )
         return problems
 
     def to_json(self) -> str:

@@ -54,6 +54,7 @@ from .camera import _BLOCK_ELEMENTS, FrameBlock, _Workspace
 from .framing import FrameStructure, ab_chip_count, subpacket_chip_length
 from .rll import (
     RllScheme,
+    _codeword_table,
     _is_binary,
     codeword_bits,
     codeword_chips,
@@ -419,16 +420,17 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
                   np.minimum(pay_chips, length - start)], axis=1) // cw
 
     # the Ab copy next to the SF, then the sub-packet's other copy, each
-    # valid when in range and made of Manchester symbols: a chip, its bit,
-    # then its complement
+    # valid when in range and made of Manchester codewords: each chip pair
+    # is read through the line code's table, -1 where it holds none
     ab_lo = np.stack([end, position + sf_len,
                       end - pay_chips - ab_chips, start + pay_chips], axis=1)
     # each gather is one take at frame * width + column; what is read past
     # a frame's row is never used: not valid, or past the window's n
     at = (frame[:, None] * chips.shape[1] + ab_lo)[..., None] \
         + np.arange(0, ab_chips, 2)
-    bit = chips.ravel().take(at, mode="clip")
-    ab = np.where(bit != chips.ravel().take(at + 1, mode="clip"), bit, -1)
+    flat = chips.ravel()
+    ab = _codeword_table(RllScheme.MANCHESTER).take(
+        2 * flat.take(at, mode="clip") + flat.take(at + 1, mode="clip"))
     ab_ok = ((ab_lo >= 0) & (ab_lo + ab_chips <= length[:, None])
              & (ab >= 0).all(axis=-1))
 
@@ -579,9 +581,9 @@ def fuse(table: PartTable, group: np.ndarray
     # same-frame pairs by prefix stream index, then the rest by rank
     order = np.lexsort((np.concatenate([half[sp], len(group) + rp]), g[pre]))
     pre, suf = half[pre[order]], half[suf[order]]
-    column = np.arange(n)
-    prefix = column < table.length[pre, None]
-    overlap = prefix & (column >= n - table.length[suf, None])
+    masks = _fragment_masks(n)
+    prefix = masks[1, table.length[pre]]
+    overlap = prefix & masks[0, table.length[suf]]
     halves = table.bits[pre], table.bits[suf]
     return (group[pre], np.where(prefix, *halves),
             (overlap & (halves[0] != halves[1])).any(axis=1))

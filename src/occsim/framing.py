@@ -35,10 +35,6 @@ class FrameStructure(Enum):
     V2_TWO_AB = "v2"
 
 
-class PlanInfeasible(ValueError):
-    """The requested repetitions do not fit the packet slot."""
-
-
 def ab_bit_count(version: FrameStructure) -> int:
     return 1 if version is FrameStructure.V1_ONE_AB else 2
 
@@ -90,7 +86,7 @@ class PacketPlan:
         if not self.repetitions >= 1:
             raise ValueError("repetitions: must be at least 1")
         if self.repetitions * self.ds_chips > self.slot_chips:
-            raise PlanInfeasible(
+            raise ValueError(
                 f"repetitions/packet_rate: {self.repetitions} sub-packets of "
                 f"{self.ds_chips} chips exceed the {self.slot_chips}-chip "
                 f"packet slot"

@@ -8,8 +8,12 @@ one line per sensor row, in the one grammar :func:`read_frames_csv` states.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import math
+import os
+import shutil
 import struct
 import warnings
 from pathlib import Path
@@ -40,8 +44,37 @@ def _clock_hz(value, where: str) -> float:
     return clock_hz
 
 
+@contextlib.contextmanager
+def replacing(path, binary: bool):
+    """``path`` opened for writing (UTF-8 text, no newline translation, if
+    not ``binary``) at a temporary name beside it, with the mode
+    ``open(path, "w")`` gives; renamed to ``path`` when the block ends and
+    removed if it raises, so a failed write leaves no partial file."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with (open(fd, "wb") if binary else
+              open(fd, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
+        with contextlib.suppress(FileNotFoundError):  # a rewrite's mode
+            shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A header line, then a line per row, as the csv module writes them."""
+    with replacing(path, binary=False) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_chipstream_ascii(path, stream: ChipStream) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, binary=False) as fh:
         fh.write(f"clock_hz={stream.clock_hz!r}\n")
         fh.write(f"chips={len(stream.chips)}\n")
         text = chips_to_ascii(stream.chips)
@@ -51,7 +84,7 @@ def write_chipstream_ascii(path, stream: ChipStream) -> None:
 
 def write_chipstream_packed(path, stream: ChipStream) -> None:
     packed = np.packbits(stream.chips.astype(np.uint8))
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(PACKED_MAGIC)
         fh.write(struct.pack("<IdQ", PACKED_VERSION, stream.clock_hz,
                              len(stream.chips)))
@@ -145,7 +178,7 @@ def write_frames_csv(path, blocks) -> None:
     bit pattern (so ``-0.0`` stays apart from ``0.0``), and the block's
     text is one join over its frame heads, row tokens and value texts.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, binary=False) as fh:
         fh.write(",".join(FRAME_CSV_HEADER) + "\r\n")
         for block in blocks:
             luma = np.ascontiguousarray(block.luma, dtype=np.float64)
@@ -368,14 +401,14 @@ def _fault(line: str) -> str:
 
 
 def write_manifest(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, binary=False) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_payload_bits(path, payload: np.ndarray) -> None:
     """Recovered payloads, one row each, as one hex string per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, binary=False) as fh:
         fh.write("".join(f"{text}\n" for text in hex_rows(payload)))
 
 

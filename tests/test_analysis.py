@@ -3,7 +3,6 @@
 import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from occsim.analysis import (
@@ -16,7 +15,6 @@ from occsim.analysis import (
     fusion_gain_experiment,
     monte_carlo_der,
     scheme_overhead,
-    skip_probability,
     sweep_frequency,
     symbols_per_image,
     throughput_packet,
@@ -136,30 +134,6 @@ class TestThroughputWithDetection:
             v1 = bit_rate_limit(Fraction(1, 2), symbols, 8, 20)
             v2 = throughput_packet(Fraction(1, 2), symbols, 10, 80)
             assert v2 > v1
-
-
-class TestSkipProbability:
-    def test_zero_excess(self):
-        assert skip_probability(0.05, 0.0) == 0
-
-    def test_half_packet_length(self):
-        assert skip_probability(0.05, 0.025) == Fraction(1, 48)
-
-    def test_capped_at_one(self):
-        assert skip_probability(0.001, 10.0) == 1
-
-    def test_monte_carlo_oracle(self):
-        # sampling model reproducing the closed form: the phase inside a
-        # six-slot horizon is uniform and the overlong interval exceeds
-        # five slots by a uniform (-excess, excess) jitter
-        t_len, excess = 0.05, 0.02
-        rng = np.random.default_rng(12)
-        n = 2_000_000
-        phase = rng.uniform(0.0, 6 * t_len, n)
-        jitter = rng.uniform(-excess, excess, n)
-        skips = (phase <= t_len) & (phase + 5 * t_len + jitter > 6 * t_len)
-        expected = float(skip_probability(t_len, excess))
-        assert abs(skips.mean() - expected) < 3e-4
 
 
 class TestDer:

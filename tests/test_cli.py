@@ -1183,6 +1183,41 @@ class TestStudies:
         else:
             assert errors == [] and "study.csv" in written, argv
 
+    def test_failed_simulate_leaves_no_partial_file(self, tmp_path,
+                                                    small_config, monkeypatch,
+                                                    capsys):
+        stream, out = tmp_path / "stream.chips", tmp_path / "frames.csv"
+        assert run_cli("encode", "--config", small_config, "--out", stream) == 0
+        sample_frames = cli.sample_frames
+
+        def failing(*args, **kwargs):  # the first block is written
+            yield next(iter(sample_frames(*args, **kwargs)))
+            raise ValueError("sampler failed after one block")
+
+        def simulate(sampler):
+            monkeypatch.setattr(cli, "sample_frames", sampler)
+            return run_cli("simulate", "--config", small_config,
+                           "--stream", stream, "--out", out)
+
+        files = sorted(tmp_path.iterdir())
+        assert simulate(failing) == 1
+        assert "sampler failed" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == files  # no CSV, no temporary
+        # a new output has the mode open(path, "w") gives, and a rewrite
+        # keeps an existing output's mode
+        assert simulate(sample_frames) == 0
+        opened = tmp_path / "opened"
+        opened.write_text("")
+        assert out.stat().st_mode == opened.stat().st_mode
+        out.chmod(0o640)
+        assert simulate(sample_frames) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        # a failed rewrite leaves the existing output as it was
+        written, files = out.read_bytes(), sorted(tmp_path.iterdir())
+        assert simulate(failing) == 1
+        assert out.read_bytes() == written
+        assert sorted(tmp_path.iterdir()) == files
+
     def test_presets_listing(self, capsys):
         assert run_cli("presets") == 0
         out = capsys.readouterr().out
@@ -1234,6 +1269,25 @@ class TestConfigRoundtrip:
             config = dataclasses.replace(preset, reference_distance=1.0,
                                          distance=subpacket_rows / rows)
             assert config.validate() == problems
+
+    # table5_v2 has no pad: two 50-chip sub-packets of 2 rows a chip.  A
+    # Manchester v2 slot of 50 chips (1 000 Hz, 20 packets/s) holds one
+    # 26-chip sub-packet of 6-bit payloads and 24 chips of pad
+    @pytest.mark.parametrize("config, rows, window", [
+        (PRESETS["table5_v2"], 199, "0.025 s of two 50-chip sub-packets and "
+         "the 0-chip slot pad"),
+        (PRESETS["table5_v2"], 200, None),
+        *[(ExperimentConfig(version="v2", packet_rate=20.0, payload_bits=6,
+                            mean_fps=10.3, delta_fps=0.6), rows,
+           "0.076 s of two 26-chip sub-packets and the 24-chip slot pad"
+           if rows < 152 else None) for rows in (104, 106, 151, 152)]])
+    def test_v2_capture_window_counts_the_pad(self, config, rows, window):
+        config = dataclasses.replace(config, camera_rows=rows)
+        assert config.validate() == ([] if window is None else [
+            f"camera_rows: rolling exposure time "
+            f"{config.camera().capture_time_s:g} s is below the {window}; a "
+            f"frame could then miss every sub-packet boundary and break gap "
+            f"counting"])
 
     def test_required_repetitions_satisfied_by_presets(self):
         for name, preset in PRESETS.items():

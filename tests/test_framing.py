@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from occsim.framing import (
     FrameStructure,
     PacketPlan,
-    PlanInfeasible,
     ab_bits,
     build_packet_stream,
     repetition_count,
@@ -123,7 +122,9 @@ class TestBuildSubpacket:
 
 class TestPacketPlan:
     def test_infeasible_repetitions(self):
-        with pytest.raises(PlanInfeasible):
+        with pytest.raises(ValueError, match="repetitions/packet_rate: 6 "
+                           "sub-packets of 20 chips exceed the 100-chip "
+                           "packet slot"):
             PacketPlan(10.0, 0.020, 6, 1000.0)
 
     def test_fill_slot(self):

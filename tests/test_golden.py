@@ -4,9 +4,10 @@ study CSVs.
 Each preset, one noisy cell whose report shows the tie and overlap
 flags, and four cells on decoder paths no preset takes run end to end at
 their own seeds, and the sha256 of each ``LinkReport.to_text()`` and of
-its recovered payload hex list are pinned.
-Every CSV in ``results/`` must regenerate byte for byte from the script
-that wrote it.  A rewrite that claims unchanged behaviour passes these
+its recovered payload hex list are pinned.  ``table5_v2``'s frame CSV,
+its lines shuffled, must decode through ``occsim decode`` to the same
+pair.  Every CSV in ``results/`` must regenerate byte for byte from the
+script that wrote it.  A rewrite that claims unchanged behaviour passes these
 unchanged; only an intended behaviour change re-pins them.
 """
 
@@ -15,6 +16,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from occsim import cli, configs, decoder, experiment
@@ -204,3 +206,22 @@ def test_clean_frames_csv(tmp_path):
     assert cli.main(["simulate", "--config", "table5_v2", "--stream",
                      str(stream), "--out", str(frames)]) == 0
     assert hashlib.sha256(frames.read_bytes()).hexdigest() == CLEAN_FRAMES_CSV
+
+
+def test_interleaved_frames_csv_decodes_as_the_preset(tmp_path):
+    # the clean table5_v2 file with its body lines shuffled, so that every
+    # frame's rows interleave with others': it decodes to the preset's pins
+    stream, frames = tmp_path / "stream.chips", tmp_path / "frames.csv"
+    assert cli.main(["encode", "--config", "table5_v2",
+                     "--out", str(stream)]) == 0
+    assert cli.main(["simulate", "--config", "table5_v2", "--stream",
+                     str(stream), "--out", str(frames)]) == 0
+    header, *body = frames.read_bytes().splitlines(keepends=True)
+    np.random.default_rng(0).shuffle(body)
+    frames.write_bytes(header + b"".join(body))
+    report, payloads = tmp_path / "report.txt", tmp_path / "payloads.hex"
+    assert cli.main(["decode", "--config", "table5_v2", "--frames",
+                     str(frames), "--out", str(report),
+                     "--payload-out", str(payloads)]) == 0
+    assert tuple(_sha256(path.read_text().removesuffix("\n"))
+                 for path in (report, payloads)) == GOLDEN["table5_v2"]
