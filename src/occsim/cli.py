@@ -119,7 +119,7 @@ def cmd_decode(args) -> int:
     text = report.to_text()
     print(text)
     if args.out:
-        with io.replacing(args.out, binary=False) as fh:
+        with io.replacing(args.out) as fh:
             fh.write(text + "\n")
     if args.payload_out:
         io.write_payload_bits(args.payload_out, report.payload)

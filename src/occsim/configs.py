@@ -182,6 +182,9 @@ class ExperimentConfig:
             problems.append(
                 f"distance: the LED footprint spans {covered_rows(geometry)} "
                 f"rows, fewer than the {sf_rows:g} rows of one start frame")
+        # v2's gap counting needs every frame to land one whole sub-packet
+        # at any phase: two sub-packets and the pad between them
+        window = (2 * ds_chips + plan.pad_chips) / self.optical_clock_hz
         if self.version == "v1":
             floor = self.mean_fps - self.delta_fps
             if floor < self.packet_rate:
@@ -200,18 +203,14 @@ class ExperimentConfig:
                     f"cover less than the longest frame interval; at least "
                     f"{self.required_repetitions()} are needed"
                 )
-        else:
-            # gap counting needs every frame to land one whole sub-packet
-            # at any phase: two sub-packets and the pad between them
-            window = (2 * ds_chips + plan.pad_chips) / self.optical_clock_hz
-            if camera.capture_time_s < window - 1e-12:
-                problems.append(
-                    f"camera_rows: rolling exposure time "
-                    f"{camera.capture_time_s:g} s is below the {window:g} s "
-                    f"of two {ds_chips}-chip sub-packets and the "
-                    f"{plan.pad_chips}-chip slot pad; a frame could then "
-                    f"miss every sub-packet boundary and break gap counting"
-                )
+        elif camera.capture_time_s < window - 1e-12:
+            problems.append(
+                f"camera_rows: rolling exposure time "
+                f"{camera.capture_time_s:g} s is below the {window:g} s of "
+                f"two {ds_chips}-chip sub-packets and the {plan.pad_chips}-"
+                f"chip slot pad; a frame could then miss every sub-packet "
+                f"boundary and break gap counting"
+            )
         return problems
 
     def to_json(self) -> str:

@@ -430,7 +430,8 @@ def _read_parts(chips: np.ndarray, lengths: np.ndarray, sf_frame: np.ndarray,
         + np.arange(0, ab_chips, 2)
     flat = chips.ravel()
     ab = _codeword_table(RllScheme.MANCHESTER).take(
-        2 * flat.take(at, mode="clip") + flat.take(at + 1, mode="clip"))
+        2 * flat.take(at, mode="clip") + flat.take(at + 1, mode="clip")
+    ).astype(np.int8)
     ab_ok = ((ab_lo >= 0) & (ab_lo + ab_chips <= length[:, None])
              & (ab >= 0).all(axis=-1))
 

@@ -26,6 +26,7 @@ from .rll import ChipStream, ascii_to_chips, chips_to_ascii
 
 PACKED_MAGIC = b"OCHP"
 PACKED_VERSION = 1
+_PACKED_HEADER = struct.Struct("<IdQ")  # version, clock_hz, chip count
 _ASCII_WRAP = 80
 
 
@@ -45,17 +46,18 @@ def _clock_hz(value, where: str) -> float:
 
 
 @contextlib.contextmanager
-def replacing(path, binary: bool):
-    """``path`` opened for writing (UTF-8 text, no newline translation, if
-    not ``binary``) at a temporary name beside it, with the mode
-    ``open(path, "w")`` gives; renamed to ``path`` when the block ends and
-    removed if it raises, so a failed write leaves no partial file."""
-    path = Path(path)
+def replacing(path):
+    """``path`` (a link's target) opened for UTF-8 text, no newline
+    translation (bytes go to its ``buffer``), at a temporary name beside it
+    with the mode ``open(path, "w")`` gives: renamed to ``path`` when the
+    block ends, removed if it raises.  Only a regular file is replaced."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():  # a device is never replaced
+        raise OSError(f"{path}: not a regular file")
     temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with (open(fd, "wb") if binary else
-              open(fd, "w", encoding="utf-8", newline="")) as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         with contextlib.suppress(FileNotFoundError):  # a rewrite's mode
             shutil.copymode(path, temporary)
@@ -67,14 +69,14 @@ def replacing(path, binary: bool):
 
 def write_csv(path, header: list[str], rows) -> None:
     """A header line, then a line per row, as the csv module writes them."""
-    with replacing(path, binary=False) as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_chipstream_ascii(path, stream: ChipStream) -> None:
-    with replacing(path, binary=False) as fh:
+    with replacing(path) as fh:
         fh.write(f"clock_hz={stream.clock_hz!r}\n")
         fh.write(f"chips={len(stream.chips)}\n")
         text = chips_to_ascii(stream.chips)
@@ -84,26 +86,25 @@ def write_chipstream_ascii(path, stream: ChipStream) -> None:
 
 def write_chipstream_packed(path, stream: ChipStream) -> None:
     packed = np.packbits(stream.chips.astype(np.uint8))
-    with replacing(path, binary=True) as fh:
-        fh.write(PACKED_MAGIC)
-        fh.write(struct.pack("<IdQ", PACKED_VERSION, stream.clock_hz,
-                             len(stream.chips)))
-        fh.write(packed.tobytes())
+    with replacing(path) as fh:
+        fh.buffer.write(PACKED_MAGIC + _PACKED_HEADER.pack(
+            PACKED_VERSION, stream.clock_hz, len(stream.chips)))
+        fh.buffer.write(packed.tobytes())
 
 
 def read_chipstream(path) -> ChipStream:
     """Read either chip-stream format, detected from the leading bytes."""
     raw = Path(path).read_bytes()
     if raw.startswith(PACKED_MAGIC):
-        header = struct.Struct("<IdQ")
-        if len(raw) < len(PACKED_MAGIC) + header.size:
+        if len(raw) < len(PACKED_MAGIC) + _PACKED_HEADER.size:
             raise FileFormatError("packed chip stream header truncated")
-        version, clock_hz, count = header.unpack_from(raw, len(PACKED_MAGIC))
+        version, clock_hz, count = _PACKED_HEADER.unpack_from(
+            raw, len(PACKED_MAGIC))
         if version != PACKED_VERSION:
             raise FileFormatError(f"unsupported packed version {version}")
         clock_hz = _clock_hz(clock_hz, "packed header")
         payload = np.frombuffer(raw, dtype=np.uint8,
-                                offset=len(PACKED_MAGIC) + header.size)
+                                offset=len(PACKED_MAGIC) + _PACKED_HEADER.size)
         chips = np.unpackbits(payload)[:count].astype(np.int8)
         if len(chips) != count:
             raise FileFormatError("packed chip stream truncated")
@@ -178,7 +179,7 @@ def write_frames_csv(path, blocks) -> None:
     bit pattern (so ``-0.0`` stays apart from ``0.0``), and the block's
     text is one join over its frame heads, row tokens and value texts.
     """
-    with replacing(path, binary=False) as fh:
+    with replacing(path) as fh:
         fh.write(",".join(FRAME_CSV_HEADER) + "\r\n")
         for block in blocks:
             luma = np.ascontiguousarray(block.luma, dtype=np.float64)
@@ -401,14 +402,14 @@ def _fault(line: str) -> str:
 
 
 def write_manifest(path, payload: dict) -> None:
-    with replacing(path, binary=False) as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_payload_bits(path, payload: np.ndarray) -> None:
     """Recovered payloads, one row each, as one hex string per line."""
-    with replacing(path, binary=False) as fh:
+    with replacing(path) as fh:
         fh.write("".join(f"{text}\n" for text in hex_rows(payload)))
 
 

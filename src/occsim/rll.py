@@ -197,14 +197,13 @@ def encode_rll(bits, scheme: RllScheme) -> np.ndarray:
 
 @functools.cache
 def _codeword_table(scheme: RllScheme) -> np.ndarray:
-    """Codeword value, or -1 if invalid, by its chips packed MSB first."""
+    """Codeword value, or -1 if invalid, indexed by its chips packed MSB first."""
     if scheme is RllScheme.MANCHESTER:
         book = {pair: bit for bit, pair in MANCHESTER_PAIRS.items()}
     else:
         book = DECODE_4B6B if scheme is RllScheme.FOUR_B_SIX_B else DECODE_8B10B
     width = _CODEWORD_CHIPS[scheme]
-    dtype = np.int8 if _BLOCK_BITS[scheme] < 8 else np.int16  # values fit
-    table = np.full(1 << width, -1, dtype=dtype)
+    table = np.full(1 << width, -1, dtype=np.int16)
     table[_pack_bits_msb(np.array(list(book)), width)[:, 0]] = list(book.values())
     table.flags.writeable = False
     return table

@@ -1218,6 +1218,22 @@ class TestStudies:
         assert out.read_bytes() == written
         assert sorted(tmp_path.iterdir()) == files
 
+    def test_only_regular_files_are_replaced(self, tmp_path, small_config,
+                                             capsys):
+        # a link's target is rewritten and the link kept; what is not a
+        # regular file (a directory here, a device alike) is refused
+        target, link = tmp_path / "target.chips", tmp_path / "link.chips"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert run_cli("encode", "--config", small_config, "--out", link) == 0
+        assert link.is_symlink() and io.read_chipstream(target).chips.size
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert run_cli("encode", "--config", small_config,
+                       "--out", folder) == 1
+        assert "not a regular file" in capsys.readouterr().err
+        assert list(folder.iterdir()) == []
+
     def test_presets_listing(self, capsys):
         assert run_cli("presets") == 0
         out = capsys.readouterr().out
