@@ -1218,6 +1218,28 @@ class TestStudies:
         assert out.read_bytes() == written
         assert sorted(tmp_path.iterdir()) == files
 
+    @pytest.mark.parametrize("command, fails", [
+        ("encode", "chips_to_ascii"), ("decode", "hex_rows")])
+    def test_failed_encode_or_decode_leaves_no_partial_file(
+            self, tmp_path, small_config, monkeypatch, command, fails):
+        # each fails inside its writer, after the file is opened
+        stream, frames = tmp_path / "stream.chips", tmp_path / "frames.csv"
+        assert run_cli("encode", "--config", small_config, "--out", stream) == 0
+        assert run_cli("simulate", "--config", small_config, "--stream",
+                       stream, "--out", frames) == 0
+        files = sorted(tmp_path.iterdir())
+
+        def failing(*args):
+            raise ValueError(f"{fails} failed")
+
+        monkeypatch.setattr(io, fails, failing)
+        out = tmp_path / "out"
+        given = {"encode": ["--out", out],
+                 "decode": ["--frames", frames, "--payload-out", out]}
+        assert run_cli(command, "--config", small_config,
+                       *given[command]) == 1
+        assert sorted(tmp_path.iterdir()) == files
+
     def test_only_regular_files_are_replaced(self, tmp_path, small_config,
                                              capsys):
         # a link's target is rewritten and the link kept; what is not a
