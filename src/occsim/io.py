@@ -51,17 +51,20 @@ def replacing(path):
     translation (bytes go to its ``buffer``), at a temporary name beside it
     with the mode ``open(path, "w")`` gives: renamed to ``path`` when the
     block ends, removed if it raises.  Only a regular file is replaced."""
-    path = Path(os.path.realpath(path))
-    if path.exists() and not path.is_file():  # a device is never replaced
-        raise OSError(f"{path}: not a regular file")
-    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():  # a device is never replaced
+        raise OSError(f"{target}: not a regular file")
+    temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path, "w") names it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         with contextlib.suppress(FileNotFoundError):  # a rewrite's mode
-            shutil.copymode(path, temporary)
-        os.replace(temporary, path)
+            shutil.copymode(target, temporary)
+        os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise

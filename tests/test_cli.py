@@ -1240,6 +1240,17 @@ class TestStudies:
                        *given[command]) == 1
         assert sorted(tmp_path.iterdir()) == files
 
+    def test_missing_directory_names_the_output(self, tmp_path, small_config,
+                                                monkeypatch, capsys):
+        # the error names the output as given, not its temporary file
+        monkeypatch.chdir(tmp_path)
+        files = sorted(tmp_path.iterdir())
+        assert run_cli("encode", "--config", small_config,
+                       "--out", "nodir/x.chips") == 1
+        err = capsys.readouterr().err
+        assert "'nodir/x.chips'" in err and ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == files
+
     def test_only_regular_files_are_replaced(self, tmp_path, small_config,
                                              capsys):
         # a link's target is rewritten and the link kept; what is not a

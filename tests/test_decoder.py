@@ -91,24 +91,28 @@ def part(forward, ab, fragment, frame=0, complete=False, position=0):
 
 def _parts(columns, payload_bits):
     """The Part tuples of a part table's columns (frame to bits), after
-    checking each column's dtype and shape and that every bits row is zero
-    outside its fragment."""
-    frame, position, forward, ab, length, bits = columns
+    checking each column's dtype and shape and that every bits row, packed
+    MSB first, is zero outside its fragment, the padding bits included."""
+    frame, position, forward, ab, length, packed = columns
     assert [c.dtype for c in columns] == [np.int64, np.intp, np.bool_,
-                                          np.int8, np.intp, np.int8]
-    assert bits.shape == (len(frame), payload_bits) and len(ab) == len(frame)
-    column = np.arange(payload_bits)
+                                          np.int8, np.intp, np.uint8]
+    assert packed.shape == (len(frame), math.ceil(payload_bits / 8))
+    assert len(ab) == len(frame)
+    bits = np.unpackbits(packed, axis=1)
+    column = np.arange(bits.shape[1])
     inside = np.where(forward[:, None], column < length[:, None],
-                      column >= payload_bits - length[:, None])
+                      (column >= payload_bits - length[:, None])
+                      & (column < payload_bits))
     assert not bits[~inside].any()
-    return [part(fw, tuple(state), row[:k] if fw else row[payload_bits - k:],
+    return [part(fw, tuple(state), row[:k] if fw
+                 else row[payload_bits - k:payload_bits],
                  f, k == payload_bits, p)
             for f, p, fw, state, k, row in zip(
-                *(c.tolist() for c in columns))]
+                *(c.tolist() for c in columns[:-1]), bits.tolist())]
 
 
 def _table(parts, payload_bits, version=V1):
-    """A part table holding the parts, in order."""
+    """A part table holding the parts, in order, each bits row packed."""
     bits = np.zeros((len(parts), payload_bits), dtype=np.int8)
     for row, p in zip(bits, parts):
         lo = 0 if p.forward else payload_bits - len(p.fragment)
@@ -121,7 +125,8 @@ def _table(parts, payload_bits, version=V1):
         ab=np.array([p.ab for p in parts], dtype=np.int8).reshape(
             len(parts), ab_bit_count(version)),
         length=np.array([len(p.fragment) for p in parts], dtype=np.intp),
-        bits=bits, n_frames=len(set(frames)), n_frames_with_sf=len(set(frames)),
+        bits=np.packbits(bits, axis=1), n_frames=len(set(frames)),
+        n_frames_with_sf=len(set(frames)),
         config=DecoderConfig(MAN, version, payload_bits, rows_per_chip=1))
 
 
@@ -394,9 +399,12 @@ def _joins(parts, payload_bits, version=V1):
     want = _ref_group_parts(parts)
     assert group.tolist() == [k for k, ref in enumerate(want)
                               for _ in ref.parts]
-    join_group, joined, flagged = fuse(table, group)
-    assert (joined.dtype, flagged.dtype) == (np.int8, np.bool_)
-    assert joined.shape == (len(join_group), payload_bits)
+    join_group, packed, flagged = fuse(table, group)
+    assert (packed.dtype, flagged.dtype) == (np.uint8, np.bool_)
+    assert packed.shape == (len(join_group), math.ceil(payload_bits / 8))
+    # packed MSB first, the padding bits zero
+    assert not np.unpackbits(packed, axis=1)[:, payload_bits:].any()
+    joined = np.unpackbits(packed, axis=1, count=payload_bits)
     got = [([s.tolist() for s in joined[join_group == k]],
             bool(flagged[join_group == k].any())) for k in range(len(want))]
     ref = [([s.tolist() for s in samples], flag) for samples, flag in (
@@ -1486,21 +1494,23 @@ def _assert_assembles_as_reference(parts, payload_bits, version, fusion):
 
 @pytest.mark.parametrize("payload_bits", [1, 5, 8, 24, 175])
 def test_fragment_masks(payload_bits):
-    # every (direction, length) row against the np.where form the reader
-    # took each part's mask from, and packed, against the masks grouping
-    # built from the two comparisons
+    # every (direction, length) row, unpacked, against the np.where form
+    # the reader once took each part's mask from, and packed, against the
+    # masks grouping built from the two comparisons
     n = payload_bits
     table = _fragment_masks(n)
-    assert table.dtype == bool and table.shape == (2, n + 1, n)
+    assert table.dtype == np.uint8 and table.shape == (2, n + 1, -(-n // 8))
     assert not table.flags.writeable
+    assert not np.unpackbits(table, axis=-1)[..., n:].any()  # the padding
     forward, cut = np.repeat([False, True], n + 1), np.tile(np.arange(n + 1), 2)
     column = np.arange(n)
     want = np.where(forward[:, None], column < cut[:, None],
                     column >= n - cut[:, None])
-    assert table[forward.astype(np.intp), cut].tolist() == want.tolist()
+    got = np.unpackbits(table[forward.astype(np.intp), cut], axis=-1, count=n)
+    assert got.tolist() == want.tolist()
     length = np.arange(n + 1)[:, None]
     packed = np.packbits([column >= n - length, column < length], axis=-1)
-    assert np.packbits(table, axis=-1).tobytes() == packed.tobytes()
+    assert table.tobytes() == packed.tobytes()
 
 
 class TestGroupingAgainstReference:
