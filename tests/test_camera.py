@@ -519,7 +519,8 @@ class TestStreamedMemory:
     def test_far_field_peak(self):
         # Holding every frame's rows and a float prefix sum of the waveform
         # peaked at 26.6 MB under tracemalloc; blocks read as they are
-        # rendered peak at 3.8 MB.
+        # rendered peak at 4.85 MB (5.17 MB when a part's bits took 175
+        # int8 bytes).
         cell, stream = self.CELL, self.stream()
         tracemalloc.start()
         try:

@@ -1494,12 +1494,12 @@ def _assert_assembles_as_reference(parts, payload_bits, version, fusion):
 
 @pytest.mark.parametrize("payload_bits", [1, 5, 8, 24, 175])
 def test_fragment_masks(payload_bits):
-    # every (direction, length) row, unpacked, against the np.where form
-    # the reader once took each part's mask from, and packed, against the
-    # masks grouping built from the two comparisons
+    # every (direction, length) row, unpacked, against its np.where form,
+    # and the whole table against the two comparisons packed
     n = payload_bits
     table = _fragment_masks(n)
-    assert table.dtype == np.uint8 and table.shape == (2, n + 1, -(-n // 8))
+    assert table.dtype == np.uint8
+    assert table.shape == (2, n + 1, math.ceil(n / 8))
     assert not table.flags.writeable
     assert not np.unpackbits(table, axis=-1)[..., n:].any()  # the padding
     forward, cut = np.repeat([False, True], n + 1), np.tile(np.arange(n + 1), 2)
