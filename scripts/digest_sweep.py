@@ -21,7 +21,10 @@ CSV's lines near a chunk boundary of the reader (a multiple of
 ``io._CHUNK_BYTES``) is cut to three fields, and the ``FileFormatError``
 message is hashed.  So is the CSV of ``occsim der`` on ``table5_v2``
 below its detection floor (4.5 +- 1.0 fps, 2 600 packets: two links) at
-the seed.  The seed's line is one hash over all of them.  Nothing under ``perfbench/`` is changed.
+the seed.  The pipeline cell's chip stream is written in both formats,
+ASCII and packed, and each file is hashed, and so are the chips and
+clock ``io.read_chipstream`` reads back from it.  The seed's line is one
+hash over all of them.  Nothing under ``perfbench/`` is changed.
 Run this script from each tree's root, the same copy of it in both, and
 diff the outputs:
 
@@ -176,6 +179,26 @@ def frames_csv_digests(seed: int) -> list[str]:
     return digests
 
 
+def chipstream_digests(seed: int) -> list[str]:
+    """sha256 of the file pipeline cell's chip stream written as ASCII and
+    as packed, as `occsim encode` writes them, and of the chips and clock
+    read back from each."""
+    cell = pipeline_cell(seed)
+    stream = framing.build_packet_stream(
+        _payloads(cell), cell.plan(), cell.rll_scheme, cell.frame_structure)
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.chips"
+        for write in (io.write_chipstream_ascii, io.write_chipstream_packed):
+            write(path, stream)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            read = io.read_chipstream(path)
+            digests.append(hashlib.sha256(
+                read.chips.tobytes() + repr(read.clock_hz).encode()
+            ).hexdigest())
+    return digests
+
+
 def shuffled_lines(raw: bytes, seed: int) -> bytes:
     """A CRLF frame CSV with its body lines permuted by the seed."""
     header, *body = raw.split(b"\r\n")[:-1]
@@ -238,7 +261,7 @@ def main(argv=None):
     for seed in args.seeds:
         digests = (preset_digests(seed) + [dropping_digest(seed)]
                    + fusion_digests(seed) + frames_csv_digests(seed)
-                   + [der_digest(seed)])
+                   + chipstream_digests(seed) + [der_digest(seed)])
         combined = hashlib.sha256(" ".join(digests).encode()).hexdigest()
         print(f"seed {seed} {combined[:16]}", flush=True)
 

@@ -15,8 +15,8 @@ Frames come in blocks (:class:`FrameBlock`): columns of consecutive
 frames and one frames x sensor-rows luma array of bounded size.
 :func:`sample_frames` renders them one block at a time, as they are read,
 each from an exact count of the on-chips over only the chips its rows
-expose, so no run holds a whole waveform's frames or a float copy of the
-waveform.
+expose, read from the stream's packed bytes, so no run holds a whole
+waveform's frames, a float copy of the waveform or an unpacked one.
 """
 
 from __future__ import annotations
@@ -169,25 +169,52 @@ def frame_intervals(config: CameraConfig, count: int) -> np.ndarray:
     return 1.0 / rates
 
 
-def _chip_span(chips: np.ndarray, lo: int, hi: int, ones_before: int,
-               clock_hz: float, work: _Workspace
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Chips ``lo`` to ``hi`` as floats (0.0 past the end), and the
-    waveform's on-time integral, in seconds, at the start of each, given
-    the count of on-chips before chip ``lo``.
+# the chips of each byte value, MSB first, as floats; and its on-chips
+_BYTE_CHIPS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1
+                            ).astype(np.float64)
+_BYTE_CHIPS.flags.writeable = False
+_BYTE_ONES = _BYTE_CHIPS.sum(axis=1).astype(np.int64)
+_BYTE_ONES.flags.writeable = False
 
-    The integral is that count plus a float sum over only these chips, so
-    it equals, bit for bit, what a float prefix sum of the whole waveform
-    gives: a float sum of 0/1 chips is exact below 2**53.  Both arrays
-    are ``work``'s.
+
+def _ones_between(packed: np.ndarray, lo: int, hi: int) -> int:
+    """Count of on-chips from chip ``lo`` up to chip ``hi`` (``lo <= hi``)
+    of MSB-first packed chips: the whole bytes from ``lo``'s byte to
+    ``hi``'s, less the chips of ``lo``'s byte before ``lo``, plus those of
+    ``hi``'s byte before ``hi``."""
+    (a, skip), (b, extra) = divmod(lo, 8), divmod(hi, 8)
+    ones = int(_BYTE_ONES.take(packed[a:b]).sum())
+    if skip:
+        ones -= int(_BYTE_ONES[packed[a] >> (8 - skip)])
+    if extra:
+        ones += int(_BYTE_ONES[packed[b] >> (8 - extra)])
+    return ones
+
+
+def _chip_span(stream: ChipStream, lo: int, hi: int, ones_before: int,
+               work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Chips ``lo`` to ``hi`` of the stream as floats (0.0 past the end),
+    and the waveform's on-time integral, in seconds, at the start of
+    each, given the count of on-chips before chip ``lo``.
+
+    The span is read from the packed bytes through a byte-to-chips table,
+    with no int8 copy of it.  The integral is that count plus a float sum
+    over only these chips, so it equals, bit for bit, what a float prefix
+    sum of the whole waveform gives: a float sum of 0/1 chips is exact
+    below 2**53.  Both arrays are ``work``'s.
     """
-    span, prefix = work("span", (hi + 1 - lo,)), work("prefix", (hi + 1 - lo,))
-    reached = chips[lo:hi + 1]
-    span[:len(reached)], span[len(reached):] = reached, 0.0
+    reached = stream.packed[lo // 8:hi // 8 + 1]  # the span's bytes
+    chips = work("span", (hi // 8 + 1 - lo // 8, 8))
+    # every index is a byte: "wrap" only spares take's buffered output
+    np.take(_BYTE_CHIPS, reached, axis=0, out=chips[:len(reached)],
+            mode="wrap")
+    chips[len(reached):] = 0.0
+    span = chips.reshape(-1)[lo % 8:lo % 8 + hi + 1 - lo]
+    prefix = work("prefix", (hi + 1 - lo,))
     prefix[0] = ones_before
     np.cumsum(span[:-1], out=prefix[1:])
     prefix[1:] += ones_before
-    prefix /= clock_hz
+    prefix /= stream.clock_hz
     return span, prefix
 
 
@@ -230,8 +257,8 @@ class SampledFrames:
         return len(self.starts)
 
     def __iter__(self):
-        camera, chips = self.camera, self.waveform.chips
-        clock_hz, exposure = self.waveform.clock_hz, camera.row_exposure_s
+        camera, stream = self.camera, self.waveform
+        clock_hz, exposure = stream.clock_hz, camera.row_exposure_s
         noise_rng = np.random.default_rng((camera.seed, 1))
         work = _Workspace()  # this iteration's own
         # only the covered rows are integrated; the rest stay dark
@@ -245,14 +272,13 @@ class SampledFrames:
             if len(row_offsets):
                 # the chips of the block's first begin and last end: times
                 # only rise along frames and rows
-                first, last = (min(int(max(t, 0.0) * clock_hz), len(chips))
+                first, last = (min(int(max(t, 0.0) * clock_hz), stream.count)
                                for t in (block_starts[0] + row_offsets[0],
                                          block_starts[-1] + row_offsets[-1]
                                          + exposure))
-                ones += int(np.count_nonzero(chips[mark:first]))
+                ones += _ones_between(stream.packed, mark, first)
                 mark = first
-                span, prefix = _chip_span(chips, first, last, ones, clock_hz,
-                                          work)
+                span, prefix = _chip_span(stream, first, last, ones, work)
                 # each row's luma: (integral at its end - its begin) / exposure
                 begin = work("begin", (len(block_starts), len(row_offsets)))
                 np.add(block_starts[:, None], row_offsets, out=begin)

@@ -84,9 +84,9 @@ def cmd_encode(args) -> int:
         io.write_chipstream_ascii(out, stream)
     _write_manifest(out, config, payload_count=len(payloads),
                     ds_chips=plan.ds_chips, repetitions=plan.repetitions,
-                    pad_chips=plan.pad_chips, chip_count=len(stream.chips),
+                    pad_chips=plan.pad_chips, chip_count=stream.count,
                     duration_s=stream.duration_s)
-    print(f"wrote {len(stream.chips)} chips "
+    print(f"wrote {stream.count} chips "
           f"({len(payloads)} packets x {plan.repetitions} sub-packets) to {out}")
     return 0
 

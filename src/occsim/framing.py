@@ -5,7 +5,9 @@ one SF start to the next.  A packet repeats the same sub-packet back to
 back inside its slot of 1/packet_rate seconds; the slot remainder that
 cannot hold a whole sub-packet is filled with LED-off chips so the packet
 grid stays exact.  A stream is built as a packets x slot-chips matrix:
-every packet's sub-packet comes out of one line-code pass and one tile.
+every packet's sub-packet comes out of one line-code pass and is copied
+into its slot's repetitions by one broadcast assignment, and the matrix
+is packed into the stream's bytes at once.
 
 Asynchronous bits carry the transmit clock state.  Structure V1 uses one
 bit alternating with the packet index; V2 adds a second bit toggling at
@@ -24,6 +26,7 @@ import numpy as np
 from .rll import (
     ChipStream,
     RllScheme,
+    _is_binary,
     encode_rll,
     payload_chip_count,
     preamble,
@@ -123,15 +126,18 @@ def build_packet_stream(payloads, plan: PacketPlan, scheme: RllScheme,
 
     All packets are built at once: one line-code pass over the packets x
     bits payload matrix, Ab chips looked up by packet index mod 4 (the
-    two-bit cycle, whose first bit is the one-bit state), and one tile of
-    the packets x sub-packet matrix into each packet's zero-padded slot.
+    two-bit cycle, whose first bit is the one-bit state), the packets x
+    sub-packet matrix broadcast into each packet's zero-padded slot as a
+    packets x repetitions x sub-packet view, and one ``np.packbits`` of
+    the whole slot matrix: no int8 copy of the stream is kept.
     """
     try:
         bits = np.asarray(payloads, dtype=np.int8)
     except ValueError as err:  # ragged rows
         raise ValueError("all payloads must have the same bit length") from err
     if not len(bits):
-        return ChipStream(np.empty(0, dtype=np.int8), plan.optical_clock_hz)
+        return ChipStream(np.empty(0, dtype=np.uint8), 0,
+                          plan.optical_clock_hz)
     if bits.ndim != 2:
         raise ValueError("payloads must be a sequence of bit vectors")
     ds_chips = subpacket_chip_length(bits.shape[1], scheme, version)
@@ -147,6 +153,11 @@ def build_packet_stream(payloads, plan: PacketPlan, scheme: RllScheme,
     ab = ab_cycle[np.arange(packets) % 4]
     sf = np.broadcast_to(preamble(scheme), (packets, len(preamble(scheme))))
     sub = np.concatenate([sf, ab, encode_rll(bits, scheme), ab], axis=1)
-    slots = np.zeros((packets, plan.slot_chips), dtype=np.int8)
-    slots[:, :plan.repetitions * ds_chips] = np.tile(sub, plan.repetitions)
-    return ChipStream(slots.ravel(), plan.optical_clock_hz)
+    if not _is_binary(sub):
+        raise ValueError("chips must be 0/1 valued")
+    slots = np.zeros((packets, plan.slot_chips), dtype=np.uint8)
+    # splitting the slots' contiguous last axis is a view, never a copy
+    repeated = slots[:, :plan.repetitions * ds_chips].reshape(
+        packets, plan.repetitions, ds_chips)
+    repeated[...] = sub[:, None, :]
+    return ChipStream(np.packbits(slots), slots.size, plan.optical_clock_hz)

@@ -81,18 +81,18 @@ def write_csv(path, header: list[str], rows) -> None:
 def write_chipstream_ascii(path, stream: ChipStream) -> None:
     with replacing(path) as fh:
         fh.write(f"clock_hz={stream.clock_hz!r}\n")
-        fh.write(f"chips={len(stream.chips)}\n")
+        fh.write(f"chips={stream.count}\n")
         text = chips_to_ascii(stream.chips)
         for i in range(0, len(text), _ASCII_WRAP):
             fh.write(text[i:i + _ASCII_WRAP] + "\n")
 
 
 def write_chipstream_packed(path, stream: ChipStream) -> None:
-    packed = np.packbits(stream.chips.astype(np.uint8))
+    """The header, then the stream's packed bytes as they are."""
     with replacing(path) as fh:
         fh.buffer.write(PACKED_MAGIC + _PACKED_HEADER.pack(
-            PACKED_VERSION, stream.clock_hz, len(stream.chips)))
-        fh.buffer.write(packed.tobytes())
+            PACKED_VERSION, stream.clock_hz, stream.count))
+        fh.buffer.write(stream.packed.tobytes())
 
 
 def read_chipstream(path) -> ChipStream:
@@ -108,10 +108,14 @@ def read_chipstream(path) -> ChipStream:
         clock_hz = _clock_hz(clock_hz, "packed header")
         payload = np.frombuffer(raw, dtype=np.uint8,
                                 offset=len(PACKED_MAGIC) + _PACKED_HEADER.size)
-        chips = np.unpackbits(payload)[:count].astype(np.int8)
-        if len(chips) != count:
+        size = -(-count // 8)
+        if len(payload) < size:
             raise FileFormatError("packed chip stream truncated")
-        return ChipStream(chips, clock_hz)
+        # the chips' bytes; trailing bytes and padding bits are ignored
+        packed = payload[:size].copy()
+        if count % 8:
+            packed[-1] &= (0xFF << (8 - count % 8)) & 0xFF
+        return ChipStream(packed, count, clock_hz)
 
     clock_hz = None
     count = None
@@ -152,7 +156,7 @@ def read_chipstream(path) -> ChipStream:
         raise FileFormatError(
             f"chip count mismatch: header says {count}, file has {len(chips)}"
         )
-    return ChipStream(chips, clock_hz)
+    return ChipStream.from_chips(chips, clock_hz)
 
 
 def _chip_lines(lines: list[tuple[int, str]]) -> np.ndarray:

@@ -306,7 +306,7 @@ def test_criterion_10_conservation_and_determinism(tmp_path):
     rng = np.random.default_rng(77)
     for _ in range(10):
         chips = rng.integers(0, 2, size=200).astype(np.int8)
-        stream = ChipStream(chips, 1000.0)
+        stream = ChipStream.from_chips(chips, 1000.0)
         camera = CameraConfig(rows=100, row_period_s=0.002,
                               row_exposure_s=0.002, mean_fps=2.5,
                               delta_fps=0.0, seed=1)

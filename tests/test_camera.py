@@ -111,7 +111,7 @@ class TestCameraConfigValidation:
 
 class TestSampleFrames:
     def test_constant_on_gives_unit_luminance(self):
-        stream = ChipStream(np.ones(2000, dtype=np.int8), 1000.0)
+        stream = ChipStream.from_chips(np.ones(2000, dtype=np.int8), 1000.0)
         frames = sample_frames(stream, camera())
         assert len(frames) > 0
         for frame in _frames(frames):
@@ -120,7 +120,7 @@ class TestSampleFrames:
     def test_square_wave_full_period_exposure_is_half(self):
         # 500 Hz square wave; each row integrates exactly one period
         chips = np.tile([1, 0], 2000).astype(np.int8)
-        stream = ChipStream(chips, 1000.0)
+        stream = ChipStream.from_chips(chips, 1000.0)
         config = camera(rows=20, row_period=0.002, exposure=0.002,
                         mean_fps=10.0)
         frames = sample_frames(stream, config)
@@ -130,7 +130,7 @@ class TestSampleFrames:
     def test_rows_reproduce_chips_exactly(self):
         rng = np.random.default_rng(11)
         chips = rng.integers(0, 2, size=64).astype(np.int8)
-        stream = ChipStream(chips, 1000.0)
+        stream = ChipStream.from_chips(chips, 1000.0)
         # one row per chip, exposure much shorter than the chip period
         config = camera(rows=64, row_period=0.001, exposure=0.00001,
                         mean_fps=10.0, delta_fps=0.0)
@@ -140,12 +140,12 @@ class TestSampleFrames:
         assert np.abs(frames[0].row_luma - chips).max() < 1e-9
 
     def test_duration_cannot_exceed_waveform(self):
-        stream = ChipStream(np.ones(100, dtype=np.int8), 1000.0)
+        stream = ChipStream.from_chips(np.ones(100, dtype=np.int8), 1000.0)
         with pytest.raises(ValueError):
             sample_frames(stream, camera(), duration_s=1.0)
 
     def test_zero_duration_yields_no_frames(self):
-        stream = ChipStream(np.ones(100, dtype=np.int8), 1000.0)
+        stream = ChipStream.from_chips(np.ones(100, dtype=np.int8), 1000.0)
         frames = sample_frames(stream, camera(), duration_s=0.0)
         assert len(frames) == 0
         assert list(frames) == []
@@ -153,7 +153,7 @@ class TestSampleFrames:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         chips = rng.integers(0, 2, size=4000).astype(np.int8)
-        stream = ChipStream(chips, 1000.0)
+        stream = ChipStream.from_chips(chips, 1000.0)
         config = camera(mean_fps=25.0, delta_fps=5.0, sigma=0.05, seed=21,
                         rows=30)
         a = sample_frames(stream, config)
@@ -166,14 +166,14 @@ class TestSampleFrames:
             assert np.array_equal(fa.row_luma, fb.row_luma)
 
     def test_noise_is_clamped(self):
-        stream = ChipStream(np.ones(2000, dtype=np.int8), 1000.0)
+        stream = ChipStream.from_chips(np.ones(2000, dtype=np.int8), 1000.0)
         frames = sample_frames(stream, camera(sigma=0.5, seed=1))
         for frame in _frames(frames):
             assert frame.row_luma.max() <= 1.0
             assert frame.row_luma.min() >= 0.0
 
     def test_geometry_limits_coverage(self):
-        stream = ChipStream(np.ones(2000, dtype=np.int8), 1000.0)
+        stream = ChipStream.from_chips(np.ones(2000, dtype=np.int8), 1000.0)
         geometry = GeometryConfig(distance=2.0, reference_distance=1.0,
                                   subpacket_rows=40)
         frames = sample_frames(stream, camera(rows=40), geometry)
@@ -190,7 +190,7 @@ class TestSampleFrames:
         # equal the waveform duty cycle to float precision
         rng = np.random.default_rng(seed)
         chips = rng.integers(0, 2, size=100).astype(np.int8)
-        stream = ChipStream(chips, 1000.0)
+        stream = ChipStream.from_chips(chips, 1000.0)
         config = camera(rows=50, row_period=0.002, exposure=0.002,
                         mean_fps=5.0, delta_fps=0.0)
         frames = _frames(sample_frames(stream, config))
@@ -305,7 +305,7 @@ class TestAgainstReference:
     def stream(self, frames, seed=0):
         rng = np.random.default_rng(seed)
         chips = rng.integers(0, 2, size=int(self.CLOCK * (frames + 2) / 20))
-        return ChipStream(chips.astype(np.int8), self.CLOCK)
+        return ChipStream.from_chips(chips.astype(np.int8), self.CLOCK)
 
     @staticmethod
     def assert_same(sampled, want):
@@ -323,8 +323,7 @@ class TestAgainstReference:
         # before the start, inside, at chip edges and past the end, where
         # sampled frames never reach
         rng = np.random.default_rng(seed)
-        stream = ChipStream(rng.integers(0, 2, n_chips).astype(np.int8),
-                            self.CLOCK)
+        stream = ChipStream.from_chips(rng.integers(0, 2, n_chips), self.CLOCK)
         times = np.concatenate([
             rng.uniform(-1.0, 2.0, 200) * stream.duration_s,
             np.arange(-1, n_chips + 2) / self.CLOCK])
@@ -336,9 +335,8 @@ class TestAgainstReference:
                        for t in (times.min(), times.max()))
         for lo, hi in ((0, n_chips), (first, last)):
             work = _Workspace()
-            span, prefix = _chip_span(stream.chips, lo, hi,
-                                      int(stream.chips[:lo].sum()), self.CLOCK,
-                                      work)
+            span, prefix = _chip_span(stream, lo, hi,
+                                      int(stream.chips[:lo].sum()), work)
             got = _integral_at(prefix, span, lo, self.CLOCK, times, work)
             assert got.tobytes() == want.tobytes()
 
@@ -348,8 +346,7 @@ class TestAgainstReference:
         # only times a sampled frame reaches, from 0 (and -0.0) to the
         # waveform's end: no time is clamped
         rng = np.random.default_rng(seed)
-        stream = ChipStream(rng.integers(0, 2, n_chips).astype(np.int8),
-                            self.CLOCK)
+        stream = ChipStream.from_chips(rng.integers(0, 2, n_chips), self.CLOCK)
         times = np.concatenate([
             rng.uniform(0.0, 1.0, 200) * stream.duration_s,
             np.arange(n_chips + 1) / self.CLOCK, [0.0, -0.0]])
@@ -360,9 +357,8 @@ class TestAgainstReference:
         first, last = (int(t * self.CLOCK) for t in (times.min(), times.max()))
         for lo, hi in ((0, n_chips), (first, last)):
             work = _Workspace()
-            span, prefix = _chip_span(stream.chips, lo, hi,
-                                      int(stream.chips[:lo].sum()), self.CLOCK,
-                                      work)
+            span, prefix = _chip_span(stream, lo, hi,
+                                      int(stream.chips[:lo].sum()), work)
             got = _integral_at(prefix, span, lo, self.CLOCK, times, work)
             assert got.tobytes() == want.tobytes()
 
@@ -483,8 +479,7 @@ class TestDropFrames:
     @pytest.mark.parametrize("block_elements", [1, 7 * 30, _BLOCK_ELEMENTS])
     def test_against_per_frame_rule(self, keep, block_elements):
         rng = np.random.default_rng(5)
-        stream = ChipStream(rng.integers(0, 2, 20_000).astype(np.int8),
-                            1000.0)
+        stream = ChipStream.from_chips(rng.integers(0, 2, 20_000), 1000.0)
         frames = sample_frames(stream, camera(rows=30, delta_fps=5.0,
                                               sigma=0.2, seed=3))
         with mock.patch.object(camera_module, "_BLOCK_ELEMENTS",
@@ -516,11 +511,31 @@ class TestStreamedMemory:
             random_payloads(cell.trials, cell.payload_bits, 11, distinct=True),
             cell.plan(), cell.rll_scheme, cell.frame_structure)
 
+    def test_far_field_stream_is_packed(self):
+        # the stream keeps its 864 000 chips packed, 108 000 bytes; the
+        # build traced a 1.74 MB peak when it tiled the sub-packets into
+        # an int8 stream, 0.99 MB filling a uint8 slot matrix and packing it
+        cell = self.CELL
+        payloads = random_payloads(cell.trials, cell.payload_bits, 11,
+                                   distinct=True)
+        tracemalloc.start()
+        try:
+            stream = build_packet_stream(payloads, cell.plan(),
+                                         cell.rll_scheme, cell.frame_structure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.count == 864_000
+        assert stream.packed.dtype == np.uint8
+        assert stream.packed.nbytes == 108_000
+        assert peak < 1.3e6
+
     def test_far_field_peak(self):
         # Holding every frame's rows and a float prefix sum of the waveform
         # peaked at 26.6 MB under tracemalloc; blocks read as they are
-        # rendered peak at 4.85 MB (5.17 MB when a part's bits took 175
-        # int8 bytes).
+        # rendered peak at 4.87 MB (5.17 MB when a part's bits took 175
+        # int8 bytes).  The stream, built before tracing, is read in packed
+        # spans: its 108 kB, not 864 kB of int8 chips, stay live.
         cell, stream = self.CELL, self.stream()
         tracemalloc.start()
         try:

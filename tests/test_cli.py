@@ -375,10 +375,23 @@ class TestReadChipstream:
         with pytest.raises(io.FileFormatError, match=message):
             io.read_chipstream(path)
 
+    def test_packed_padding_and_trailing_bytes_ignored(self, tmp_path):
+        # the header's count of chips is read; the rest of the last byte
+        # and the bytes after it are not chips
+        path = tmp_path / "stream.chips"
+        path.write_bytes(b"OCHP" + _PACKED_HEADER.pack(1, 1000.0, 10)
+                         + b"\xb3\xff\x12")
+        stream = io.read_chipstream(path)
+        assert stream.chips.tolist() == [1, 0, 1, 1, 0, 0, 1, 1, 1, 1]
+        assert stream.packed.tolist() == [0xB3, 0xC0]
+        io.write_chipstream_packed(path, stream)
+        assert path.read_bytes() == (
+            b"OCHP" + _PACKED_HEADER.pack(1, 1000.0, 10) + b"\xb3\xc0")
+
     def test_comments_blank_lines_and_wrap(self, tmp_path):
         chips = np.tile(np.array([0, 1, 1], dtype=np.int8), 60)
         path = tmp_path / "stream.chips"
-        io.write_chipstream_ascii(path, ChipStream(chips, 1000.0))
+        io.write_chipstream_ascii(path, ChipStream.from_chips(chips, 1000.0))
         lines = path.read_text().splitlines()
         assert [len(line) for line in lines[2:]] == [80, 80, 20]
         path.write_text("# a comment\n\n" + "\n".join(lines) + "\n")
@@ -706,8 +719,7 @@ class TestWriteFramesCsv:
 
 def _valid_files() -> dict[str, bytes]:
     """Small well-formed files of each kind the readers accept."""
-    stream = ChipStream(np.tile(np.array([0, 1, 1], dtype=np.int8), 30),
-                        1000.0)
+    stream = ChipStream.from_chips(np.tile([0, 1, 1], 30), 1000.0)
     samples = [_block(range(2), [0.0, 0.05],
                       [np.linspace(0.0, 1.0, 6)] * 2, 6)]
     with tempfile.TemporaryDirectory() as tmp:

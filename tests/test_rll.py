@@ -346,19 +346,43 @@ class TestPreambleUniqueness:
 class TestChipStream:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChipStream(np.array([0, 2], dtype=np.int8), 1000.0)
+            ChipStream.from_chips(np.array([0, 2], dtype=np.int8), 1000.0)
         with pytest.raises(ValueError):
-            ChipStream(np.array([0, -1], dtype=np.int8), 1000.0)
+            ChipStream.from_chips(np.array([0, -1], dtype=np.int8), 1000.0)
         with pytest.raises(ValueError):
-            ChipStream(np.array([0, 1], dtype=np.int8), 0.0)
+            ChipStream.from_chips(np.array([0, 1], dtype=np.int8), 0.0)
+
+    @pytest.mark.parametrize("packed, count, message", [
+        (np.array([0b10100000, 0], dtype=np.uint8), 3, "need 1 packed bytes"),
+        (np.array([], dtype=np.uint8), 1, "need 1 packed bytes"),
+        (np.array([0b10110000], dtype=np.uint8), 3, "padding bits"),
+        (np.array([0b10100001], dtype=np.uint8), 7, "padding bits"),
+        (np.array([0b01100000], dtype=np.int8), 3, "uint8"),
+        (np.array([[0b10100000]], dtype=np.uint8), 3, "one-dimensional"),
+        (np.array([0b10100000], dtype=np.uint8), -3, "non-negative"),
+    ], ids=["extra_byte", "missing_byte", "padding_bit", "last_padding_bit",
+            "int8", "two_dimensional", "negative_count"])
+    def test_packed_rejected(self, packed, count, message):
+        with pytest.raises(ValueError, match=message):
+            ChipStream(packed, count, 1000.0)
+
+    def test_packed_chips(self):
+        # MSB first, zero padding, and unpacked as int8
+        stream = ChipStream.from_chips([1, 0, 1, 1, 0, 0, 0, 0, 1, 1], 8.0)
+        assert stream.packed.tolist() == [0b10110000, 0b11000000]
+        assert stream.count == 10
+        assert stream.chips.dtype == np.int8
+        assert stream.chips.tolist() == [1, 0, 1, 1, 0, 0, 0, 0, 1, 1]
+        assert ChipStream(stream.packed, 10, 8.0).chips.tolist() == \
+            stream.chips.tolist()
 
     @pytest.mark.parametrize("clock_hz", [math.inf, math.nan, -math.inf])
     def test_nonfinite_clock_rejected(self, clock_hz):
         with pytest.raises(ValueError, match="clock_hz"):
-            ChipStream(np.array([0, 1], dtype=np.int8), clock_hz)
+            ChipStream.from_chips(np.array([0, 1], dtype=np.int8), clock_hz)
 
     def test_duration(self):
-        stream = ChipStream(np.array([1, 0, 1, 0], dtype=np.int8), 8.0)
+        stream = ChipStream.from_chips([1, 0, 1, 0], 8.0)
         assert stream.duration_s == 0.5
 
     def test_ascii_roundtrip(self):
